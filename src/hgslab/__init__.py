@@ -18,6 +18,7 @@ from .errors import (
     CorrespondenceError,
     HgsError,
     InvalidSpec,
+    InvariantError,
     NotRegular,
     NotStable,
     UnknownType,

@@ -19,6 +19,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _is_prime,
     automorphisms,
     are_isomorphic,
     build_group,
@@ -607,12 +608,6 @@ def normal_complements(G: FiniteGroup, T: Subgroup) -> list:
 
 # ---------------------------------------------------------------------------
 # Stable regular subgroups on a coset space
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 def _coset_brute(cs: CosetSpace, L: PermGroup) -> list:

@@ -48,5 +48,9 @@ class CorrespondenceError(HgsError):
     """A fixed-subgroup computation violated its cardinality certificate."""
 
 
+class InvariantError(HgsError):
+    """A computed result contradicts a fact its construction guarantees."""
+
+
 class UsageError(HgsError):
     """Command line arguments do not form a valid command."""

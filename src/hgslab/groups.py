@@ -536,27 +536,6 @@ def normal_subgroups(G: FiniteGroup) -> list:
     return G._memo("normal_subgroups", compute)
 
 
-def normal_complement(G: FiniteGroup, T: Subgroup) -> Optional[Subgroup]:
-    """A normal S with S * T = G and trivial intersection, or None.
-
-    Ties are broken by the lexicographically smallest element tuple.
-    """
-    if T.parent is not G:
-        raise InvalidSpec("subgroup belongs to a different group")
-    if G.order % T.order != 0:
-        raise InvalidSpec("subgroup order does not divide group order")
-    want = G.order // T.order
-    telems = set(T.elements)
-    candidates = [
-        S
-        for S in normal_subgroups(G)
-        if S.order == want and len(telems & set(S.elements)) == 1
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda s: s.elements)
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms
 

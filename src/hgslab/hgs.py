@@ -1,15 +1,20 @@
 """Regular subgroups of Perm(G) normalized by the left translations.
 
 Such subgroups classify the Hopf-Galois structures on a Galois extension
-with group G, so we call a certified one a structure.  Enumeration goes
-through the holomorph of each candidate type: regular subgroups of Perm(G)
-of type M normalized by lambda(G) correspond to regular embeddings of G
-into Hol(M), which is a far smaller search space than Perm(G).
+with group G, so we call a certified one a structure.  Enumeration follows
+Byott's translation: structures of type M on G correspond to regular
+embeddings beta: G -> Hol(M), two embeddings giving the same structure
+exactly when they are conjugate under Aut(M).  An element of Hol(M) is the
+image tuple lambda(m) . a with a in Aut(M), and it sends the base point to
+m, so an embedding is regular exactly when its base-point images are
+distinct.  The search backtracks over the images of G's generating set,
+spreads each partial choice along G's Cayley graph, and rejects it as soon
+as a relation of G fails or a base-point image repeats.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import itertools
 
@@ -24,13 +29,11 @@ from .groups import (
     catalog_specs,
 )
 from .perms import (
-    GPerm,
     PermGroup,
     _compose,
     _conjugate,
-    _invert,
+    _tuple_order,
     centralizer_of_regular,
-    holomorph,
     lambda_image,
     perm_group_as_group,
     perm_group_from_elements,
@@ -149,8 +152,11 @@ def certify(
     """Validate order, regularity and stability, and build the eta index.
 
     Stability means conjugation by every left translation maps the subgroup
-    into itself.  Checking the generators suffices because conjugation by a
-    fixed lambda(g) is an automorphism of Perm(G); full_stability rechecks
+    into itself.  Checking the generators of the subgroup suffices because
+    conjugation by a fixed lambda(g) is an automorphism of Perm(G); checking
+    lambda of G's generators suffices because lambda is a homomorphism and a
+    map of the finite subgroup into itself is a bijection, so the
+    translations that normalize it form a subgroup.  full_stability probes
     every member anyway.
     """
     n = G.order
@@ -167,7 +173,7 @@ def certify(
     # eta is filled exactly when the orbit of 0 is everything
     members = perms.element_set
     probes = perms.elements if full_stability else perms.generators
-    for g in range(n):
+    for g in G.generating_set():
         lam = G.table[g]
         lam_inv = G.table[G.inverse[g]]
         for p in probes:
@@ -177,19 +183,6 @@ def certify(
                     f"conjugate of {p} by translation of g={g} leaves the set"
                 )
     return RegularSubgroup(G, perms, eta, type_label=type_label)
-
-
-def stability_action(N: RegularSubgroup, g: int, eta: GPerm) -> GPerm:
-    """The action of g on a member: conjugation by the left translation."""
-    if eta.images not in N.perms.element_set:
-        raise ValueError("eta is not a member of the structure")
-    G = N.group
-    lam = G.table[g]
-    lam_inv = G.table[G.inverse[g]]
-    out = GPerm(_compose(lam, _compose(eta.images, lam_inv)), check=False)
-    if out.images not in N.perms.element_set:
-        raise NotStable(f"action of g={g} left the subgroup")
-    return out
 
 
 def opposite(N: RegularSubgroup) -> RegularSubgroup:
@@ -226,103 +219,103 @@ def type_of(N: RegularSubgroup) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration through the holomorph
+# Enumeration by generator images into Hol(M)
 
 
-def _regular_subgroups_of_holomorph(spec: GroupSpec) -> tuple:
-    """Every regular subgroup of Hol(M) of order |M|, M built from spec.
+def _fpf_by_order(M: FiniteGroup) -> dict:
+    """Fixed-point-free elements lambda(m) . a of Hol(M), keyed by order.
 
-    Elements of a regular subgroup are fixed point free away from the
-    identity and have pairwise distinct images of the base point, which
-    prunes the generator search hard.  Found subgroups are extended one
-    generator at a time, which reaches every subgroup.
+    Every non-identity member of a regular subgroup moves every point, so
+    these are the only images a non-identity element of G can receive.
     """
-    key = ("hol_regulars", str(spec))
-    if key in _HOL_CACHE:
-        return _HOL_CACHE[key]
-    M = build_group(spec)
     n = M.order
-    if n == 1:
-        result = (perm_group_from_elements([(0,)]),)
-        _HOL_CACHE[key] = result
-        return result
-    hol = holomorph(M)
-    ident = tuple(range(n))
-    fpf = [
-        p.images
-        for p in hol.perm_group.elements
-        if p.images != ident and all(px != x for x, px in enumerate(p.images))
-    ]
-    fpf_set = set(fpf)
+    pools: dict = {}
+    for aut in automorphisms(M):
+        for m in range(1, n):
+            p = _compose(M.table[m], aut.images)
+            if all(px != x for x, px in enumerate(p)):
+                pools.setdefault(_tuple_order(p), []).append(p)
+    return pools
 
-    def close(gen_list):
-        # returns frozenset of images or None when the candidate dies:
-        # leaves the fpf pool, exceeds order n, or repeats a 0-image
-        out = {ident}
-        zero_images = {0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gen_list:
-                    p = _compose(a, g)
-                    if p in out:
-                        continue
-                    if p not in fpf_set:
-                        return None
-                    z = p[0]
-                    if z in zero_images or len(out) >= n:
-                        return None
-                    zero_images.add(z)
-                    out.add(p)
-                    nxt.append(p)
-            frontier = nxt
-        return frozenset(out)
 
-    found: dict = {}
-    frontier: list = []
-    best_start: dict = {}
-    for i, g in enumerate(fpf):
-        sub = close([g])
-        if sub is None:
-            continue
-        if sub not in best_start or best_start[sub] > i:
-            if sub not in found:
-                found[sub] = [g]
-                frontier.append((sub, [g], i))
-            best_start[sub] = min(best_start.get(sub, i), i)
+def _orbit_representatives(pool: Sequence[tuple], auts: Sequence[tuple]) -> list:
+    """One member of each orbit of pool under conjugation by the group auts."""
+    left = set(pool)
+    reps = []
+    for p in pool:
+        if p in left:
+            reps.append(p)
+            left.difference_update(_conjugate(p, a) for a in auts)
+    return reps
+
+
+def _close_along_cayley_graph(
+    G: FiniteGroup, gens: Sequence[int], images: Sequence[tuple]
+) -> Optional[list]:
+    """The map x -> beta(x) on <gens> with beta(gens[k]) = images[k], or None.
+
+    beta is spread along the Cayley graph by beta(x * g) = beta(x) . beta(g).
+    The choice dies when an element is reached with two different images (a
+    relation of G fails) or when two elements send the base point to the same
+    place (the image is not semiregular).
+    """
+    table = G.table
+    ident = tuple(range(G.order))
+    beta: list = [None] * G.order
+    beta[0] = ident
+    hit = [False] * G.order
+    hit[0] = True
+    edges = list(zip(gens, images))
+    frontier = [0]
     while frontier:
         nxt = []
-        for sub, gens, last in frontier:
-            # extending a proper subgroup at least doubles it (Lagrange),
-            # so only subgroups of order <= n/2 can still reach order n
-            if 2 * len(sub) > n:
-                continue
-            for j in range(last + 1, len(fpf)):
-                g = fpf[j]
-                if g in sub:
-                    continue
-                bigger = close(gens + [g])
-                if bigger is None:
-                    continue
-                prev = best_start.get(bigger)
-                if prev is not None and prev <= j:
-                    continue
-                best_start[bigger] = j
-                if bigger not in found:
-                    found[bigger] = gens + [g]
-                nxt.append((bigger, gens + [g], j))
+        for x in frontier:
+            bx, row = beta[x], table[x]
+            for g, c in edges:
+                q = _compose(bx, c)
+                y = row[g]
+                by = beta[y]
+                if by is None:
+                    if hit[q[0]]:
+                        return None
+                    hit[q[0]] = True
+                    beta[y] = q
+                    nxt.append(y)
+                elif by != q:
+                    return None
         frontier = nxt
-    out = []
-    for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
-        if len(sub) == n:
-            out.append(perm_group_from_elements(sub))
-    result = tuple(out)
-    _HOL_CACHE[key] = result
-    return result
+    return beta
 
 
-_HOL_CACHE: dict = {}
+def _regular_embeddings(G: FiniteGroup, M: FiniteGroup):
+    """Image lists of regular embeddings G -> Hol(M), one per Aut(M)-class.
+
+    Two embeddings conjugate under Aut(M) give the same structure, so each
+    generator image is taken only up to conjugation by the automorphisms of
+    M that fix the images chosen before it; the first generator is thus taken
+    up to Aut(M)-conjugacy.  Conjugating by such an automorphism moves the
+    next image to its representative without moving the earlier ones, so
+    every class is reached, and two representatives never share a class.
+    """
+    gens = G.generating_set()
+    orders = G.element_orders
+    pools = _fpf_by_order(M)
+
+    def search(beta, images, auts):
+        i = len(images)
+        if i == len(gens):
+            yield beta
+            return
+        pool = pools.get(orders[gens[i]], ())
+        for c in _orbit_representatives(pool, auts):
+            chosen = images + [c]
+            closed = _close_along_cayley_graph(G, gens[: i + 1], chosen)
+            if closed is not None:
+                fixing = [a for a in auts if _conjugate(c, a) == c]
+                yield from search(closed, chosen, fixing)
+
+    ident = tuple(range(G.order))
+    yield from search([ident], [], [a.images for a in automorphisms(M)])
 
 
 def _structure_from_embedding(
@@ -354,6 +347,9 @@ def enumerate_hgs(
 ) -> HgsInventory:
     """All G-stable regular subgroups of Perm(G), optionally of one type.
 
+    For each type M the regular embeddings G -> Hol(M) are enumerated up to
+    Aut(M)-conjugacy (see _regular_embeddings), mapped to structures by
+    _structure_from_embedding, deduplicated by element set and certified.
     Requires a catalog-complete order unless a type filter narrows the
     search; the completeness flag on the result reflects that.
     """
@@ -375,20 +371,11 @@ def enumerate_hgs(
         complete = False
 
     found: dict = {}
-    auts = automorphisms(G)
     for spec in specs:
         M = build_group(spec)
-        for Q in _regular_subgroups_of_holomorph(spec):
-            Q_abs, q_elems = perm_group_as_group(Q)
-            iso0 = are_isomorphic(G, Q_abs)
-            if iso0 is None:
-                continue
-            base = [q_elems[iso0.images[g]].images for g in range(n)]
-            for aut in auts:
-                beta = [base[aut.images[g]] for g in range(n)]
-                key, _ = _structure_from_embedding(G, M, beta)
-                if key not in found:
-                    found[key] = spec
+        for beta in _regular_embeddings(G, M):
+            key, _ = _structure_from_embedding(G, M, beta)
+            found.setdefault(key, spec)
     structures = []
     for key, spec in found.items():
         pg = perm_group_from_elements(key)

@@ -60,12 +60,7 @@ class GPerm:
         return GPerm(_invert(self.images), check=False)
 
     def order(self) -> int:
-        ident = tuple(range(self.base))
-        k, cur = 1, self.images
-        while cur != ident:
-            cur = _compose(cur, self.images)
-            k += 1
-        return k
+        return _tuple_order(self.images)
 
     def fixed_points(self) -> tuple:
         return tuple(x for x, i in enumerate(self.images) if i == x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .errors import InvariantError
 from .groups import FiniteGroup, Subgroup, subgroup_closure
 from .hgs import HgsInventory, RegularSubgroup, certify, opposite
 from .perms import _conjugate, perm_group_from_elements
@@ -110,9 +111,9 @@ def rho_orbit(N: RegularSubgroup) -> RhoOrbit:
     carrier = [g for _, _, g in built]
     stabilizer = subgroup_closure(G, stab)
     if stabilizer.order != len(stab):
-        raise AssertionError("stabilizer set failed to close")
+        raise InvariantError("stabilizer set failed to close")
     if len(members) * stabilizer.order != n:
-        raise AssertionError("orbit-stabilizer count mismatch")
+        raise InvariantError("orbit-stabilizer count mismatch")
     return RhoOrbit(G, N, members, carrier, stabilizer)
 
 

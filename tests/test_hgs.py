@@ -1,5 +1,7 @@
 """Certification, enumeration, opposites, and type identification."""
 
+import time
+
 import pytest
 
 from hgslab import (
@@ -66,6 +68,18 @@ def test_enumerate_unsupported_order_without_filter():
     assert lambda_image(C16).element_set in \
         {s.perms.element_set for s in inv.structures}
     assert not inv.complete
+
+
+def test_type_filtered_enumeration_beyond_catalog_orders():
+    start = time.perf_counter()
+    for spec, want in [("sym:4", 8), ("dihedral:8", 24)]:
+        inv = enumerate_hgs(build_group(spec), type_filter=parse_spec(spec))
+        assert len(inv) == want, spec
+        assert not inv.complete
+        assert {str(s.type_label) for s in inv} == {spec}
+    # the generator-image search takes a fraction of this; the search it
+    # replaced took about 13 s on these two
+    assert time.perf_counter() - start < 3
 
 
 def test_certify_rejects_wrong_order(s3):

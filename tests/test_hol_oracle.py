@@ -1,0 +1,178 @@
+"""Differential oracle for the enumeration: regular subgroups of Hol(M).
+
+The oracle is an independent route to the structures of type M on G.  It
+builds all of Hol(M), grows every regular subgroup of it one generator at a
+time over the fixed-point-free elements, identifies each with G by an
+isomorphism search, and pushes every isomorphism G -> Q (one per automorphism
+of G) through the embedding-to-structure map.  `enumerate_hgs` must give the
+same structure sets.  The same subgroups also check Byott's counting
+identity e(G, M) |Aut M| = |Aut G| e'(G, M), where e'(G, M) counts the
+regular subgroups of Hol(M) isomorphic to G.
+"""
+
+import pytest
+
+from hgslab import (
+    are_isomorphic,
+    automorphisms,
+    build_group,
+    catalog_specs,
+    enumerate_hgs,
+    holomorph,
+    parse_spec,
+)
+from hgslab.hgs import _structure_from_embedding
+from hgslab.perms import _compose, perm_group_as_group, perm_group_from_elements
+
+CATALOG_PAIRS = [
+    (str(g), str(m))
+    for n in list(range(1, 16)) + [21]
+    for g in catalog_specs(n)
+    for m in catalog_specs(n)
+]
+EXTRA_PAIRS = [
+    ("alt:4", "alt:4"),
+    ("cyclic:24", "cyclic:24"),
+    ("dihedral:8", "cyclic:16"),
+]
+
+
+def _regular_subgroups_of_holomorph(spec):
+    """Every regular subgroup of Hol(M) of order |M|, M built from spec.
+
+    Elements of a regular subgroup are fixed point free away from the
+    identity and have pairwise distinct images of the base point, which
+    prunes the generator search hard.  Found subgroups are extended one
+    generator at a time, which reaches every subgroup.
+    """
+    key = ("hol_regulars", str(spec))
+    if key in _HOL_CACHE:
+        return _HOL_CACHE[key]
+    M = build_group(spec)
+    n = M.order
+    if n == 1:
+        result = (perm_group_from_elements([(0,)]),)
+        _HOL_CACHE[key] = result
+        return result
+    hol = holomorph(M)
+    ident = tuple(range(n))
+    fpf = [
+        p.images
+        for p in hol.perm_group.elements
+        if p.images != ident and all(px != x for x, px in enumerate(p.images))
+    ]
+    fpf_set = set(fpf)
+
+    def close(gen_list):
+        # returns frozenset of images or None when the candidate dies:
+        # leaves the fpf pool, exceeds order n, or repeats a 0-image
+        out = {ident}
+        zero_images = {0}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in gen_list:
+                    p = _compose(a, g)
+                    if p in out:
+                        continue
+                    if p not in fpf_set:
+                        return None
+                    z = p[0]
+                    if z in zero_images or len(out) >= n:
+                        return None
+                    zero_images.add(z)
+                    out.add(p)
+                    nxt.append(p)
+            frontier = nxt
+        return frozenset(out)
+
+    found: dict = {}
+    frontier: list = []
+    best_start: dict = {}
+    for i, g in enumerate(fpf):
+        sub = close([g])
+        if sub is None:
+            continue
+        if sub not in best_start or best_start[sub] > i:
+            if sub not in found:
+                found[sub] = [g]
+                frontier.append((sub, [g], i))
+            best_start[sub] = min(best_start.get(sub, i), i)
+    while frontier:
+        nxt = []
+        for sub, gens, last in frontier:
+            # extending a proper subgroup at least doubles it (Lagrange),
+            # so only subgroups of order <= n/2 can still reach order n
+            if 2 * len(sub) > n:
+                continue
+            for j in range(last + 1, len(fpf)):
+                g = fpf[j]
+                if g in sub:
+                    continue
+                bigger = close(gens + [g])
+                if bigger is None:
+                    continue
+                prev = best_start.get(bigger)
+                if prev is not None and prev <= j:
+                    continue
+                best_start[bigger] = j
+                if bigger not in found:
+                    found[bigger] = gens + [g]
+                nxt.append((bigger, gens + [g], j))
+        frontier = nxt
+    out = []
+    for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
+        if len(sub) == n:
+            out.append(perm_group_from_elements(sub))
+    result = tuple(out)
+    _HOL_CACHE[key] = result
+    return result
+
+
+_HOL_CACHE: dict = {}
+
+
+def _oracle(G, spec):
+    """(structure keys of type spec on G, e'(G, M)) through the old search."""
+    n = G.order
+    M = build_group(spec)
+    found = set()
+    isomorphic = 0
+    auts = automorphisms(G)
+    for Q in _regular_subgroups_of_holomorph(spec):
+        Q_abs, q_elems = perm_group_as_group(Q)
+        iso0 = are_isomorphic(G, Q_abs)
+        if iso0 is None:
+            continue
+        isomorphic += 1
+        base = [q_elems[iso0.images[g]].images for g in range(n)]
+        for aut in auts:
+            beta = [base[aut.images[g]] for g in range(n)]
+            key, _ = _structure_from_embedding(G, M, beta)
+            found.add(key)
+    return found, isomorphic
+
+
+def _check_pair(g_spec, m_spec):
+    G, M = build_group(g_spec), build_group(m_spec)
+    inv = enumerate_hgs(G, parse_spec(m_spec))
+    assert not inv.complete
+    keys = {s.perms.element_set for s in inv}
+    assert {str(s.type_label) for s in inv} <= {m_spec}
+    want, isomorphic = _oracle(G, m_spec)
+    assert keys == want, (g_spec, m_spec)
+    # Byott: e(G, M) |Aut M| = |Aut G| e'(G, M)
+    assert len(inv) * len(automorphisms(M)) == \
+        len(automorphisms(G)) * isomorphic, (g_spec, m_spec)
+    return len(inv)
+
+
+def test_enumeration_equals_holomorph_oracle_on_catalog():
+    total = sum(_check_pair(g, m) for g, m in CATALOG_PAIRS)
+    assert total == 376
+
+
+@pytest.mark.parametrize("g_spec,m_spec", EXTRA_PAIRS)
+def test_enumeration_equals_holomorph_oracle_beyond_catalog(g_spec, m_spec):
+    assert _check_pair(g_spec, m_spec) > 0

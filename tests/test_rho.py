@@ -92,3 +92,19 @@ def test_opposite_commutes_with_conjugation_sample(m733):
         lhs = opposite(rho_conjugate(N, g))
         rhs = rho_conjugate(opposite(N), g)
         assert lhs.perms.element_set == rhs.perms.element_set
+
+
+def test_broken_orbit_invariant_is_a_typed_error(monkeypatch, capsys, m733):
+    import hgslab.rho as rho_module
+    from hgslab import InvariantError, subgroup_closure
+    from hgslab.cli import main
+
+    # a "closure" that always returns all of G breaks orbit-stabilizer
+    monkeypatch.setattr(rho_module, "subgroup_closure",
+                        lambda G, gens: subgroup_closure(G, range(G.order)))
+    with pytest.raises(InvariantError):
+        rho_orbit(metacyclic_base_structure(m733))
+    code = main(["hgs", "rho-orbits", "--group", "metacyclic:7:3:2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
