@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -509,19 +508,6 @@ _HANDLERS = {
 }
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HGSLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"HGSLAB_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"HGSLAB_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def _emit(args, command: str, payload: dict, lines: List[str],
           seconds: float) -> None:
     if args.json:
@@ -545,7 +531,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _thread_cap()  # validated even though execution is sequential
         verb = args.verb
         action = getattr(args, "action", None)
         command = verb if action is None else f"{verb} {action}"

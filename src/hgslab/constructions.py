@@ -34,6 +34,7 @@ from .perms import (
     PermGroup,
     _compose,
     _conjugate,
+    _greedy_close,
     _tuple_order,
     coset_space,
     in_holomorph,
@@ -345,15 +346,6 @@ def abelian_maps(G: FiniteGroup) -> list:
     return out
 
 
-def _closed_under_composition(elems: Sequence[tuple]) -> bool:
-    eset = set(elems)
-    for p in elems:
-        for q in elems:
-            if tuple(p[x] for x in q) not in eset:
-                return False
-    return True
-
-
 def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
     """The structure whose member indexed by h is
     lambda(h psi(h)^-1) . rho(psi(h)^-1)."""
@@ -366,7 +358,8 @@ def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
         arow = tm[tm[h][inv[p]]]
         # rho(psi(h)^-1) sends m to m . psi(h)
         elems.append(tuple(arow[tm[m][p]] for m in range(n)))
-    if len(set(elems)) != n or not _closed_under_composition(elems):
+    members = set(elems)
+    if len(members) != n or _greedy_close(elems, members) is None:
         raise ConstructionError("abelian map did not produce a subgroup")
     try:
         return certify(G, perm_group_from_elements(elems))
@@ -513,7 +506,8 @@ def induced_hgs(inp: InducedInput) -> RegularSubgroup:
                 ci, ti = fac[g]
                 img[g] = tm[s_of[ai[ci]]][telems[bi[ti]]]
             elems.append(tuple(img))
-    if len(set(elems)) != n or not _closed_under_composition(elems):
+    members = set(elems)
+    if len(members) != n or _greedy_close(elems, members) is None:
         raise ConstructionError("induced family is not a subgroup")
     try:
         return certify(G, perm_group_from_elements(elems))

@@ -102,8 +102,14 @@ def realizable_lattice(N: RegularSubgroup) -> RealizableLattice:
     """All (P, U) pairs, with the structural sanity checks applied.
 
     The map P -> U must be injective and preserve inclusions, the trivial
-    pair and the full pair must both appear.
+    pair and the full pair must both appear.  The result is kept on N.
     """
+    if N._lattice is None:
+        N._lattice = _build_lattice(N)
+    return N._lattice
+
+
+def _build_lattice(N: RegularSubgroup) -> RealizableLattice:
     entries: List[Tuple[PermGroup, Subgroup]] = []
     for P in g_stable_subgroups(N):
         entries.append((P, fixed_subgroup(N, P)))

@@ -48,7 +48,7 @@ class RegularSubgroup:
     regularity certificate.
     """
 
-    __slots__ = ("group", "perms", "eta", "_type_label", "_abstract")
+    __slots__ = ("group", "perms", "eta", "_type_label", "_abstract", "_lattice")
 
     def __init__(self, group: FiniteGroup, perms: PermGroup, eta, type_label=None):
         self.group = group
@@ -56,6 +56,7 @@ class RegularSubgroup:
         self.eta = tuple(eta)
         self._type_label = type_label
         self._abstract = None
+        self._lattice = None  # memo of correspondence.realizable_lattice
 
     @property
     def order(self) -> int:

@@ -10,6 +10,7 @@ homomorphisms and their images commute elementwise.
 from __future__ import annotations
 
 import hashlib
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureCapExceeded, InvalidSpec, NotRegular
@@ -202,26 +203,62 @@ def _greedy_generators(elems: Sequence[GPerm]) -> tuple:
     """Small generating sequence for a closed permutation set."""
     if len(elems) == 1:
         return (elems[0],)
-    target = {p.images for p in elems}
-    chosen: list[GPerm] = []
-    have = {tuple(range(elems[0].base))}
-    for p in sorted(elems, key=lambda q: (-_tuple_order(q.images), q.images)):
-        if p.images in have:
-            continue
-        chosen.append(p)
-        have = _close_images([q.images for q in chosen], cap=len(elems))
-        if len(have) == len(target):
+    ordered = sorted(elems, key=lambda q: (-_tuple_order(q.images), q.images))
+    gens = _greedy_close([p.images for p in ordered], {p.images for p in elems})
+    if gens is None:
+        raise InvalidSpec("set is not closed under composition")
+    return tuple(GPerm(g, check=False) for g in gens)
+
+
+def _greedy_close(candidates: Sequence[tuple], members) -> Optional[list]:
+    """Close a generating subset picked greedily from candidates, in order.
+
+    Each candidate not reached yet becomes a generator, and the reached set
+    is extended to its closure under right multiplication by the generators:
+    old elements only need the new generator, new elements need all of
+    them.  Returns the picked generators once the reached set is all of
+    members, or None as soon as a product leaves members (so members is
+    closed exactly when the result is not None, given candidates cover it).
+    Costs O(n^2 k) for n members and k picks.
+    """
+    ident = tuple(range(len(candidates[0]))) if candidates else ()
+    if ident not in members:
+        return None
+    have = {ident}
+    gens: list = []
+    for p in candidates:
+        if len(have) == len(members):
             break
-    return tuple(chosen)
+        if p in have:
+            continue
+        gens.append(p)
+        pending = [(x, (p,)) for x in have]
+        while pending:
+            x, by = pending.pop()
+            for g in by:
+                y = _compose(x, g)
+                if y not in have:
+                    if y not in members:
+                        return None
+                    have.add(y)
+                    pending.append((y, gens))
+    return gens if len(have) == len(members) else None
 
 
 def _tuple_order(images: tuple) -> int:
-    ident = tuple(range(len(images)))
-    k, cur = 1, images
-    while cur != ident:
-        cur = _compose(cur, images)
-        k += 1
-    return k
+    """Order of a permutation: the lcm of its cycle lengths."""
+    seen = [False] * len(images)
+    order = 1
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        order = lcm(order, length)
+    return order
 
 
 def _close_images(gens: list, cap: Optional[int] = None) -> set:

@@ -4,7 +4,11 @@ Conjugating a structure N by rho(g) gives another structure, and since
 rho(g) = lambda(g)^-1 . inn(g) with inn(g) the conjugation permutation
 x -> g x g^-1, the result equals inn(g) N inn(g)^-1.  The map g -> N_g is a
 left action of G on the inventory; this module computes its orbits and
-stabilizers.
+stabilizers.  An orbit is searched breadth first over the generators of G
+only, recording for each member M a transversal element t_M with
+N_{t_M} = M; the stabilizer is closed from Schreier generators, and the
+elements reaching M form the coset t_M . Stab, whose least element is M's
+carrier.
 """
 
 from __future__ import annotations
@@ -83,38 +87,69 @@ class RhoOrbit:
         }
 
 
-def rho_orbit(N: RegularSubgroup) -> RhoOrbit:
-    """Orbit of N under conjugation by all right translations."""
+def _orbit_search(N: RegularSubgroup) -> tuple:
+    """(transversal, stabilizer) of N: transversal maps each member's
+    element set M to t_M with N_{t_M} = M, and the stabilizer is closed from
+    the Schreier generators t_{s.M}^-1 . s . t_M (Holt-Eick-O'Brien,
+    Handbook of Computational Group Theory, 4.1)."""
     G = N.group
-    n = G.order
+    table, inverse = G.table, G.inverse
+    gens = [(s, _rho_images(G, s)) for s in G.generating_set()]
     base_key = N.perms.element_set
-    base_elems = [p.images for p in N.perms.elements]
-    first_g: dict = {}
-    stab = []
-    for g in range(n):
-        key = _conjugate_key(base_elems, _rho_images(G, g))
-        if key == base_key:
-            stab.append(g)
-        if key not in first_g:
-            first_g[key] = g
+    transversal = {base_key: 0}
+    queue = [base_key]
+    schreier = set()
+    for M in queue:
+        t = transversal[M]
+        for s, q in gens:
+            K = _conjugate_key(M, q)
+            st = table[s][t]
+            if K in transversal:
+                schreier.add(table[inverse[transversal[K]]][st])
+            else:
+                transversal[K] = st
+                queue.append(K)
+    stabilizer = subgroup_closure(G, schreier)
+    if len(transversal) * stabilizer.order != G.order:
+        raise InvariantError("orbit-stabilizer count mismatch")
+    probes = [p.images for p in N.perms.generators]
+    for h in stabilizer.elements:
+        q = _rho_images(G, h)
+        if any(_conjugate(p, q) not in base_key for p in probes):
+            raise InvariantError(f"stabilizer element {h} moves the structure")
+    return transversal, stabilizer
+
+
+def _least_in_coset(G: FiniteGroup, t: int, stabilizer: Subgroup) -> int:
+    """Least element of t . Stab, the smallest g with N_g = N_t."""
+    row = G.table[t]
+    return min(row[h] for h in stabilizer.elements)
+
+
+def _build_orbit(
+    N: RegularSubgroup, transversal: dict, stabilizer: Subgroup
+) -> RhoOrbit:
+    G = N.group
     built = []
-    for key, g in first_g.items():
-        if key == base_key:
+    for key, t in transversal.items():
+        if key == N.perms.element_set:
             member = N
         else:
             member = certify(
                 G, perm_group_from_elements(key), type_label=N._type_label
             )
-        built.append((member.canonical_key(), member, g))
-    built.sort(key=lambda t: t[0])
+        built.append(
+            (member.canonical_key(), member, _least_in_coset(G, t, stabilizer))
+        )
+    built.sort(key=lambda b: b[0])
     members = [m for _, m, _ in built]
     carrier = [g for _, _, g in built]
-    stabilizer = subgroup_closure(G, stab)
-    if stabilizer.order != len(stab):
-        raise InvariantError("stabilizer set failed to close")
-    if len(members) * stabilizer.order != n:
-        raise InvariantError("orbit-stabilizer count mismatch")
     return RhoOrbit(G, N, members, carrier, stabilizer)
+
+
+def rho_orbit(N: RegularSubgroup) -> RhoOrbit:
+    """Orbit of N under conjugation by all right translations."""
+    return _build_orbit(N, *_orbit_search(N))
 
 
 def rho_partition(inventory: HgsInventory) -> list:
@@ -123,36 +158,34 @@ def rho_partition(inventory: HgsInventory) -> list:
     Every conjugate of an inventory member must again be in the inventory;
     a miss means the inventory was filtered or incomplete.
     """
-    index = {s.perms.element_set: s for s in inventory}
+    keys = {s.perms.element_set for s in inventory}
     consumed: set = set()
     orbits = []
     for s in inventory:
-        key = s.perms.element_set
-        if key in consumed:
+        if s.perms.element_set in consumed:
             continue
-        orbit = rho_orbit(s)
-        for m in orbit.members:
-            mk = m.perms.element_set
-            if mk not in index:
-                raise ValueError(
-                    "a conjugate left the inventory; pass a complete inventory"
-                )
-            consumed.add(mk)
-        orbits.append(orbit)
+        transversal, stabilizer = _orbit_search(s)
+        if not keys.issuperset(transversal):
+            raise ValueError(
+                "a conjugate left the inventory; pass a complete inventory"
+            )
+        consumed.update(transversal)
+        orbits.append(_build_orbit(s, transversal, stabilizer))
     return orbits
 
 
 def same_conjugate(N1: RegularSubgroup, N2: RegularSubgroup) -> Optional[int]:
-    """Smallest g with rho(g) . N1 . rho(g)^-1 == N2, or None."""
+    """Smallest g with rho(g) . N1 . rho(g)^-1 == N2, or None.
+
+    The whole orbit of N1 is searched, as the full stabilizer is needed.
+    """
     if N1.group is not N2.group:
         raise ValueError("structures live on different groups")
-    G = N1.group
-    elems = [p.images for p in N1.perms.elements]
-    target = N2.perms.element_set
-    for g in range(G.order):
-        if _conjugate_key(elems, _rho_images(G, g)) == target:
-            return g
-    return None
+    transversal, stabilizer = _orbit_search(N1)
+    t = transversal.get(N2.perms.element_set)
+    if t is None:
+        return None
+    return _least_in_coset(N1.group, t, stabilizer)
 
 
 def opposite_conjugate_commute(N: RegularSubgroup, g: int) -> bool:

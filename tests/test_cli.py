@@ -161,16 +161,6 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert "FAIL stub" in out
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("HGSLAB_THREADS", "not-a-number")
-    code, _, err = run_cli(capsys, "group", "cyclic:4")
-    assert code == 1
-    assert "HGSLAB_THREADS" in err
-    monkeypatch.setenv("HGSLAB_THREADS", "2")
-    code, _, _ = run_cli(capsys, "group", "cyclic:4")
-    assert code == 0
-
-
 def test_timing_is_opt_in(capsys):
     code, out, _ = run_cli(capsys, "group", "cyclic:4", "--json")
     assert "seconds" not in json.loads(out)
