@@ -14,6 +14,8 @@ stabilizer, and Yang-Baxter content of a structure all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 from typing import List, Optional
 
 from .errors import BraceAxiomError, BraidError
@@ -21,13 +23,21 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _respects,
+    _row_getter,
     automorphisms,
     are_isomorphic,
     inner_automorphism,
     subgroup_closure,
 )
 from .hgs import RegularSubgroup, certify
-from .perms import GPerm, PermGroup, _conjugate, perm_group_from_elements
+from .perms import (
+    _compose,
+    _conjugate_all,
+    _invert,
+    _normalizes,
+    perm_group_from_elements,
+)
 
 
 class SkewBrace:
@@ -110,20 +120,25 @@ def _inverse_row(table) -> tuple:
     return tuple(inv)
 
 
-def _check_brace_relation(star, circ, star_inverse) -> None:
-    """Left brace relation over all triples; raises with a witness."""
-    n = len(star)
-    for x in range(n):
-        cx = circ[x]
-        xi = star_inverse[x]
-        for y in range(n):
-            row = star[star[cx[y]][xi]]
-            sy = star[y]
-            for z in range(n):
-                if cx[sy[z]] != row[cx[z]]:
-                    raise BraceAxiomError(
-                        f"brace relation fails at (x,y,z)=({x},{y},{z})"
-                    )
+def _check_brace_relation(B: SkewBrace) -> None:
+    """Left brace relation over all triples; raises with a witness.
+
+    Rows over z: x o (y * z) is circ[x] gathered at star[y], and
+    (x o y) * inv(x) * (x o z) is star[(x o y) * inv(x)] gathered at circ[x].
+    """
+    star = B.star
+    at_star = [_row_getter(row) for row in star]
+    for x, cx in enumerate(B.circ):
+        xi = B.star_inverse[x]
+        at_cx = _row_getter(cx)
+        for y, cxy in enumerate(cx):
+            row = star[star[cxy][xi]]
+            if at_star[y](cx) != at_cx(row):
+                sy = star[y]
+                z = next(z for z, cz in enumerate(cx) if cx[sy[z]] != row[cz])
+                raise BraceAxiomError(
+                    f"brace relation fails at (x,y,z)=({x},{y},{z})"
+                )
 
 
 def skew_brace_from_tables(
@@ -137,7 +152,7 @@ def skew_brace_from_tables(
     B = SkewBrace(star, circ, circ_group, source=source)
     # building the star group validates identity, inverses, associativity
     B.star_group
-    _check_brace_relation(B.star, B.circ, B.star_inverse)
+    _check_brace_relation(B)
     return B
 
 
@@ -154,17 +169,20 @@ def subgroup_from_brace(B: SkewBrace) -> RegularSubgroup:
 
 
 def _right_relation_at(B: SkewBrace, g: int) -> bool:
-    """(y * z) o g = (y o g) * inv(g) * (z o g) for all y, z."""
-    star, circ = B.star, B.circ
+    """(y * z) o g = (y o g) * inv(g) * (z o g) for all y, z.
+
+    With col the column z -> z o g, row y compares col gathered at star[y]
+    with the star row of (y o g) * inv(g) gathered at col.
+    """
+    star = B.star
+    at_star = [_row_getter(row) for row in star]
     gi = B.star_inverse[g]
-    n = B.size
-    for y in range(n):
-        row = star[star[circ[y][g]][gi]]
-        sy = star[y]
-        for z in range(n):
-            if circ[sy[z]][g] != row[circ[z][g]]:
-                return False
-    return True
+    col = tuple(row[g] for row in B.circ)
+    at_col = _row_getter(col)
+    return all(
+        at_star[y](col) == at_col(star[star[yg][gi]])
+        for y, yg in enumerate(col)
+    )
 
 
 def is_two_sided(B: SkewBrace) -> bool:
@@ -172,23 +190,12 @@ def is_two_sided(B: SkewBrace) -> bool:
     return all(_right_relation_at(B, g) for g in range(B.size))
 
 
-def _preserves_star(B: SkewBrace, images) -> bool:
-    star = B.star
-    for a in range(B.size):
-        row = star[a]
-        target = star[images[a]]
-        for b in range(B.size):
-            if images[row[b]] != target[images[b]]:
-                return False
-    return True
-
-
 def brace_automorphisms(B: SkewBrace) -> List[GroupHom]:
     """Automorphisms of the circ group that also preserve star."""
     return [
         phi
         for phi in automorphisms(B.circ_group)
-        if _preserves_star(B, phi.images)
+        if _respects(phi.images, B.star, B.star)
     ]
 
 
@@ -202,7 +209,7 @@ def inner_stabilizer(B: SkewBrace) -> Subgroup:
     members = [
         g
         for g in range(B.size)
-        if _preserves_star(B, inner_automorphism(G, g).images)
+        if _respects(inner_automorphism(G, g).images, B.star, B.star)
     ]
     sub = subgroup_closure(G, members)
     if sub.order != len(members):
@@ -221,11 +228,9 @@ def rho_fix_criteria(B: SkewBrace, g: int) -> tuple:
         N = subgroup_from_brace(B)
     G = B.circ_group
     phi = inner_automorphism(G, g).images
-    members = N.perms.element_set
-    normalizes = all(
-        _conjugate(p.images, phi) in members for p in N.perms.generators
-    )
-    preserves = _preserves_star(B, phi)
+    gens = [p.images for p in N.perms.generators]
+    normalizes = _normalizes([phi], gens, N.perms.element_set)
+    preserves = _respects(phi, B.star, B.star)
     relation = _right_relation_at(B, g)
     return normalizes, preserves, relation
 
@@ -257,17 +262,9 @@ def braces_isomorphic(B1: SkewBrace, B2: SkewBrace) -> Optional[GroupHom]:
         base = are_isomorphic(G1, G2)
         if base is None:
             return None
-    star2 = B2.star
     for aut in automorphisms(G1):
-        images = tuple(base.images[aut.images[x]] for x in range(G1.order))
-        ok = True
-        for a in range(B1.size):
-            row = B1.star[a]
-            target = star2[images[a]]
-            if any(images[row[b]] != target[images[b]] for b in range(B1.size)):
-                ok = False
-                break
-        if ok:
+        images = _compose(base.images, aut.images)
+        if _respects(images, B1.star, B2.star):
             return GroupHom(G1, G2, images)
     return None
 
@@ -303,12 +300,9 @@ class BraceComparison:
 
 def _conjugated_by(N: RegularSubgroup, images) -> frozenset:
     """Element set of phi^-1 . N . phi for an automorphism given by images."""
-    n = len(images)
-    inv = [0] * n
-    for x, y in enumerate(images):
-        inv[y] = x
-    inv = tuple(inv)
-    return frozenset(_conjugate(p.images, inv) for p in N.perms.elements)
+    return frozenset(
+        _conjugate_all((p.images for p in N.perms.elements), _invert(images), images)
+    )
 
 
 def compare_braces(N1: RegularSubgroup, N2: RegularSubgroup) -> BraceComparison:
@@ -366,22 +360,29 @@ class YbeMap:
         return len(seen) == n * n
 
     def braid_holds(self) -> bool:
-        """(r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on all triples."""
-        L, R = self.left, self.right
+        """(r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on all triples.
+
+        For fixed x, y the three coordinates are compared as rows over z.
+        With (u, v) = r(x, y) the left side is (L[u][L[v][z]],
+        R[u][L[v][z]], R[v][z]).  With p, q = L[y][z], R[y][z] and
+        e = R[x][p] the right side is (L[x][p], L[e][q], R[e][q]); its last
+        two coordinates gather the flattened tables at e * n + q.
+        """
+        L = tuple(map(tuple, self.left))
+        R = tuple(map(tuple, self.right))
         n = self.size
-        for x in range(n):
-            for y in range(n):
-                u, v = L[x][y], R[x][y]
-                for z in range(n):
-                    # left-hand side
-                    b, c = L[v][z], R[v][z]
-                    a, b2 = L[u][b], R[u][b]
-                    # right-hand side
-                    p, q = L[y][z], R[y][z]
-                    d, e = L[x][p], R[x][p]
-                    f, h = L[e][q], R[e][q]
-                    if (a, b2, c) != (d, f, h):
-                        return False
+        at_left = [_row_getter(row) for row in L]
+        flat_l, flat_r = tuple(chain(*L)), tuple(chain(*R))
+        for lx, rx in zip(L, R):
+            rx_n = tuple(e * n for e in rx)
+            for y, at_y in enumerate(at_left):
+                u, v = lx[y], rx[y]
+                at_v = at_left[v]
+                if at_v(L[u]) != at_y(lx):
+                    return False
+                at_eq = _row_getter(tuple(map(add, at_y(rx_n), R[y])))
+                if at_v(R[u]) != at_eq(flat_l) or R[v] != at_eq(flat_r):
+                    return False
         return True
 
     def to_json(self) -> dict:

@@ -33,8 +33,10 @@ from .perms import (
     GPerm,
     PermGroup,
     _compose,
-    _conjugate,
+    _conjugate_all,
     _greedy_close,
+    _invert,
+    _normalizes,
     _tuple_order,
     coset_space,
     in_holomorph,
@@ -205,10 +207,9 @@ def equivalent_embeddings(e1: HolEmbedding, e2: HolEmbedding) -> Optional[GroupH
     """
     if e1.source is not e2.source or e1.target.table != e2.target.table:
         raise ConstructionError("embeddings must share source and target")
-    n = e1.source.order
     for aut in automorphisms(e1.target):
         th = aut.images
-        if all(_conjugate(e1.beta[g], th) == e2.beta[g] for g in range(n)):
+        if _conjugate_all(e1.beta, th, _invert(th)) == list(e2.beta):
             return aut
     return None
 
@@ -352,12 +353,13 @@ def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
     G = am.group
     tm, inv = G.table, G.inverse
     n = G.order
+    columns = tuple(zip(*tm))
     elems = []
     for h in range(n):
         p = am.images[h]
         arow = tm[tm[h][inv[p]]]
-        # rho(psi(h)^-1) sends m to m . psi(h)
-        elems.append(tuple(arow[tm[m][p]] for m in range(n)))
+        # rho(psi(h)^-1) sends m to m . psi(h), column p of the table
+        elems.append(_compose(arow, columns[p]))
     members = set(elems)
     if len(members) != n or _greedy_close(elems, members) is None:
         raise ConstructionError("abelian map did not produce a subgroup")
@@ -427,25 +429,19 @@ class InducedInput:
 def _check_coset_stable(cs: CosetSpace, A: PermGroup) -> None:
     """A must be normalized by every left translation of the full group;
     generators suffice on both sides."""
-    members = A.element_set
-    for h in cs.group.generating_set():
-        lt = left_translation(cs, h).images
-        for p in A.generators:
-            if _conjugate(p.images, lt) not in members:
-                raise ConstructionError(
-                    "quotient structure is not stable under left translation"
-                )
+    lts = (left_translation(cs, h).images for h in cs.group.generating_set())
+    if not _normalizes(lts, [p.images for p in A.generators], A.element_set):
+        raise ConstructionError(
+            "quotient structure is not stable under left translation"
+        )
 
 
 def _check_subgroup_stable(t_group: FiniteGroup, B: PermGroup) -> None:
-    members = B.element_set
-    for u in t_group.generating_set():
-        lt = tuple(t_group.table[u])
-        for p in B.generators:
-            if _conjugate(p.images, lt) not in members:
-                raise ConstructionError(
-                    "subgroup structure is not stable under its translations"
-                )
+    lts = (t_group.table[u] for u in t_group.generating_set())
+    if not _normalizes(lts, [p.images for p in B.generators], B.element_set):
+        raise ConstructionError(
+            "subgroup structure is not stable under its translations"
+        )
 
 
 def induced_input(
@@ -542,7 +538,7 @@ def transport_quotient_structure(
     if sorted(mapping) != list(range(cs.degree)):
         raise ConstructionError("automorphism does not permute the cosets")
     A2 = perm_group_from_elements(
-        _conjugate(p.images, mapping) for p in A.elements
+        _conjugate_all((p.images for p in A.elements), mapping, _invert(mapping))
     )
     if not A2.is_regular():
         raise ConstructionError("transported quotient structure lost regularity")
@@ -562,7 +558,7 @@ def transport_subgroup_structure(
     pos2 = {t: i for i, t in enumerate(t2_elements)}
     mapping = tuple(pos2[phi.images[t]] for t in T.elements)
     B2 = perm_group_from_elements(
-        _conjugate(p.images, mapping) for p in B.elements
+        _conjugate_all((p.images for p in B.elements), mapping, _invert(mapping))
     )
     if not B2.is_regular():
         raise ConstructionError("transported subgroup structure lost regularity")
@@ -615,16 +611,11 @@ def _coset_brute(cs: CosetSpace, L: PermGroup) -> list:
         tmm = build_group(spec).table
         for rest in itertools.permutations(range(1, d)):
             b = (0,) + rest
-            binv = [0] * d
-            for i, x in enumerate(b):
-                binv[x] = i
-            elems = frozenset(
-                tuple(b[tmm[mu][binv[x]]] for x in range(d)) for mu in range(d)
-            )
+            elems = frozenset(_conjugate_all(tmm, b, _invert(b)))
             if elems in seen:
                 continue
             seen.add(elems)
-            if all(_conjugate(e, lg) in elems for lg in lgens for e in elems):
+            if _normalizes(lgens, elems, elems):
                 found.append(perm_group_from_elements(elems))
     found.sort(key=lambda P: P.canonical_key())
     return found
@@ -646,9 +637,8 @@ def _coset_prime(cs: CosetSpace, L: PermGroup) -> list:
         elems.append(cur)
         cur = _compose(sigma.images, cur)
     eset = frozenset(elems)
-    for q in L.elements:
-        if any(_conjugate(e, q.images) not in eset for e in elems):
-            return []
+    if not _normalizes((q.images for q in L.elements), elems, eset):
+        return []
     return [perm_group_from_elements(eset)]
 
 

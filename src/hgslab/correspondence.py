@@ -14,7 +14,13 @@ from typing import List, Tuple
 from .errors import CorrespondenceError
 from .groups import FiniteGroup, Subgroup, all_subgroups, subgroup_closure
 from .hgs import RegularSubgroup
-from .perms import PermGroup, _conjugate, perm_group_as_group, perm_group_from_elements
+from .perms import (
+    PermGroup,
+    _conjugate_all,
+    _normalizes,
+    perm_group_as_group,
+    perm_group_from_elements,
+)
 from .rho import _rho_images, rho_conjugate
 
 
@@ -22,12 +28,7 @@ def _is_translation_stable(N: RegularSubgroup, members: frozenset, gens) -> bool
     """Conjugation by lambda(g) must keep the subgroup inside itself;
     group generators suffice on both sides."""
     G = N.group
-    for h in G.generating_set():
-        lam = G.table[h]
-        for p in gens:
-            if _conjugate(p, lam) not in members:
-                return False
-    return True
+    return _normalizes((G.table[h] for h in G.generating_set()), gens, members)
 
 
 def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
@@ -134,10 +135,12 @@ def _build_lattice(N: RegularSubgroup) -> RealizableLattice:
 def _transport_matches(G, lat1: RealizableLattice,
                        lat2: RealizableLattice, g: int) -> bool:
     """Does conjugating lat1 entrywise by g reproduce lat2 exactly?"""
-    rho_g = _rho_images(G, g)
+    rho_g, rho_ginv = _rho_images(G, g), _rho_images(G, G.inverse[g])
     transported = {}
     for P, U in lat1:
-        key = frozenset(_conjugate(p.images, rho_g) for p in P.elements)
+        key = frozenset(
+            _conjugate_all((p.images for p in P.elements), rho_g, rho_ginv)
+        )
         transported[key] = tuple(sorted(G.conj(u, g) for u in U.elements))
     if len(transported) != len(lat2.entries):
         return False

@@ -54,3 +54,7 @@ class InvariantError(HgsError):
 
 class UsageError(HgsError):
     """Command line arguments do not form a valid command."""
+
+
+class OrderTooLarge(InvalidSpec, UsageError):
+    """A group spec asks for an order above the build limit (exit 1)."""

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import InvalidSpec, UnknownType
+from .errors import InvalidSpec, OrderTooLarge, UnknownType
 
 # Exhaustive associativity checking is cubic; cap it at small orders.
 ASSOCIATIVITY_CHECK_LIMIT = 24
@@ -22,6 +23,10 @@ COMPLETE_ORDERS = frozenset(range(1, 16)) | {21}
 
 SYMMETRIC_DEGREE_LIMIT = 5
 ALTERNATING_DEGREE_LIMIT = 5
+
+# build_group refuses larger orders before allocating the n^2 table; the
+# largest group the tests, verify and the benchmark build is sym:5 (120).
+GROUP_ORDER_LIMIT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +222,14 @@ class FiniteGroup:
         return tuple(inv)
 
     def _validate_associativity(self) -> None:
+        """Row (ab) of the table must equal row a gathered at row b."""
         t = self.table
-        rng = range(self.order)
-        for a in rng:
-            ta = t[a]
-            for b in rng:
-                tab = t[ta[b]]
-                tb = t[b]
-                for c in rng:
-                    if tab[c] != ta[tb[c]]:
-                        raise InvalidSpec(
-                            f"associativity fails at ({a},{b},{c})"
-                        )
+        at_row = [_row_getter(row) for row in t]
+        for a, ta in enumerate(t):
+            for b, ab in enumerate(ta):
+                if t[ab] != at_row[b](ta):
+                    c = next(c for c, x in enumerate(t[ab]) if x != ta[t[b][c]])
+                    raise InvalidSpec(f"associativity fails at ({a},{b},{c})")
 
     # -- basic operations
 
@@ -360,6 +361,30 @@ class FiniteGroup:
             "names": list(self.names),
             "table": [list(row) for row in self.table],
         }
+
+
+def _row_getter(idx: Sequence[int]) -> Callable:
+    """seq -> tuple(seq[i] for i in idx), a C-level itemgetter gather.
+
+    itemgetter with one index returns a scalar, so index rows of length 0
+    or 1 fall back to a generator.
+    """
+    if len(idx) <= 1:
+        return lambda seq: tuple(seq[i] for i in idx)
+    return itemgetter(*idx)
+
+
+def _respects(images: Sequence[int], src_rows, dst_rows) -> bool:
+    """Whether images[src[a][b]] == dst[images[a]][images[b]] for all a, b.
+
+    Row a is compared whole: images gathered at src[a] against
+    dst[images[a]] gathered at images.
+    """
+    at_images = _row_getter(images)
+    for a, row in enumerate(src_rows):
+        if _row_getter(row)(images) != at_images(dst_rows[images[a]]):
+            return False
+    return True
 
 
 def _closure_set(table: Sequence[Sequence[int]], gens: Iterable[int]) -> set:
@@ -599,16 +624,8 @@ class GroupHom:
 
 def is_homomorphism(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bool:
     """Exhaustive check that images respects the two multiplication tables."""
-    tg, th = G.table, H.table
     img = tuple(images)
-    if img[0] != 0:
-        return False
-    for a, row in enumerate(tg):
-        ha = th[img[a]]
-        for b in range(G.order):
-            if img[row[b]] != ha[img[b]]:
-                return False
-    return True
+    return img[0] == 0 and _respects(img, G.table, H.table)
 
 
 def extend_generator_images(
@@ -721,12 +738,36 @@ def build_group(spec) -> FiniteGroup:
     cached = _GROUP_CACHE.get(spec)
     if cached is not None:
         return cached
+    if _spec_order(spec) > GROUP_ORDER_LIMIT:
+        raise OrderTooLarge(
+            f"{spec} has order above the limit of {GROUP_ORDER_LIMIT}"
+        )
     G = _build_group_uncached(spec)
     _GROUP_CACHE[spec] = G
     return G
 
 
 _GROUP_CACHE: dict = {}
+
+
+def _spec_order(spec: GroupSpec) -> int:
+    """The order spec asks for, capped at GROUP_ORDER_LIMIT + 1.
+
+    Parameters the builders reject give 0, so their own errors stay in
+    charge; sym, alt and quaternion are bounded by their own limits.
+    """
+    kind, params = spec.kind, spec.params
+    if kind == "product":
+        factors = [_spec_order(part) for part in spec.parts]
+    elif kind == "elemab":
+        factors = params[:1] * min(max(params[1], 0), GROUP_ORDER_LIMIT.bit_length())
+    else:
+        factors = {"cyclic": params, "dihedral": (2,) + params,
+                   "dicyclic": (2,) + params, "metacyclic": params[:2]}.get(kind, (0,))
+    order = 1
+    for f in factors:
+        order = min(order * max(f, 0), GROUP_ORDER_LIMIT + 1)
+    return order
 
 
 def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:

@@ -32,6 +32,8 @@ from .perms import (
     PermGroup,
     _compose,
     _conjugate,
+    _conjugate_all,
+    _invert,
     _tuple_order,
     centralizer_of_regular,
     lambda_image,
@@ -175,10 +177,10 @@ def certify(
     members = perms.element_set
     probes = perms.elements if full_stability else perms.generators
     for g in G.generating_set():
-        lam = G.table[g]
-        lam_inv = G.table[G.inverse[g]]
-        for p in probes:
-            conj = _compose(lam, _compose(p.images, lam_inv))
+        moved = _conjugate_all(
+            (p.images for p in probes), G.table[g], G.table[G.inverse[g]]
+        )
+        for p, conj in zip(probes, moved):
             if conj not in members:
                 raise NotStable(
                     f"conjugate of {p} by translation of g={g} leaves the set"
@@ -240,13 +242,14 @@ def _fpf_by_order(M: FiniteGroup) -> dict:
 
 
 def _orbit_representatives(pool: Sequence[tuple], auts: Sequence[tuple]) -> list:
-    """One member of each orbit of pool under conjugation by the group auts."""
+    """One member of each orbit of pool under conjugation by the group auts,
+    given as (a, a^-1) pairs."""
     left = set(pool)
     reps = []
     for p in pool:
         if p in left:
             reps.append(p)
-            left.difference_update(_conjugate(p, a) for a in auts)
+            left.difference_update(_conjugate(p, a, ai) for a, ai in auts)
     return reps
 
 
@@ -312,11 +315,12 @@ def _regular_embeddings(G: FiniteGroup, M: FiniteGroup):
             chosen = images + [c]
             closed = _close_along_cayley_graph(G, gens[: i + 1], chosen)
             if closed is not None:
-                fixing = [a for a in auts if _conjugate(c, a) == c]
+                fixing = [(a, ai) for a, ai in auts if _conjugate(c, a, ai) == c]
                 yield from search(closed, chosen, fixing)
 
     ident = tuple(range(G.order))
-    yield from search([ident], [], [a.images for a in automorphisms(M)])
+    auts = [(a.images, _invert(a.images)) for a in automorphisms(M)]
+    yield from search([ident], [], auts)
 
 
 def _structure_from_embedding(
@@ -419,28 +423,14 @@ def brute_force_inventory(G: FiniteGroup) -> HgsInventory:
     found: dict = {}
     for spec in catalog_specs(n):
         M = build_group(spec)
-        tm = M.table
-        rows = list(range(n))
         for rest in itertools.permutations(range(1, n)):
             b = (0,) + rest
-            binv = [0] * n
-            for m, g in enumerate(b):
-                binv[g] = m
-            key = frozenset(
-                tuple(b[tm[m][binv[x]]] for x in range(n)) for m in rows
-            )
+            key = frozenset(_conjugate_all(M.table, b, _invert(b)))
             if key in found:
                 continue
-            stable = True
-            for g in gens:
-                lg, lgi = lam[g], lam_inv[g]
-                for im in key:
-                    if _compose(lg, _compose(im, lgi)) not in key:
-                        stable = False
-                        break
-                if not stable:
-                    break
-            if stable:
+            if all(
+                c in key for g in gens for c in _conjugate_all(key, lam[g], lam_inv[g])
+            ):
                 found[key] = spec
     structures = [
         certify(G, perm_group_from_elements(key), type_label=spec)

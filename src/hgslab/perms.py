@@ -5,16 +5,24 @@ Composition is function composition, compose(p, q)[x] = p[q[x]].
 The left translation lambda(g) sends x to g*x and the right translation
 rho(g) sends x to x*g^-1, so both maps g -> lambda(g), g -> rho(g) are
 homomorphisms and their images commute elementwise.
+
+Products are row gathers: compose(p, q) is itemgetter(*q)(p), which reads
+all n images at C level instead of looping over the points in Python.
+itemgetter with a single index returns a scalar, not a 1-tuple, so images
+of length 0 or 1 take a plain generator instead.  A conjugation is two
+gathers, q . p . q^-1 = q . (p . q^-1), with the gather by q^-1 built once
+per conjugator (_conjugate_all).
 """
 
 from __future__ import annotations
 
 import hashlib
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureCapExceeded, InvalidSpec, NotRegular
-from .groups import FiniteGroup, GroupHom, Subgroup
+from .groups import FiniteGroup, GroupHom, Subgroup, _respects
 
 
 class GPerm:
@@ -89,7 +97,9 @@ def conjugate(p: GPerm, q: GPerm) -> GPerm:
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
-    return tuple(p[x] for x in q)
+    if len(q) <= 1:
+        return tuple(p[x] for x in q)
+    return itemgetter(*q)(p)
 
 
 def _invert(p: tuple) -> tuple:
@@ -99,11 +109,30 @@ def _invert(p: tuple) -> tuple:
     return tuple(out)
 
 
-def _conjugate(p: tuple, q: tuple) -> tuple:
-    out = [0] * len(p)
-    for x, qx in enumerate(q):
-        out[qx] = q[p[x]]
-    return tuple(out)
+def _conjugate(p: tuple, q: tuple, qinv: Optional[tuple] = None) -> tuple:
+    """q . p . q^-1; pass qinv = q^-1 when it is at hand."""
+    return _conjugate_all((p,), q, _invert(q) if qinv is None else qinv)[0]
+
+
+def _conjugate_all(elements: Iterable[tuple], q: tuple, qinv: tuple) -> list:
+    """q . p . q^-1 for every p in elements, given qinv = q^-1.
+
+    The gather by qinv is built once; on at most one point every
+    permutation is the identity, and so is every conjugate.
+    """
+    if len(q) <= 1:
+        return [tuple(p) for p in elements]
+    at_qinv = itemgetter(*qinv)
+    return [itemgetter(*at_qinv(p))(q) for p in elements]
+
+
+def _normalizes(conjugators: Iterable[tuple], probes, members) -> bool:
+    """Whether q . p . q^-1 lies in members for every q and every probe p."""
+    return all(
+        c in members
+        for q in conjugators
+        for c in _conjugate_all(probes, q, _invert(q))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +229,20 @@ class PermGroup:
 
 
 def _greedy_generators(elems: Sequence[GPerm]) -> tuple:
-    """Small generating sequence for a closed permutation set."""
+    """Small generating sequence for a closed permutation set.
+
+    Candidates are tried by decreasing order.  For n permutations of n
+    points with distinct images of 0 the order is read as the length of the
+    cycle through 0: if the set is a group it is regular, so every element
+    is semiregular and that cycle length is its order; if it is not a group,
+    _greedy_close rejects it whatever the candidate order.
+    """
     if len(elems) == 1:
         return (elems[0],)
-    ordered = sorted(elems, key=lambda q: (-_tuple_order(q.images), q.images))
+    n = elems[0].base
+    regular = len(elems) == n and len({p.images[0] for p in elems}) == n
+    order = _cycle_at_0 if regular else _tuple_order
+    ordered = sorted(elems, key=lambda q: (-order(q.images), q.images))
     gens = _greedy_close([p.images for p in ordered], {p.images for p in elems})
     if gens is None:
         raise InvalidSpec("set is not closed under composition")
@@ -243,6 +282,15 @@ def _greedy_close(candidates: Sequence[tuple], members) -> Optional[list]:
                     have.add(y)
                     pending.append((y, gens))
     return gens if len(have) == len(members) else None
+
+
+def _cycle_at_0(images: tuple) -> int:
+    """Length of the cycle through 0."""
+    length, x = 1, images[0]
+    while x != 0:
+        x = images[x]
+        length += 1
+    return length
 
 
 def _tuple_order(images: tuple) -> int:
@@ -360,10 +408,10 @@ def centralizer_of_regular(N: PermGroup) -> PermGroup:
         if eta[a] is not None:
             raise NotRegular(f"two elements send 0 to {a}")
         eta[a] = p.images
+    ident = tuple(range(n))
     opp = []
-    for m in range(n):
-        images = tuple(eta[x][m] for x in range(n))
-        if tuple(sorted(images)) != tuple(range(n)):
+    for m, images in enumerate(zip(*eta)):
+        if tuple(sorted(images)) != ident:
             raise NotRegular(f"centralizer candidate at {m} is not a bijection")
         opp.append(GPerm(images, check=False))
     return PermGroup(opp)
@@ -507,12 +555,4 @@ def in_holomorph(M: FiniteGroup, p: GPerm) -> bool:
     """
     m = p.images[0]
     a = _compose(M.table[M.inverse[m]], p.images)
-    tm = M.table
-    for x in range(M.order):
-        ax = a[x]
-        row = tm[x]
-        arow = tm[ax]
-        for y in range(M.order):
-            if a[row[y]] != arow[a[y]]:
-                return False
-    return True
+    return _respects(a, M.table, M.table)

@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import InvariantError
 from .groups import FiniteGroup, Subgroup, subgroup_closure
 from .hgs import HgsInventory, RegularSubgroup, certify, opposite
-from .perms import _conjugate, perm_group_from_elements
+from .perms import _conjugate_all, _normalizes, perm_group_from_elements
 
 
 def _rho_images(G: FiniteGroup, g: int) -> tuple:
@@ -26,16 +26,19 @@ def _rho_images(G: FiniteGroup, g: int) -> tuple:
     return tuple(G.table[x][ginv] for x in range(G.order))
 
 
-def _conjugate_key(elements, q: tuple) -> frozenset:
-    """Element set of q . N . q^-1 from raw image tuples."""
-    return frozenset(_conjugate(p, q) for p in elements)
+def _conjugate_key(elements, q: tuple, qinv: tuple) -> frozenset:
+    """Element set of q . N . q^-1 from raw image tuples; for q = rho(g)
+    the inverse qinv is rho(g^-1), so q is never inverted."""
+    return frozenset(_conjugate_all(elements, q, qinv))
 
 
 def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     """The structure rho(g) . N . rho(g)^-1, certified."""
     G = N.group
     key = _conjugate_key(
-        (p.images for p in N.perms.elements), _rho_images(G, g)
+        (p.images for p in N.perms.elements),
+        _rho_images(G, g),
+        _rho_images(G, G.inverse[g]),
     )
     if key == N.perms.element_set:
         return N
@@ -94,15 +97,18 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
     Handbook of Computational Group Theory, 4.1)."""
     G = N.group
     table, inverse = G.table, G.inverse
-    gens = [(s, _rho_images(G, s)) for s in G.generating_set()]
+    gens = [
+        (s, _rho_images(G, s), _rho_images(G, inverse[s]))
+        for s in G.generating_set()
+    ]
     base_key = N.perms.element_set
     transversal = {base_key: 0}
     queue = [base_key]
     schreier = set()
     for M in queue:
         t = transversal[M]
-        for s, q in gens:
-            K = _conjugate_key(M, q)
+        for s, q, qinv in gens:
+            K = _conjugate_key(M, q, qinv)
             st = table[s][t]
             if K in transversal:
                 schreier.add(table[inverse[transversal[K]]][st])
@@ -114,8 +120,7 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
         raise InvariantError("orbit-stabilizer count mismatch")
     probes = [p.images for p in N.perms.generators]
     for h in stabilizer.elements:
-        q = _rho_images(G, h)
-        if any(_conjugate(p, q) not in base_key for p in probes):
+        if not _normalizes([_rho_images(G, h)], probes, base_key):
             raise InvariantError(f"stabilizer element {h} moves the structure")
     return transversal, stabilizer
 

@@ -56,6 +56,7 @@ from .hgs import (
 from .perms import (
     GPerm,
     _conjugate,
+    _conjugate_all,
     compose,
     generated_perm_group,
     lambda_embed,
@@ -351,13 +352,13 @@ def _abelian_transport_exhaustive(G: FiniteGroup) -> Optional[str]:
         elems = families[am.images]
         for g in range(n):
             phi, phi_inv = inner[g], inner[G.inverse[g]]
-            conj_map = tuple(phi[am.images[phi_inv[x]]] for x in range(n))
+            conj_map = _conjugate(am.images, phi, phi_inv)
             expected = families.get(conj_map)
             if expected is None:
                 return f"conjugated map left the family at g={g}"
             # stability makes conjugation by rho(g) equal conjugation by
             # the inner automorphism of g
-            moved = frozenset(_conjugate(e, phi) for e in elems)
+            moved = frozenset(_conjugate_all(elems, phi, phi_inv))
             if moved != expected:
                 return f"transport failed for map {am.images[:4]}..., g={g}"
     return None

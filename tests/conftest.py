@@ -26,3 +26,19 @@ def s3_inventory(s3):
 @pytest.fixture(scope="session")
 def d4_inventory(d4):
     return enumerate_hgs(d4)
+
+
+CATALOG_ORDERS = tuple(range(1, 16)) + (21,)
+
+
+@pytest.fixture(scope="session")
+def catalog_structures():
+    """Every structure on every catalog group of order 1-15 and 21 (376)."""
+    from hgslab import catalog_specs
+
+    return [
+        N
+        for n in CATALOG_ORDERS
+        for spec in catalog_specs(n)
+        for N in enumerate_hgs(build_group(spec))
+    ]

@@ -1,6 +1,7 @@
 """Command dispatch, exit codes, structure references, JSON determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_oversized_group_is_refused_before_allocating(capsys, monkeypatch):
+    import hgslab.groups as groups_module
+
+    def build_table(spec):
+        raise AssertionError(f"{spec} reached the table builder")
+
+    monkeypatch.setattr(groups_module, "_build_group_uncached", build_table)
+    tracemalloc.start()
+    code, out, err = run_cli(capsys, "group", "cyclic:100000")
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "above the limit" in err
+    assert peak < 4 * 2**20
 
 
 def test_group_verb(capsys):

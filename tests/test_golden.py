@@ -23,6 +23,12 @@ CASES = [
     # every map goes through the subgroup check of hgs_from_abelian_map
     ("construct_abelian_maps_sym_4.json",
      ["construct", "abelian-maps", "--group", "sym:4", "--json"]),
+    # index 21 is in the rho orbit of index 3: isomorphic, unequal braces
+    ("brace_dihedral_6_index_3_compare_21.json",
+     ["brace", "--group", "dihedral:6", "--structure", "index:3", "--tables",
+      "--compare", "index:21", "--json"]),
+    ("hgs_enumerate_sym_4_type_sym_4.json",
+     ["hgs", "enumerate", "--group", "sym:4", "--type", "sym:4", "--json"]),
 ]
 
 

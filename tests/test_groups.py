@@ -75,6 +75,36 @@ def test_metacyclic_requires_d_of_order_q():
     assert G.table[t_s][G.inverse[1]] == G.table[3][3]
 
 
+@pytest.mark.parametrize("text", [
+    "cyclic:1025",
+    "cyclic:100000",
+    "dihedral:513",
+    "dicyclic:1000",
+    "metacyclic:1031:2:1030",
+    "elemab:2:11",
+    "elemab:2:1000000000",
+    "product:cyclic:64,cyclic:17",
+    "product:cyclic:2,(product:cyclic:32,cyclic:32)",
+])
+def test_build_group_refuses_orders_above_the_limit(text):
+    with pytest.raises(InvalidSpec, match="above the limit of 1024"):
+        build_group(text)
+
+
+def test_order_limit_admits_what_the_package_builds():
+    from hgslab.groups import GROUP_ORDER_LIMIT, _spec_order
+
+    assert GROUP_ORDER_LIMIT >= 120
+    assert build_group("sym:5").order == 120
+    assert _spec_order(parse_spec("elemab:2:10")) == 1024
+    assert _spec_order(parse_spec("product:dihedral:4,cyclic:3")) == 24
+    # rejected parameters keep their own errors
+    with pytest.raises(InvalidSpec, match="positive"):
+        build_group("cyclic:0")
+    with pytest.raises(InvalidSpec, match="prime"):
+        build_group("elemab:4:2")
+
+
 def test_build_group_accepts_text_and_spec():
     assert build_group("cyclic:6").table == build_group(parse_spec("cyclic:6")).table
 

@@ -123,6 +123,16 @@ def test_opposite_is_an_involution(d4_inventory):
         assert opposite(opposite(N)).perms.element_set == N.perms.element_set
 
 
+def test_opposite_is_a_type_preserving_involution_on_the_catalog(
+    catalog_structures,
+):
+    # the opposite of N is its centralizer, isomorphic to N^op and so to N
+    for N in catalog_structures:
+        O = opposite(N)
+        assert opposite(O).perms.element_set == N.perms.element_set
+        assert type_of(O) == type_of(N)
+
+
 def test_abelian_structures_are_self_opposite(s3_inventory):
     for N in s3_inventory:
         if N.is_abelian():

@@ -41,7 +41,9 @@ def _scan_orbit(N):
     first_g = {}
     stab = []
     for g in range(G.order):
-        key = _conjugate_key(base_elems, _rho_images(G, g))
+        key = _conjugate_key(
+            base_elems, _rho_images(G, g), _rho_images(G, G.inverse[g])
+        )
         if key == base_key:
             stab.append(g)
         first_g.setdefault(key, g)
@@ -70,10 +72,13 @@ def _scan_partition(structures):
 
 
 def _scan_same_conjugate(N1, N2):
+    G = N1.group
     elems = [p.images for p in N1.perms.elements]
     target = N2.perms.element_set
-    for g in range(N1.group.order):
-        if _conjugate_key(elems, _rho_images(N1.group, g)) == target:
+    for g in range(G.order):
+        if _conjugate_key(
+            elems, _rho_images(G, g), _rho_images(G, G.inverse[g])
+        ) == target:
             return g
     return None
 
