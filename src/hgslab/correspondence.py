@@ -5,6 +5,14 @@ translation maps P into itself.  Each stable P pins down a subgroup U of G
 generated by the points its members pull back to the identity; the pairs
 (P, U) form a lattice whose behaviour under rho-conjugation is checked
 here as well.
+
+The stable subgroups are found in N's own Cayley table: a member is named
+by its image of 0, and eta[a] . eta[b] = eta[eta[a][b]], so the rows of eta
+are that table.  Conjugation by lambda(h) permutes these indices, and a
+subgroup is stable exactly when it is a union of lambda(G)-orbits.  So the
+lattice is made of the joins of orbit closures (groups._join_closures),
+built breadth first from the trivial subgroup and capped at
+STABLE_SUBGROUP_LIMIT entries; the subgroups of N are never all listed.
 """
 
 from __future__ import annotations
@@ -12,15 +20,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .errors import CorrespondenceError
-from .groups import FiniteGroup, Subgroup, all_subgroups, subgroup_closure
+from .groups import Subgroup, _join_closures, subgroup_closure
 from .hgs import RegularSubgroup
-from .perms import (
-    PermGroup,
-    _conjugate_all,
-    _normalizes,
-    perm_group_as_group,
-    perm_group_from_elements,
-)
+from .perms import PermGroup, _conjugate_all, _normalizes, perm_group_from_elements
 from .rho import _rho_images, rho_conjugate
 
 
@@ -31,17 +33,36 @@ def _is_translation_stable(N: RegularSubgroup, members: frozenset, gens) -> bool
     return _normalizes((G.table[h] for h in G.generating_set()), gens, members)
 
 
+# More stable subgroups than this is refused (ClosureCapExceeded, exit 2):
+# the rho structure of elemab:2:6 has 2,825, that of elemab:2:7 has 29,212.
+STABLE_SUBGROUP_LIMIT = 4096
+
+
+def _lambda_orbits(N: RegularSubgroup, table: list) -> list:
+    """Orbits of conjugation by lambda(G) on N's indices other than 0; the
+    conjugate of eta[a] by lambda(h) sends 0 to h * eta[a][h^-1]."""
+    G = N.group
+    moves = [[G.table[h][row[G.inverse[h]]] for row in table]
+             for h in G.generating_set()]
+    orbits, seen = [], {0}
+    for a in range(1, len(table)):
+        if a not in seen:
+            seen.add(a)
+            orbit = [a]
+            for x in orbit:
+                for y in {move[x] for move in moves} - seen:
+                    seen.add(y)
+                    orbit.append(y)
+            orbits.append(tuple(orbit))
+    return orbits
+
+
 def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
     """All subgroups of N stable under the translation action, sorted by
-    order and element list."""
-    abstract, elems = perm_group_as_group(N.perms)
-    out = []
-    for sub in all_subgroups(abstract):
-        perms = [elems[i] for i in sub.elements]
-        members = frozenset(p.images for p in perms)
-        gens = [elems[i].images for i in sub.generators] or [p.images for p in perms]
-        if _is_translation_stable(N, members, gens):
-            out.append(perm_group_from_elements(members))
+    order and element list: the joins of closures of lambda(G)-orbits."""
+    table = [p.images for p in N.eta]
+    found = _join_closures(table, _lambda_orbits(N, table), STABLE_SUBGROUP_LIMIT)
+    out = [perm_group_from_elements(table[a] for a in key) for key in found]
     out.sort(key=lambda P: (P.order, P.canonical_key()))
     return out
 
@@ -80,9 +101,6 @@ class RealizableLattice:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def subgroups_of_g(self) -> list:
-        return [u for _, u in self.entries]
 
     def to_json(self) -> dict:
         return {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import InvalidSpec, OrderTooLarge, UnknownType
+from .errors import ClosureCapExceeded, InvalidSpec, OrderTooLarge, UnknownType
 
 # Exhaustive associativity checking is cubic; cap it at small orders.
 ASSOCIATIVITY_CHECK_LIMIT = 24
@@ -233,18 +233,12 @@ class FiniteGroup:
 
     # -- basic operations
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
     def conj(self, a: int, g: int) -> int:
         """g a g^-1."""
         return self.table[self.table[g][a]][self.inverse[g]]
-
-    def name_of(self, a: int) -> str:
-        return self.names[a]
 
     def elements(self) -> range:
         return range(self.order)
@@ -477,31 +471,59 @@ def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, _closure_set(G.table, gens), generators=tuple(gens))
 
 
+def _join_closures(table: Sequence[Sequence[int]], pieces, cap=None) -> dict:
+    """Every subgroup generated by a union of pieces: {element set: gens}.
+
+    Breadth first from the trivial subgroup, each subgroup S is joined with
+    every piece outside it (a piece lies inside or outside S as a whole).
+    S's elements are multiplied by the piece only, new elements by S's
+    generators and the piece; these carried generators are the values.
+    Raises ClosureCapExceeded as soon as more than cap subgroups are found.
+    """
+    trivial = frozenset((0,))
+    found = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for have in frontier:
+            for piece in pieces:
+                if piece[0] in have:
+                    continue
+                joined = found[have] + piece
+                out, fresh = set(have), []
+                for xs, by in ((have, piece), (fresh, joined)):
+                    for x in xs:
+                        row = table[x]
+                        for g in by:
+                            if row[g] not in out:
+                                out.add(row[g])
+                                fresh.append(row[g])
+                key = frozenset(out)
+                if key not in found:
+                    found[key] = joined
+                    if cap is not None and len(found) > cap:
+                        raise ClosureCapExceeded(
+                            f"more than {cap} subgroups in the lattice"
+                        )
+                    nxt.append(key)
+        frontier = nxt
+    return found
+
+
+def _joined_subgroups(G: FiniteGroup, pieces) -> list:
+    found = _join_closures(G.table, pieces)
+    subs = [Subgroup(G, k, generators=sorted(g)) for k, g in found.items()]
+    return sorted(subs, key=lambda s: (s.order, s.elements))
+
+
 def all_subgroups(G: FiniteGroup, limit: int = 64) -> list:
-    """Every subgroup of G, found by closing one added generator at a time."""
+    """Every subgroup of G: the joins of closures of single elements."""
     if G.order > limit:
         raise InvalidSpec(f"subgroup lattice restricted to order <= {limit}")
-
-    def compute():
-        found = {}
-        trivial = subgroup_closure(G, ())
-        frontier = [trivial]
-        found[trivial.elements] = trivial
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                inside = set(sub.elements)
-                for x in range(1, G.order):
-                    if x in inside:
-                        continue
-                    bigger = subgroup_closure(G, set(sub.generators) | {x})
-                    if bigger.elements not in found:
-                        found[bigger.elements] = bigger
-                        nxt.append(bigger)
-            frontier = nxt
-        return sorted(found.values(), key=lambda s: (s.order, s.elements))
-
-    return G._memo("all_subgroups", compute)
+    return G._memo(
+        "all_subgroups",
+        lambda: _joined_subgroups(G, [(x,) for x in range(1, G.order)]),
+    )
 
 
 def conjugacy_classes(G: FiniteGroup) -> list:
@@ -536,29 +558,11 @@ def class_index(G: FiniteGroup) -> tuple:
 
 
 def normal_subgroups(G: FiniteGroup) -> list:
-    """All normal subgroups, built by closing unions of conjugacy classes."""
-
-    def compute():
-        classes = conjugacy_classes(G)
-        trivial = subgroup_closure(G, ())
-        found = {trivial.elements: trivial}
-        frontier = [trivial]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                inside = set(sub.elements)
-                for cls in classes:
-                    if cls[0] == 0 or cls[0] in inside:
-                        continue
-                    bigger = subgroup_closure(G, inside | set(cls))
-                    if bigger.elements not in found:
-                        found[bigger.elements] = bigger
-                        nxt.append(bigger)
-            frontier = nxt
-        out = sorted(found.values(), key=lambda s: (s.order, s.elements))
-        return [s for s in out if s.is_normal()]
-
-    return G._memo("normal_subgroups", compute)
+    """All normal subgroups: the joins of closures of conjugacy classes."""
+    return G._memo(
+        "normal_subgroups",
+        lambda: _joined_subgroups(G, conjugacy_classes(G)[1:]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +613,6 @@ class GroupHom:
             self.domain.order == self.codomain.order
             and len(set(self.images)) == self.domain.order
         )
-
-    def inverse_hom(self) -> "GroupHom":
-        if not self.is_bijective():
-            raise InvalidSpec("map is not bijective")
-        inv = [0] * self.domain.order
-        for a, b in enumerate(self.images):
-            inv[b] = a
-        return GroupHom(self.codomain, self.domain, inv)
-
-    def image_elements(self) -> tuple:
-        return tuple(sorted(set(self.images)))
 
 
 def is_homomorphism(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bool:

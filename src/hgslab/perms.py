@@ -216,9 +216,6 @@ class PermGroup:
             for b in gens[i + 1:]
         )
 
-    def subgroup_of(self, other: "PermGroup") -> bool:
-        return self.element_set <= other.element_set
-
     def to_json(self) -> dict:
         return {
             "base": self.base,

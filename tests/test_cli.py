@@ -1,6 +1,7 @@
 """Command dispatch, exit codes, structure references, JSON determinism."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -149,6 +150,28 @@ def test_correspondence_verb(capsys):
     assert code == 0
     assert "4 stable subgroups" in out
     assert "transport under element 5: True" in out
+
+
+def test_correspondence_on_sym_5_rho(capsys):
+    # lambda(G) and rho(G) commute: all 156 subgroups of sym:5 are stable
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "correspondence", "--group", "sym:5",
+                             "--structure", "rho", "--transport", "1")
+    assert code == 0 and err == ""
+    assert out.startswith("156 stable subgroups")
+    assert "transport under element 1: True" in out
+    assert time.perf_counter() - start < 10
+
+
+def test_correspondence_refuses_an_oversized_lattice_early(capsys):
+    # the rho structure of elemab:2:7 has 29,212 stable subgroups
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "correspondence", "--group", "elemab:2:7",
+                             "--structure", "rho")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "more than 4096 subgroups" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_list_and_selection(capsys):

@@ -1,13 +1,18 @@
 """Stable subgroups of a structure and their fixed subgroups in the group."""
 
+import time
+
 import pytest
 
 from hgslab import (
+    ClosureCapExceeded,
     CorrespondenceError,
+    abelian_maps,
     build_group,
     enumerate_hgs,
     fixed_subgroup,
     g_stable_subgroups,
+    hgs_from_abelian_map,
     lambda_structure,
     lattice_transport_check,
     normal_subgroups,
@@ -93,3 +98,24 @@ def test_order_three_fixed_subgroups_cover_everything(m733):
                 seen.add(U.elements)
     want = {h.elements for h in all_subgroups(m733) if len(h.elements) == 3}
     assert seen == want and len(seen) == 7
+
+
+def test_sym_5_abelian_map_lattices_and_transport():
+    start = time.perf_counter()
+    G = build_group("sym:5")
+    structures = [hgs_from_abelian_map(am) for am in abelian_maps(G)]
+    assert len(structures) == 26
+    for N in structures:
+        lat = realizable_lattice(N)
+        assert len(lat) in (3, 4)
+        for P, U in lat:
+            assert len(U.elements) == P.order
+        for g in G.generating_set():
+            assert lattice_transport_check(N, g)
+    assert time.perf_counter() - start < 10
+
+
+def test_lattice_cap_is_a_typed_error():
+    N = rho_structure(build_group("elemab:2:7"))
+    with pytest.raises(ClosureCapExceeded, match="more than 4096 subgroups"):
+        g_stable_subgroups(N)

@@ -29,6 +29,14 @@ CASES = [
       "--compare", "index:21", "--json"]),
     ("hgs_enumerate_sym_4_type_sym_4.json",
      ["hgs", "enumerate", "--group", "sym:4", "--type", "sym:4", "--json"]),
+    # the README example: four stable subgroups and a transport check
+    ("correspondence_metacyclic_7_3_2_index_0_transport_5.json",
+     ["correspondence", "--group", "metacyclic:7:3:2", "--structure",
+      "index:0", "--transport", "5", "--json"]),
+    # lambda(G) and rho(G) commute, so every subgroup of rho(G) is stable
+    ("correspondence_dihedral_4_rho.json",
+     ["correspondence", "--group", "dihedral:4", "--structure", "rho",
+      "--json"]),
 ]
 
 
