@@ -12,7 +12,7 @@ are that table.  Conjugation by lambda(h) permutes these indices, and a
 subgroup is stable exactly when it is a union of lambda(G)-orbits.  So the
 lattice is made of the joins of orbit closures (groups._join_closures),
 built breadth first from the trivial subgroup and capped at
-STABLE_SUBGROUP_LIMIT entries; the subgroups of N are never all listed.
+groups.LATTICE_LIMIT entries; the subgroups of N are never all listed.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ def _is_translation_stable(N: RegularSubgroup, members: frozenset, gens) -> bool
     group generators suffice on both sides."""
     G = N.group
     return _normalizes((G.table[h] for h in G.generating_set()), gens, members)
-
-
-# More stable subgroups than this is refused (ClosureCapExceeded, exit 2):
-# the rho structure of elemab:2:6 has 2,825, that of elemab:2:7 has 29,212.
-STABLE_SUBGROUP_LIMIT = 4096
 
 
 def _lambda_orbits(N: RegularSubgroup, table: list) -> list:
@@ -61,7 +56,7 @@ def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
     """All subgroups of N stable under the translation action, sorted by
     order and element list: the joins of closures of lambda(G)-orbits."""
     table = [p.images for p in N.eta]
-    found = _join_closures(table, _lambda_orbits(N, table), STABLE_SUBGROUP_LIMIT)
+    found = _join_closures(table, _lambda_orbits(N, table))
     out = [perm_group_from_elements(table[a] for a in key) for key in found]
     out.sort(key=lambda P: (P.order, P.canonical_key()))
     return out
