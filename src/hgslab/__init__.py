@@ -45,13 +45,10 @@ from .groups import (
 from .perms import (
     CosetSpace,
     GPerm,
-    Holomorph,
     PermGroup,
     compose,
     coset_space,
     generated_perm_group,
-    holomorph,
-    invert,
     lambda_embed,
     lambda_image,
     left_translation,
@@ -103,7 +100,6 @@ from .constructions import (
     abelian_transport_check,
     coset_stable_regular_subgroups,
     embedding_conjugation_check,
-    equivalent_embeddings,
     fpf_check,
     fpf_embedding,
     fpf_transport_check,
@@ -114,7 +110,6 @@ from .constructions import (
     induced_hgs,
     induced_input,
     induced_transport_check,
-    normal_complements,
     structure_group,
     to_hol_embedding,
 )

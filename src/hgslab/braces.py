@@ -70,12 +70,6 @@ class SkewBrace:
         self.star_inverse = _inverse_row(self.star)
         self.circ_inverse = _inverse_row(self.circ)
 
-    def star_op(self, a: int, b: int) -> int:
-        return self.star[a][b]
-
-    def circ_op(self, a: int, b: int) -> int:
-        return self.circ[a][b]
-
     @property
     def star_group(self) -> FiniteGroup:
         if self._star_group is None:

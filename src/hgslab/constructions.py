@@ -20,14 +20,16 @@ from .groups import (
     GroupHom,
     Subgroup,
     _is_prime,
-    automorphisms,
     are_isomorphic,
-    build_group,
-    catalog_specs,
     inner_automorphism,
     is_homomorphism,
 )
-from .hgs import RegularSubgroup, _structure_from_embedding, certify
+from .hgs import (
+    RegularSubgroup,
+    _structure_from_embedding,
+    certify,
+    stable_regular_subgroups,
+)
 from .perms import (
     CosetSpace,
     GPerm,
@@ -48,7 +50,7 @@ from .rho import rho_conjugate
 
 
 # ---------------------------------------------------------------------------
-# Holomorph embeddings
+# Embeddings into the holomorph
 
 
 class HolEmbedding:
@@ -82,10 +84,6 @@ class HolEmbedding:
             f"HolEmbedding(|G|={self.source.order}, "
             f"target={self.target.spec or self.target.order})"
         )
-
-    def base_point_map(self) -> tuple:
-        """g -> beta(g)[identity of M]; a bijection by regularity."""
-        return tuple(b[0] for b in self.beta)
 
     def precompose(self, phi: GroupHom) -> "HolEmbedding":
         """The embedding g -> beta(phi(g)); phi must be an automorphism."""
@@ -197,21 +195,6 @@ def from_hol_embedding(emb: HolEmbedding) -> RegularSubgroup:
     key, _ = _structure_from_embedding(emb.source, emb.target, emb.beta)
     label = emb.target.spec
     return certify(emb.source, perm_group_from_elements(key), type_label=label)
-
-
-def equivalent_embeddings(e1: HolEmbedding, e2: HolEmbedding) -> Optional[GroupHom]:
-    """An automorphism theta of the target with e2 = theta . e1 . theta^-1.
-
-    Returns None when no such automorphism exists.  This is the equivalence
-    under which from_hol_embedding is injective.
-    """
-    if e1.source is not e2.source or e1.target.table != e2.target.table:
-        raise ConstructionError("embeddings must share source and target")
-    for aut in automorphisms(e1.target):
-        th = aut.images
-        if _conjugate_all(e1.beta, th, _invert(th)) == list(e2.beta):
-            return aut
-    return None
 
 
 def embedding_conjugation_check(emb: HolEmbedding, g: int) -> bool:
@@ -582,43 +565,8 @@ def induced_transport_check(inp: InducedInput, g: int) -> bool:
     return lhs.perms.element_set == rhs.perms.element_set
 
 
-def normal_complements(G: FiniteGroup, T: Subgroup) -> list:
-    """All normal subgroups S with S.T = G and trivial intersection."""
-    from .groups import normal_subgroups
-
-    out = []
-    want = G.order // len(T.elements)
-    for S in normal_subgroups(G):
-        if len(S.elements) != want:
-            continue
-        if S.element_set & T.element_set == {0}:
-            out.append(S)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Stable regular subgroups on a coset space
-
-
-def _coset_brute(cs: CosetSpace, L: PermGroup) -> list:
-    """Oracle enumeration for small degree: every regular subgroup is a
-    bijection-conjugate of some left translation table."""
-    d = cs.degree
-    lgens = [p.images for p in L.generators]
-    found = []
-    seen = set()
-    for spec in catalog_specs(d):
-        tmm = build_group(spec).table
-        for rest in itertools.permutations(range(1, d)):
-            b = (0,) + rest
-            elems = frozenset(_conjugate_all(tmm, b, _invert(b)))
-            if elems in seen:
-                continue
-            seen.add(elems)
-            if _normalizes(lgens, elems, elems):
-                found.append(perm_group_from_elements(elems))
-    found.sort(key=lambda P: P.canonical_key())
-    return found
 
 
 def _coset_prime(cs: CosetSpace, L: PermGroup) -> list:
@@ -644,15 +592,16 @@ def _coset_prime(cs: CosetSpace, L: PermGroup) -> list:
 
 def coset_stable_regular_subgroups(G: FiniteGroup, T: Subgroup) -> list:
     """All regular subgroups of Perm(G/T) normalized by the translation
-    image of G; brute force for degree <= 8, uniqueness argument for prime
+    image of G, sorted canonically; the bijection scan of
+    stable_regular_subgroups for degree <= 8, uniqueness argument for prime
     degree."""
     cs = coset_space(G, T)
     d = cs.degree
-    if d == 1:
-        return [perm_group_from_elements([(0,)])]
     L = left_translation_image(cs)
     if d <= 8:
-        return _coset_brute(cs, L)
+        found = stable_regular_subgroups([p.images for p in L.generators])
+        return sorted(map(perm_group_from_elements, found),
+                      key=PermGroup.canonical_key)
     if _is_prime(d):
         return _coset_prime(cs, L)
     raise UnsupportedOrder(f"coset degree {d} is beyond the search range")

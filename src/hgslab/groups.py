@@ -9,11 +9,11 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import ClosureCapExceeded, InvalidSpec, OrderTooLarge, UnknownType
+from .errors import ClosureCapExceeded, InvalidSpec, OrderTooLarge
 
 # Exhaustive associativity checking is cubic; cap it at small orders.
 ASSOCIATIVITY_CHECK_LIMIT = 24
@@ -81,10 +81,6 @@ class GroupSpec:
     def dicyclic(n: int) -> "GroupSpec":
         """Dicyclic group of order 2n; n must be even."""
         return GroupSpec("dicyclic", (n,))
-
-    @staticmethod
-    def elementary_abelian(p: int, k: int) -> "GroupSpec":
-        return GroupSpec("elemab", (p, k))
 
     @staticmethod
     def product(*parts: "GroupSpec") -> "GroupSpec":
@@ -828,17 +824,14 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
             raise InvalidSpec(f"{p} is not prime")
         if k < 1:
             raise InvalidSpec("rank must be positive")
-        n = p**k
-        digits = [_to_digits(x, p, k) for x in range(n)]
-        table = [
-            [
-                _from_digits([(da + db) % p for da, db in zip(digits[a], digits[b])], p)
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        names = ["".join(str(d) for d in dig) for dig in digits]
-        return FiniteGroup(table, names=names, spec=spec)
+        # the product indexes (a, b) as a * p + b, so x has its base-p
+        # digits in big-endian order, as the names spell them
+        C = build_group(GroupSpec.cyclic(p))
+        G = C
+        for _ in range(k - 1):
+            G = _direct_product(G, C)
+        names = ["".join(map(str, _to_digits(x, p, k))) for x in range(G.order)]
+        return FiniteGroup(G.table, names=names, spec=spec)
 
     if kind == "product":
         groups = [build_group(part) for part in spec.parts]
@@ -1025,13 +1018,6 @@ def _to_digits(x: int, p: int, k: int) -> list:
         out.append(x % p)
         x //= p
     return list(reversed(out))
-
-
-def _from_digits(digits: list, p: int) -> int:
-    x = 0
-    for d in digits:
-        x = x * p + d
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .perms import (
     _conjugate,
     _conjugate_all,
     _invert,
+    _normalizes,
     _tuple_order,
     centralizer_of_regular,
     lambda_image,
@@ -404,36 +405,41 @@ def _canonical_type(spec: GroupSpec) -> GroupSpec:
 BRUTE_FORCE_LIMIT = 8
 
 
-def brute_force_inventory(G: FiniteGroup) -> HgsInventory:
-    """Inventory by scanning all base-point-normalized bijections M -> G.
+def stable_regular_subgroups(lgens: Sequence[tuple]) -> dict:
+    """Every regular subgroup of Perm(d) normalized by the permutations lgens.
 
-    Every regular subgroup equals b . lambda_M . b^-1 for its own abstract
-    type M and the bijection b(m) = eta_m[0], which fixes 0; so scanning
-    bijections with b(0) = 0 over all catalog types of the order is
-    exhaustive.  Only sensible for order <= 8.
+    d = len(lgens[0]).  Every regular subgroup equals b . lambda_M . b^-1 for
+    its own abstract type M and the bijection b(m) = eta_m[0], which fixes
+    0; so scanning the bijections with b(0) = 0 over all catalog types of
+    degree d is exhaustive.  Returns {element set: catalog spec}, the spec
+    being the first type whose scan met the set.  Only sensible for d <= 8.
     """
+    d = len(lgens[0])
+    found: dict = {}
+    seen: set = set()
+    for spec in catalog_specs(d):
+        table = build_group(spec).table
+        for rest in itertools.permutations(range(1, d)):
+            b = (0,) + rest
+            key = frozenset(_conjugate_all(table, b, _invert(b)))
+            if key not in seen:
+                seen.add(key)
+                if _normalizes(lgens, key, key):
+                    found[key] = spec
+    return found
+
+
+def brute_force_inventory(G: FiniteGroup) -> HgsInventory:
+    """Inventory by the bijection scan of stable_regular_subgroups over the
+    left translations of G's generators."""
     n = G.order
     if n > BRUTE_FORCE_LIMIT:
         raise UnsupportedOrder(
             f"brute force inventory is capped at order {BRUTE_FORCE_LIMIT}"
         )
-    gens = G.generating_set()
-    lam = {g: G.table[g] for g in gens}
-    lam_inv = {g: G.table[G.inverse[g]] for g in gens}
-    found: dict = {}
-    for spec in catalog_specs(n):
-        M = build_group(spec)
-        for rest in itertools.permutations(range(1, n)):
-            b = (0,) + rest
-            key = frozenset(_conjugate_all(M.table, b, _invert(b)))
-            if key in found:
-                continue
-            if all(
-                c in key for g in gens for c in _conjugate_all(key, lam[g], lam_inv[g])
-            ):
-                found[key] = spec
+    lgens = [G.table[g] for g in G.generating_set()] or [G.table[0]]
     structures = [
         certify(G, perm_group_from_elements(key), type_label=spec)
-        for key, spec in found.items()
+        for key, spec in stable_regular_subgroups(lgens).items()
     ]
     return HgsInventory(G, structures, complete=True)

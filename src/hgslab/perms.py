@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureCapExceeded, InvalidSpec, NotRegular
-from .groups import FiniteGroup, GroupHom, Subgroup, _respects
+from .groups import FiniteGroup, Subgroup, _respects
 
 
 class GPerm:
@@ -62,17 +62,11 @@ class GPerm:
     def __repr__(self) -> str:
         return f"GPerm{self.images}"
 
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
-
     def inverse(self) -> "GPerm":
         return GPerm(_invert(self.images), check=False)
 
     def order(self) -> int:
         return _tuple_order(self.images)
-
-    def fixed_points(self) -> tuple:
-        return tuple(x for x, i in enumerate(self.images) if i == x)
 
 
 def identity_perm(base: int) -> GPerm:
@@ -82,10 +76,6 @@ def identity_perm(base: int) -> GPerm:
 def compose(p: GPerm, q: GPerm) -> GPerm:
     """Apply q first, then p."""
     return GPerm(_compose(p.images, q.images), check=False)
-
-
-def invert(p: GPerm) -> GPerm:
-    return GPerm(_invert(p.images), check=False)
 
 
 def conjugate(p: GPerm, q: GPerm) -> GPerm:
@@ -144,7 +134,7 @@ class PermGroup:
 
     __slots__ = ("base", "elements", "generators", "element_set")
 
-    def __init__(self, elements: Iterable[GPerm], generators=(), check: bool = False):
+    def __init__(self, elements: Iterable[GPerm], generators=()):
         elems = tuple(sorted(elements))
         if not elems:
             raise InvalidSpec("a permutation group needs elements")
@@ -152,21 +142,6 @@ class PermGroup:
         self.elements = elems
         self.generators = tuple(generators) if generators else _greedy_generators(elems)
         self.element_set = frozenset(p.images for p in elems)
-        if check:
-            self._validate()
-
-    def _validate(self) -> None:
-        if len(self.element_set) != len(self.elements):
-            raise InvalidSpec("duplicate permutations")
-        if tuple(range(self.base)) not in self.element_set:
-            raise InvalidSpec("missing identity")
-        for p in self.elements:
-            if p.base != self.base:
-                raise InvalidSpec("mixed bases")
-        for p in self.elements:
-            for q in self.generators:
-                if _compose(p.images, q.images) not in self.element_set:
-                    raise InvalidSpec("set is not closed under composition")
 
     @property
     def order(self) -> int:
@@ -338,7 +313,7 @@ def generated_perm_group(
     if not gens:
         if base is None:
             raise InvalidSpec("need generators or an explicit base")
-        return PermGroup([identity_perm(base)], check=False)
+        return PermGroup([identity_perm(base)])
     b = gens[0].base
     if base is not None and base != b:
         raise InvalidSpec("generator base does not match requested base")
@@ -472,60 +447,7 @@ def left_translation_image(space: CosetSpace) -> PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# Holomorph
-
-
-class Holomorph:
-    """Hol(M) inside Perm(M) with the translation/automorphism factorization."""
-
-    __slots__ = ("group", "perm_group", "automorphisms", "factor")
-
-    def __init__(self, group: FiniteGroup, perm_group: PermGroup, automorphisms, factor):
-        self.group = group
-        self.perm_group = perm_group
-        self.automorphisms = automorphisms
-        self.factor = factor
-
-    @property
-    def order(self) -> int:
-        return self.perm_group.order
-
-    def factorize(self, p: GPerm) -> tuple:
-        """Return (m, automorphism index) with p = lambda(m) . aut."""
-        key = p.images if isinstance(p, GPerm) else tuple(p)
-        if key not in self.factor:
-            raise InvalidSpec("permutation is not in the holomorph")
-        return self.factor[key]
-
-    def contains(self, p: GPerm) -> bool:
-        return p.images in self.factor
-
-    def as_group(self) -> FiniteGroup:
-        """Cayley table of the holomorph on its sorted permutation list.
-
-        The identity image tuple is lexicographically smallest, so sorted
-        order automatically places it at index 0.
-        """
-        return perm_group_as_group(self.perm_group)[0]
-
-
-def holomorph(M: FiniteGroup) -> Holomorph:
-    """Hol(M) = lambda(M) Aut(M) as explicit permutations of M."""
-    from .groups import automorphisms as group_automorphisms
-
-    auts = group_automorphisms(M)
-    elems = []
-    factor = {}
-    for m in range(M.order):
-        lam = M.table[m]
-        for ai, aut in enumerate(auts):
-            images = _compose(lam, aut.images)
-            if images in factor:
-                raise InvalidSpec("holomorph factorization collision")
-            factor[images] = (m, ai)
-            elems.append(GPerm(images, check=False))
-    pg = PermGroup(elems)
-    return Holomorph(M, pg, tuple(auts), factor)
+# Cayley tables and holomorph membership
 
 
 def perm_group_as_group(P: PermGroup) -> tuple:

@@ -22,7 +22,6 @@ from .braces import (
     ybe_map,
 )
 from .constructions import (
-    AbelianMap,
     abelian_maps,
     abelian_transport_check,
     embedding_conjugation_check,

@@ -37,6 +37,17 @@ CASES = [
     ("correspondence_dihedral_4_rho.json",
      ["correspondence", "--group", "dihedral:4", "--structure", "rho",
       "--json"]),
+    # coset degree 7: the regular subgroups of Perm(G/T) stable under G
+    ("construct_induced_metacyclic_7_3_2_t_1_s_3.json",
+     ["construct", "induced", "--group", "metacyclic:7:3:2", "--t-gens", "1",
+      "--s-gens", "3", "--json"]),
+    # coset degree 6, through the same scan as the brute-force inventory
+    ("construct_induced_dihedral_6_t_1_s_2.json",
+     ["construct", "induced", "--group", "dihedral:6", "--t-gens", "1",
+      "--s-gens", "2", "--json"]),
+    ("construct_fpf_sym_3_identity_trivial.json",
+     ["construct", "fpf", "--group", "sym:3", "--f1", "0,1,2,3,4,5", "--f2",
+      "0,0,0,0,0,0", "--json"]),
 ]
 
 

@@ -43,6 +43,21 @@ def test_catalog_groups_all_build_and_validate():
             assert all(G.table[0][x] == x for x in range(n))
 
 
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (2, 6)])
+def test_elemab_table_is_digitwise_addition(p, k):
+    # element x is named by its k base-p digits, most significant first
+    G = build_group(f"elemab:{p}:{k}")
+    digits = [tuple(x // p ** (k - 1 - i) % p for i in range(k))
+              for x in range(p ** k)]
+    assert G.names == tuple("".join(map(str, d)) for d in digits)
+    index = {d: x for x, d in enumerate(digits)}
+    for a, row in enumerate(G.table):
+        assert row == tuple(
+            index[tuple((u + v) % p for u, v in zip(digits[a], digits[b]))]
+            for b in range(p ** k)
+        )
+
+
 def test_catalog_groups_pairwise_nonisomorphic():
     for n in (8, 12):
         built = [build_group(s) for s in catalog_specs(n)]

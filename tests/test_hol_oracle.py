@@ -18,7 +18,6 @@ from hgslab import (
     build_group,
     catalog_specs,
     enumerate_hgs,
-    holomorph,
     parse_spec,
 )
 from hgslab.hgs import _structure_from_embedding
@@ -54,12 +53,13 @@ def _regular_subgroups_of_holomorph(spec):
         result = (perm_group_from_elements([(0,)]),)
         _HOL_CACHE[key] = result
         return result
-    hol = holomorph(M)
+    # Hol(M) = lambda(M) Aut(M), sorted as a permutation group lists it
+    hol = sorted(
+        _compose(M.table[m], a.images) for m in range(n) for a in automorphisms(M)
+    )
     ident = tuple(range(n))
     fpf = [
-        p.images
-        for p in hol.perm_group.elements
-        if p.images != ident and all(px != x for x, px in enumerate(p.images))
+        p for p in hol if p != ident and all(px != x for x, px in enumerate(p))
     ]
     fpf_set = set(fpf)
 

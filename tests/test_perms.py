@@ -1,4 +1,4 @@
-"""Permutations, translation embeddings, coset spaces, the holomorph."""
+"""Permutations, translation embeddings, coset spaces, holomorph membership."""
 
 import pytest
 
@@ -10,8 +10,6 @@ from hgslab import (
     compose,
     coset_space,
     generated_perm_group,
-    holomorph,
-    invert,
     lambda_embed,
     lambda_image,
     left_translation,
@@ -21,8 +19,13 @@ from hgslab import (
     rho_image,
     subgroup_closure,
 )
-from hgslab.perms import centralizer_of_regular, in_holomorph, perm_group_as_group
-from hgslab.groups import are_isomorphic
+from hgslab.perms import (
+    _compose,
+    centralizer_of_regular,
+    in_holomorph,
+    perm_group_as_group,
+)
+from hgslab.groups import are_isomorphic, automorphisms
 
 
 def test_gperm_validation():
@@ -37,8 +40,8 @@ def test_compose_and_invert():
     q = GPerm((0, 2, 1))
     # compose applies the right factor first
     assert compose(p, q).images == (1, 0, 2)
-    assert compose(p, invert(p)).images == (0, 1, 2)
-    assert compose(invert(p), p).images == (0, 1, 2)
+    assert compose(p, p.inverse()).images == (0, 1, 2)
+    assert compose(p.inverse(), p).images == (0, 1, 2)
 
 
 def test_translation_embeddings_are_homomorphisms(s3):
@@ -115,11 +118,16 @@ def test_coset_space_shape(d4):
 
 def test_holomorph_membership_and_factorization():
     C6 = build_group("cyclic:6")
-    hol = holomorph(C6)
-    assert hol.as_group().order == 12  # 6 * |Aut(C6)|
+    hol = {
+        _compose(C6.table[m], a.images): m
+        for m in range(6)
+        for a in automorphisms(C6)
+    }
+    assert len(hol) == 12  # 6 * |Aut(C6)|, each lambda(m) . a distinct
+    for p, m in hol.items():
+        assert p[0] == m  # lambda(m) . a sends the identity to m
+        assert in_holomorph(C6, GPerm(p))
     for p in rho_image(C6).elements:
         assert in_holomorph(C6, p)
     # a transposition of two non-identity points is not translation+auto
     assert not in_holomorph(C6, GPerm((0, 2, 1, 3, 4, 5)))
-    inner = hol.factorize(lambda_embed(C6, 2))
-    assert inner is not None
