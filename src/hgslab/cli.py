@@ -34,6 +34,7 @@ from .hgs import (
     enumerate_hgs,
     brute_force_inventory,
     lambda_structure,
+    opposite,
     rho_structure,
     type_of,
 )
@@ -183,7 +184,7 @@ def resolve_structure(G: FiniteGroup, ref: str) -> RegularSubgroup:
                     f"generator {chunk!r} is not a permutation of 0..{G.order - 1}"
                 )
             gens.append(GPerm(images))
-        return certify(G, generated_perm_group(gens, cap=10 * G.order ** 2))
+        return certify(G, generated_perm_group(gens))
     raise UsageError(f"unknown structure reference {ref!r}")
 
 
@@ -285,8 +286,6 @@ def cmd_hgs_show(args) -> Tuple[dict, List[str]]:
     G = build_group(args.group)
     N = resolve_structure(G, args.structure)
     orb = rho_orbit(N)
-    from .hgs import opposite
-
     opp = opposite(N)
     payload = {
         "group": str(G.spec),

@@ -21,6 +21,7 @@ from .groups import (
     Subgroup,
     _is_prime,
     are_isomorphic,
+    extend_generator_images,
     inner_automorphism,
     is_homomorphism,
 )
@@ -29,6 +30,7 @@ from .hgs import (
     _structure_from_embedding,
     certify,
     stable_regular_subgroups,
+    structure_group,
 )
 from .perms import (
     CosetSpace,
@@ -36,7 +38,6 @@ from .perms import (
     PermGroup,
     _compose,
     _conjugate_all,
-    _greedy_close,
     _invert,
     _normalizes,
     _tuple_order,
@@ -137,14 +138,6 @@ def hol_embedding(G: FiniteGroup, M: FiniteGroup, beta) -> HolEmbedding:
                 f"beta({g}) does not factor as translation times automorphism"
             )
     return HolEmbedding(G, M, rows)
-
-
-def structure_group(N: RegularSubgroup) -> FiniteGroup:
-    """The abstract group carried by the eta indexing of a structure.
-
-    Row a of the table is eta_a's image array: eta_a . eta_b = eta_{eta_a[b]}.
-    """
-    return FiniteGroup([p.images for p in N.eta], check=False)
 
 
 def to_hol_embedding(
@@ -309,8 +302,6 @@ def abelian_maps(G: FiniteGroup) -> list:
     Backtracks over generator images; a generator of order k can only map
     to an element whose order divides k.
     """
-    from .groups import extend_generator_images
-
     gens = G.generating_set()
     orders = G.element_orders
     candidates = []
@@ -319,7 +310,7 @@ def abelian_maps(G: FiniteGroup) -> list:
         candidates.append([x for x in range(G.order) if o % orders[x] == 0])
     out = []
     for combo in itertools.product(*candidates):
-        images = extend_generator_images(G, gens, combo, G)
+        images = extend_generator_images(G, combo, G)
         if images is None:
             continue
         try:
@@ -343,9 +334,6 @@ def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
         arow = tm[tm[h][inv[p]]]
         # rho(psi(h)^-1) sends m to m . psi(h), column p of the table
         elems.append(_compose(arow, columns[p]))
-    members = set(elems)
-    if len(members) != n or _greedy_close(elems, members) is None:
-        raise ConstructionError("abelian map did not produce a subgroup")
     try:
         return certify(G, perm_group_from_elements(elems))
     except HgsError as exc:
@@ -485,9 +473,6 @@ def induced_hgs(inp: InducedInput) -> RegularSubgroup:
                 ci, ti = fac[g]
                 img[g] = tm[s_of[ai[ci]]][telems[bi[ti]]]
             elems.append(tuple(img))
-    members = set(elems)
-    if len(members) != n or _greedy_close(elems, members) is None:
-        raise ConstructionError("induced family is not a subgroup")
     try:
         return certify(G, perm_group_from_elements(elems))
     except HgsError as exc:

@@ -33,6 +33,9 @@ GROUP_ORDER_LIMIT = 1024
 # elemab:2:7 has 29,212; no group of order 64 or less has more than 2,825.
 LATTICE_LIMIT = 4096
 
+# all_subgroups refuses larger groups.
+ALL_SUBGROUPS_ORDER_LIMIT = 64
+
 
 # ---------------------------------------------------------------------------
 # Group specifications
@@ -321,33 +324,6 @@ class FiniteGroup:
 
         return self._memo("gens", compute)
 
-    def bfs_tree(self) -> tuple:
-        """Elements in BFS order over the generating set.
-
-        Returns (order, parent, gen_index); element = parent * gens[gen_index].
-        Used to extend generator images to full maps.
-        """
-
-        def compute():
-            gens = self.generating_set()
-            t = self.table
-            parent = [-1] * self.order
-            gidx = [-1] * self.order
-            seen = [False] * self.order
-            seen[0] = True
-            out = [0]
-            for x in out:
-                for k, g in enumerate(gens):
-                    y = t[x][g]
-                    if not seen[y]:
-                        seen[y] = True
-                        parent[y] = x
-                        gidx[y] = k
-                        out.append(y)
-            return tuple(out), tuple(parent), tuple(gidx)
-
-        return self._memo("bfs", compute)
-
     def to_json(self) -> dict:
         return {
             "schema": "hgslab.group/1",
@@ -517,10 +493,12 @@ def _joined_subgroups(G: FiniteGroup, pieces) -> list:
     return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
-def all_subgroups(G: FiniteGroup, limit: int = 64) -> list:
+def all_subgroups(G: FiniteGroup) -> list:
     """Every subgroup of G: the joins of closures of single elements."""
-    if G.order > limit:
-        raise InvalidSpec(f"subgroup lattice restricted to order <= {limit}")
+    if G.order > ALL_SUBGROUPS_ORDER_LIMIT:
+        raise InvalidSpec(
+            f"subgroup lattice restricted to order <= {ALL_SUBGROUPS_ORDER_LIMIT}"
+        )
     return G._memo(
         "all_subgroups",
         lambda: _joined_subgroups(G, [(x,) for x in range(1, G.order)]),
@@ -623,21 +601,30 @@ def is_homomorphism(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bo
 
 
 def extend_generator_images(
-    G: FiniteGroup, gens: Sequence[int], gen_images: Sequence[int], H: FiniteGroup
+    G: FiniteGroup, gen_images: Sequence[int], H: FiniteGroup
 ) -> Optional[tuple]:
-    """Extend images of a generating set to a full homomorphism, or None.
+    """Extend images of G.generating_set() to a homomorphism G -> H, or None.
 
-    The candidate map is built along the BFS tree of G and then verified
-    against the whole table, which rejects inconsistent generator images.
+    The images spread along G's Cayley graph over its generating set,
+    img[x.g] = img[x].img[g], and None comes back at the first edge that
+    meets an element with a different image.  A map that agrees on every
+    edge is a homomorphism: by induction on the length of a word y in the
+    generators, img[x.y] = img[x].img[y].
     """
-    order, parent, gidx = G.bfs_tree()
-    img = [0] * G.order
-    th = H.table
-    for x in order:
-        if x == 0:
-            continue
-        img[x] = th[img[parent[x]]][gen_images[gidx[x]]]
-    return tuple(img) if is_homomorphism(G, H, img) else None
+    gens = G.generating_set()
+    t, th = G.table, H.table
+    img = [0] + [None] * (G.order - 1)
+    frontier = [0]
+    for x in frontier:
+        row, hrow = t[x], th[img[x]]
+        for g, h in zip(gens, gen_images):
+            y = row[g]
+            if img[y] is None:
+                img[y] = hrow[h]
+                frontier.append(y)
+            elif img[y] != hrow[h]:
+                return None
+    return tuple(img)
 
 
 def _iso_candidates(G: FiniteGroup, H: FiniteGroup, gen: int) -> list:
@@ -655,65 +642,33 @@ def _iso_candidates(G: FiniteGroup, H: FiniteGroup, gen: int) -> list:
     ]
 
 
-def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
-    """An isomorphism G -> H, or None.
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup):
+    """Every isomorphism G -> H as an image tuple.
 
-    Backtracks over generator images filtered by order and class size.
+    Backtracks over generator images filtered by order and class size, in
+    itertools.product order.
     """
     if G.order != H.order or G.order_profile() != H.order_profile():
-        return None
-    gens = G.generating_set()
-    cand = [_iso_candidates(G, H, g) for g in gens]
-    orders_h = H.element_orders
+        return
+    cand = [_iso_candidates(G, H, g) for g in G.generating_set()]
     for combo in itertools.product(*cand):
-        # cheap pairwise product-order screen before the full table check
-        ok = True
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                prod_g = G.table[gens[i]][gens[j]]
-                prod_h = H.table[combo[i]][combo[j]]
-                if G.element_order(prod_g) != orders_h[prod_h]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        img = extend_generator_images(G, gens, combo, H)
+        img = extend_generator_images(G, combo, H)
         if img is not None and len(set(img)) == G.order:
-            return GroupHom(G, H, img)
-    return None
+            yield img
+
+
+def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
+    """An isomorphism G -> H, or None."""
+    img = next(_isomorphisms(G, H), None)
+    return None if img is None else GroupHom(G, H, img)
 
 
 def automorphisms(G: FiniteGroup) -> list:
     """All automorphisms of G, sorted by image array."""
-
-    def compute():
-        gens = G.generating_set()
-        cand = [_iso_candidates(G, G, g) for g in gens]
-        orders = G.element_orders
-        out = []
-        for combo in itertools.product(*cand):
-            ok = True
-            for i in range(len(gens)):
-                for j in range(i + 1, len(gens)):
-                    if (
-                        orders[G.table[gens[i]][gens[j]]]
-                        != orders[G.table[combo[i]][combo[j]]]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            img = extend_generator_images(G, gens, combo, G)
-            if img is not None and len(set(img)) == G.order:
-                out.append(GroupHom(G, G, img))
-        out.sort(key=lambda h: h.images)
-        return out
-
-    return G._memo("automorphisms", compute)
+    return G._memo(
+        "automorphisms",
+        lambda: [GroupHom(G, G, img) for img in sorted(_isomorphisms(G, G))],
+    )
 
 
 def inner_automorphism(G: FiniteGroup, g: int) -> GroupHom:

@@ -38,7 +38,6 @@ from .perms import (
     _tuple_order,
     centralizer_of_regular,
     lambda_image,
-    perm_group_as_group,
     perm_group_from_elements,
     rho_image,
 )
@@ -51,14 +50,13 @@ class RegularSubgroup:
     regularity certificate.
     """
 
-    __slots__ = ("group", "perms", "eta", "_type_label", "_abstract", "_lattice")
+    __slots__ = ("group", "perms", "eta", "_type_label", "_lattice")
 
     def __init__(self, group: FiniteGroup, perms: PermGroup, eta, type_label=None):
         self.group = group
         self.perms = perms
         self.eta = tuple(eta)
         self._type_label = type_label
-        self._abstract = None
         self._lattice = None  # memo of correspondence.realizable_lattice
 
     @property
@@ -88,12 +86,6 @@ class RegularSubgroup:
     def __repr__(self) -> str:
         label = str(self._type_label) if self._type_label else "?"
         return f"RegularSubgroup(order={self.order}, type={label})"
-
-    def abstract(self) -> tuple:
-        """The subgroup as an abstract FiniteGroup plus its element list."""
-        if self._abstract is None:
-            self._abstract = perm_group_as_group(self.perms)
-        return self._abstract
 
     def is_abelian(self) -> bool:
         return self.perms.is_abelian()
@@ -151,7 +143,6 @@ def certify(
     G: FiniteGroup,
     perms: PermGroup,
     type_label: Optional[GroupSpec] = None,
-    full_stability: bool = False,
 ) -> RegularSubgroup:
     """Validate order, regularity and stability, and build the eta index.
 
@@ -160,8 +151,7 @@ def certify(
     conjugation by a fixed lambda(g) is an automorphism of Perm(G); checking
     lambda of G's generators suffices because lambda is a homomorphism and a
     map of the finite subgroup into itself is a bijection, so the
-    translations that normalize it form a subgroup.  full_stability probes
-    every member anyway.
+    translations that normalize it form a subgroup.
     """
     n = G.order
     if perms.base != n:
@@ -176,7 +166,7 @@ def certify(
         eta[a] = p
     # eta is filled exactly when the orbit of 0 is everything
     members = perms.element_set
-    probes = perms.elements if full_stability else perms.generators
+    probes = perms.generators
     for g in G.generating_set():
         moved = _conjugate_all(
             (p.images for p in probes), G.table[g], G.table[G.inverse[g]]
@@ -207,14 +197,22 @@ def rho_structure(G: FiniteGroup) -> RegularSubgroup:
 # Type identification
 
 
+def structure_group(N: RegularSubgroup) -> FiniteGroup:
+    """The abstract group carried by the eta indexing of a structure.
+
+    Row a of the table is eta_a's image array: eta_a . eta_b = eta_{eta_a[b]}.
+    """
+    return FiniteGroup([p.images for p in N.eta], check=False)
+
+
 def type_of(N: RegularSubgroup) -> GroupSpec:
     """Catalog spec isomorphic to N; raises UnknownType outside the catalog."""
     if N._type_label is not None:
         return N._type_label
-    abstract, _ = N.abstract()
+    star = structure_group(N)
     for spec in catalog_specs(N.order):
         M = build_group(spec)
-        if are_isomorphic(M, abstract) is not None:
+        if are_isomorphic(M, star) is not None:
             N._type_label = spec
             return spec
     raise UnknownType(

@@ -302,21 +302,15 @@ def _close_images(gens: list, cap: Optional[int] = None) -> set:
     return out
 
 
-def generated_perm_group(
-    gens: Sequence[GPerm], base: Optional[int] = None, cap: Optional[int] = None
-) -> PermGroup:
+def generated_perm_group(gens: Sequence[GPerm], cap: Optional[int] = None) -> PermGroup:
     """Close a generator list under composition.
 
     The closure aborts once it exceeds cap, which defaults to 10 * base^2.
     """
     gens = list(gens)
     if not gens:
-        if base is None:
-            raise InvalidSpec("need generators or an explicit base")
-        return PermGroup([identity_perm(base)])
+        raise InvalidSpec("need at least one generator")
     b = gens[0].base
-    if base is not None and base != b:
-        raise InvalidSpec("generator base does not match requested base")
     for g in gens:
         if g.base != b:
             raise InvalidSpec("generators act on different bases")
@@ -328,7 +322,8 @@ def generated_perm_group(
 
 
 def perm_group_from_elements(images_set: Iterable[tuple]) -> PermGroup:
-    """Wrap an already-closed set of image tuples, trusted."""
+    """Wrap a set of image tuples; PermGroup raises InvalidSpec when the
+    set is not closed under composition."""
     return PermGroup([GPerm(im, check=False) for im in images_set])
 
 
@@ -447,23 +442,7 @@ def left_translation_image(space: CosetSpace) -> PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# Cayley tables and holomorph membership
-
-
-def perm_group_as_group(P: PermGroup) -> tuple:
-    """The abstract Cayley table of a permutation group on its sorted elements.
-
-    Returns (FiniteGroup, element list); position i corresponds to
-    P.elements[i].  The identity lands at position 0 because its image tuple
-    is lexicographically smallest.
-    """
-    elems = P.elements
-    pos = {p.images: i for i, p in enumerate(elems)}
-    table = [
-        [pos[_compose(a.images, b.images)] for b in elems] for a in elems
-    ]
-    G = FiniteGroup(table, check=False)
-    return G, elems
+# Holomorph membership
 
 
 def in_holomorph(M: FiniteGroup, p: GPerm) -> bool:

@@ -34,7 +34,11 @@ from .constructions import (
     coset_stable_regular_subgroups,
     to_hol_embedding,
 )
-from .correspondence import lattice_transport_check, realizable_lattice
+from .correspondence import (
+    _transport_matches,
+    lattice_transport_check,
+    realizable_lattice,
+)
 from .errors import HgsError
 from .groups import (
     FiniteGroup,
@@ -43,6 +47,7 @@ from .groups import (
     build_group,
     catalog_specs,
     inner_automorphism,
+    parse_spec,
     subgroup_closure,
 )
 from .hgs import (
@@ -51,6 +56,7 @@ from .hgs import (
     certify,
     enumerate_hgs,
     opposite,
+    type_of,
 )
 from .perms import (
     GPerm,
@@ -62,7 +68,13 @@ from .perms import (
     perm_group_from_elements,
     rho_embed,
 )
-from .rho import opposite_conjugate_commute, rho_conjugate, rho_orbit, rho_partition
+from .rho import (
+    opposite_conjugate_commute,
+    rho_conjugate,
+    rho_orbit,
+    rho_partition,
+    same_conjugate,
+)
 
 _INVENTORY_CACHE: dict = {}
 
@@ -188,8 +200,6 @@ def check_metacyclic_cyclic_family() -> Tuple[bool, str]:
         return False, "orbit members do not match the generator formula"
     if orbit.stabilizer.elements != (0, 1, 2):
         return False, f"stabilizer {orbit.stabilizer.elements}, expected (0, 1, 2)"
-    from .groups import parse_spec
-
     filtered = enumerate_hgs(G, type_filter=parse_spec("cyclic:21"))
     if {S.perms.element_set for S in filtered.structures} != fam_keys:
         return False, "cyclic-type enumeration does not equal the family"
@@ -311,8 +321,6 @@ def check_metacyclic_sibling_family() -> Tuple[bool, str]:
     keys = [N.perms.element_set for N in family]
     if len(set(keys)) != 7:
         return False, f"only {len(set(keys))} distinct members"
-    from .hgs import type_of
-
     for k, N in enumerate(family):
         if str(type_of(N)) != "metacyclic:7:3:2":
             return False, f"member {k} is not of metacyclic type"
@@ -427,8 +435,6 @@ def check_s5_abelian_maps() -> Tuple[bool, str]:
 
 
 def check_correspondence_lattices() -> Tuple[bool, str]:
-    from .correspondence import _transport_matches
-
     count = 0
     for order in range(1, 13):
         for spec in catalog_specs(order):
@@ -474,8 +480,6 @@ def check_brace_comparison_census() -> Tuple[bool, str]:
         structures = _inventory(spec).structures
         for i, a in enumerate(structures):
             for b in structures[i + 1:]:
-                from .rho import same_conjugate
-
                 if same_conjugate(a, b) is None:
                     continue
                 cmpres = compare_braces(a, b)

@@ -1,5 +1,6 @@
 """Builders: embeddings, fixed point free pairs, abelian maps, induction."""
 
+import itertools
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from hgslab import (
     induced_hgs,
     induced_input,
     induced_transport_check,
+    is_homomorphism,
     lambda_structure,
     perm_group_from_elements,
     rho_partition,
@@ -121,6 +123,22 @@ def test_abelian_map_rejects_nonabelian_image(s3):
         AbelianMap(_identity_hom(s3))
     with pytest.raises(ConstructionError):
         AbelianMap(GroupHom(s3, s3, [0, 1, 1, 1, 1, 1]))  # not multiplicative
+
+
+def test_structure_from_a_non_homomorphism_is_rejected(s3):
+    """Without AbelianMap's own check, PermGroup's closure check and certify
+    still reject every non-homomorphism of sym:3 that fixes 0."""
+    rejected = 0
+    for rest in itertools.product(range(6), repeat=5):
+        images = (0,) + rest
+        if is_homomorphism(s3, s3, images):
+            continue
+        forged = object.__new__(AbelianMap)  # skips the homomorphism check
+        forged.hom = GroupHom(s3, s3, images)
+        with pytest.raises(ConstructionError):
+            hgs_from_abelian_map(forged)
+        rejected += 1
+    assert rejected == 6 ** 5 - 10
 
 
 def test_trivial_map_gives_left_translations(s3):

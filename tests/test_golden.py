@@ -48,6 +48,15 @@ CASES = [
     ("construct_fpf_sym_3_identity_trivial.json",
      ["construct", "fpf", "--group", "sym:3", "--f1", "0,1,2,3,4,5", "--f2",
       "0,0,0,0,0,0", "--json"]),
+    ("group_sym_4.json", ["group", "sym:4", "--json"]),
+    ("group_metacyclic_7_3_2.json", ["group", "metacyclic:7:3:2", "--json"]),
+    # all eleven checks; without --timing the report is deterministic
+    ("verify.json", ["verify", "--json"]),
+    # an unlabelled structure from raw generators: generated_perm_group,
+    # then type_of through are_isomorphic answers cyclic:21
+    ("hgs_show_metacyclic_7_3_2_gens_cyclic.json",
+     ["hgs", "show", "--group", "metacyclic:7:3:2", "--structure",
+      "gens:5,3,4,8,6,7,11,9,10,14,12,13,17,15,16,20,18,19,2,0,1", "--json"]),
 ]
 
 

@@ -1,5 +1,7 @@
 """Group catalog, spec parsing, subgroups, homomorphisms, automorphisms."""
 
+import itertools
+
 import pytest
 
 from hgslab import (
@@ -18,6 +20,7 @@ from hgslab import (
     parse_spec,
     subgroup_closure,
 )
+from hgslab.groups import extend_generator_images
 
 # number of isomorphism classes of groups of each order 1..15
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1]
@@ -209,3 +212,52 @@ def test_generating_set_generates():
         G = build_group(spec)
         gens = G.generating_set()
         assert subgroup_closure(G, gens).elements == tuple(range(G.order))
+
+
+# ---------------------------------------------------------------------------
+# Cayley-graph extension against the BFS tree plus full table check
+
+
+def _extend_by_bfs_tree(G, gen_images, H):
+    """The extension it replaced: images along a BFS spanning tree over the
+    generating set, then every product of G checked by is_homomorphism."""
+    gens = G.generating_set()
+    img = {0: 0}
+    frontier = [0]
+    for x in frontier:
+        for g, h in zip(gens, gen_images):
+            y = G.table[x][g]
+            if y not in img:
+                img[y] = H.table[img[x]][h]
+                frontier.append(y)
+    images = tuple(img[x] for x in range(G.order))
+    return images if is_homomorphism(G, H, images) else None
+
+
+SMALL_CATALOG = [spec for n in range(1, 9) for spec in catalog_specs(n)]
+
+
+def test_extension_equals_bfs_tree_and_table_check():
+    checked = homs = 0
+    for g_spec in SMALL_CATALOG:
+        G = build_group(g_spec)
+        k = len(G.generating_set())
+        for h_spec in catalog_specs(G.order):
+            H = build_group(h_spec)
+            for combo in itertools.product(range(H.order), repeat=k):
+                got = extend_generator_images(G, combo, H)
+                assert got == _extend_by_bfs_tree(G, combo, H), (g_spec, h_spec, combo)
+                checked += 1
+                homs += got is not None
+    assert (checked, homs) == (3702, 1238)
+
+
+def test_automorphisms_equal_every_bijection_respecting_the_table():
+    for spec in SMALL_CATALOG:
+        G = build_group(spec)
+        want = [
+            (0,) + rest
+            for rest in itertools.permutations(range(1, G.order))
+            if is_homomorphism(G, G, (0,) + rest)
+        ]
+        assert [phi.images for phi in automorphisms(G)] == want, spec

@@ -13,6 +13,7 @@ regular subgroups of Hol(M) isomorphic to G.
 import pytest
 
 from hgslab import (
+    FiniteGroup,
     are_isomorphic,
     automorphisms,
     build_group,
@@ -21,7 +22,7 @@ from hgslab import (
     parse_spec,
 )
 from hgslab.hgs import _structure_from_embedding
-from hgslab.perms import _compose, perm_group_as_group, perm_group_from_elements
+from hgslab.perms import _compose, perm_group_from_elements
 
 CATALOG_PAIRS = [
     (str(g), str(m))
@@ -34,6 +35,21 @@ EXTRA_PAIRS = [
     ("cyclic:24", "cyclic:24"),
     ("dihedral:8", "cyclic:16"),
 ]
+
+
+def perm_group_as_group(P):
+    """The abstract Cayley table of a permutation group on its sorted elements.
+
+    Returns (FiniteGroup, element list); position i corresponds to
+    P.elements[i].  The identity lands at position 0 because its image tuple
+    is lexicographically smallest.  Every product is composed, O(n^3).
+    """
+    elems = P.elements
+    pos = {p.images: i for i, p in enumerate(elems)}
+    table = [
+        [pos[_compose(a.images, b.images)] for b in elems] for a in elems
+    ]
+    return FiniteGroup(table, check=False), elems
 
 
 def _regular_subgroups_of_holomorph(spec):

@@ -1,6 +1,8 @@
-"""Every name a module of hgslab imports is used in that module.
+"""Every name a module of hgslab imports is used in that module, and every
+relative import sits at module level.
 
-Re-exports in `__init__.py` and `from __future__` imports are exempt.
+Re-exports in `__init__.py` and `from __future__` imports are exempt from
+the first rule.
 """
 
 import ast
@@ -29,6 +31,17 @@ def _unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def _local_relative_imports(source: str) -> list:
+    """Lines of `from .x import y` statements inside a function body."""
+    return sorted({
+        node.lineno
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    })
+
+
 def test_scan_sees_unused_and_used_imports():
     source = ("from __future__ import annotations\n"
               "import os.path\nfrom re import compile as c, sub\n"
@@ -40,3 +53,16 @@ def test_no_module_imports_an_unused_name():
     unused = {path.name: _unused_imports(path.read_text()) for path in SOURCES}
     assert len(SOURCES) >= 10
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_scan_sees_relative_imports_in_function_bodies():
+    source = ("from .a import b\n"
+              "def f():\n    from .c import d\n    import os\n"
+              "    def g():\n        from ..e import h\n")
+    assert _local_relative_imports(source) == [3, 6]
+
+
+def test_no_module_imports_inside_a_function():
+    paths = sorted(Path(hgslab.__file__).parent.glob("*.py"))
+    local = {path.name: _local_relative_imports(path.read_text()) for path in paths}
+    assert {name: lines for name, lines in local.items() if lines} == {}

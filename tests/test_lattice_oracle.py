@@ -21,7 +21,8 @@ from hgslab import (
 )
 from hgslab.correspondence import _is_translation_stable
 from hgslab.groups import subgroup_closure
-from hgslab.perms import perm_group_as_group, perm_group_from_elements
+from hgslab.perms import perm_group_from_elements
+from test_hol_oracle import perm_group_as_group
 
 
 def _every_subgroup(G):

@@ -19,13 +19,9 @@ from hgslab import (
     rho_image,
     subgroup_closure,
 )
-from hgslab.perms import (
-    _compose,
-    centralizer_of_regular,
-    in_holomorph,
-    perm_group_as_group,
-)
+from hgslab.perms import _compose, centralizer_of_regular, in_holomorph
 from hgslab.groups import are_isomorphic, automorphisms
+from test_hol_oracle import perm_group_as_group
 
 
 def test_gperm_validation():
