@@ -44,9 +44,7 @@ from .groups import (
 )
 from .perms import (
     CosetSpace,
-    GPerm,
     PermGroup,
-    compose,
     coset_space,
     generated_perm_group,
     lambda_embed,

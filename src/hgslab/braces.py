@@ -152,8 +152,7 @@ def skew_brace_from_tables(
 
 def brace_from_subgroup(N: RegularSubgroup) -> SkewBrace:
     """The brace on G with star[a][b] = (eta_a . eta_b)[0] = eta_a[b]."""
-    star = tuple(eta.images for eta in N.eta)
-    return skew_brace_from_tables(star, N.group.table, source=N)
+    return skew_brace_from_tables(N.eta, N.group.table, source=N)
 
 
 def subgroup_from_brace(B: SkewBrace) -> RegularSubgroup:
@@ -222,8 +221,7 @@ def rho_fix_criteria(B: SkewBrace, g: int) -> tuple:
         N = subgroup_from_brace(B)
     G = B.circ_group
     phi = inner_automorphism(G, g).images
-    gens = [p.images for p in N.perms.generators]
-    normalizes = _normalizes([phi], gens, N.perms.element_set)
+    normalizes = _normalizes([phi], N.perms.generators, N.perms.element_set)
     preserves = _respects(phi, B.star, B.star)
     relation = _right_relation_at(B, g)
     return normalizes, preserves, relation
@@ -295,7 +293,7 @@ class BraceComparison:
 def _conjugated_by(N: RegularSubgroup, images) -> frozenset:
     """Element set of phi^-1 . N . phi for an automorphism given by images."""
     return frozenset(
-        _conjugate_all((p.images for p in N.perms.elements), _invert(images), images)
+        _conjugate_all(N.perms.elements, _invert(images), images)
     )
 
 

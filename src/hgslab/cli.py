@@ -38,7 +38,7 @@ from .hgs import (
     rho_structure,
     type_of,
 )
-from .perms import GPerm, generated_perm_group
+from .perms import generated_perm_group
 from .rho import rho_orbit, rho_partition
 from .verify import check_ids, run_checks, CHECKS
 
@@ -183,7 +183,7 @@ def resolve_structure(G: FiniteGroup, ref: str) -> RegularSubgroup:
                 raise UsageError(
                     f"generator {chunk!r} is not a permutation of 0..{G.order - 1}"
                 )
-            gens.append(GPerm(images))
+            gens.append(images)
         return certify(G, generated_perm_group(gens))
     raise UsageError(f"unknown structure reference {ref!r}")
 

@@ -20,6 +20,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _is_prime,
+    _respects,
     are_isomorphic,
     extend_generator_images,
     inner_automorphism,
@@ -34,7 +35,6 @@ from .hgs import (
 )
 from .perms import (
     CosetSpace,
-    GPerm,
     PermGroup,
     _compose,
     _conjugate_all,
@@ -113,7 +113,7 @@ def hol_embedding(G: FiniteGroup, M: FiniteGroup, beta) -> HolEmbedding:
     n = G.order
     if M.order != n:
         raise ConstructionError("source and target must have equal order")
-    rows = [tuple(b.images) if isinstance(b, GPerm) else tuple(b) for b in beta]
+    rows = [tuple(b) for b in beta]
     if len(rows) != n:
         raise ConstructionError("beta must assign one permutation per element")
     for row in rows:
@@ -133,7 +133,7 @@ def hol_embedding(G: FiniteGroup, M: FiniteGroup, beta) -> HolEmbedding:
     if len(set(base)) != n:
         raise ConstructionError("embedding image is not regular at the base point")
     for g, row in enumerate(rows):
-        if not in_holomorph(M, GPerm(row, check=False)):
+        if not in_holomorph(M, row):
             raise ConstructionError(
                 f"beta({g}) does not factor as translation times automorphism"
             )
@@ -168,12 +168,8 @@ def to_hol_embedding(
     iota = tuple(iota)
     if sorted(iota) != list(range(n)):
         raise ConstructionError("iota is not a bijection")
-    ts, tm = star.table, target.table
-    for mu in range(n):
-        row = ts[iota[mu]]
-        for nu in range(n):
-            if iota[tm[mu][nu]] != row[iota[nu]]:
-                raise ConstructionError("iota is not an isomorphism onto the structure")
+    if not _respects(iota, target.table, star.table):
+        raise ConstructionError("iota is not an isomorphism onto the structure")
     inv = [0] * n
     for mu, a in enumerate(iota):
         inv[a] = mu
@@ -400,8 +396,8 @@ class InducedInput:
 def _check_coset_stable(cs: CosetSpace, A: PermGroup) -> None:
     """A must be normalized by every left translation of the full group;
     generators suffice on both sides."""
-    lts = (left_translation(cs, h).images for h in cs.group.generating_set())
-    if not _normalizes(lts, [p.images for p in A.generators], A.element_set):
+    lts = (left_translation(cs, h) for h in cs.group.generating_set())
+    if not _normalizes(lts, A.generators, A.element_set):
         raise ConstructionError(
             "quotient structure is not stable under left translation"
         )
@@ -409,7 +405,7 @@ def _check_coset_stable(cs: CosetSpace, A: PermGroup) -> None:
 
 def _check_subgroup_stable(t_group: FiniteGroup, B: PermGroup) -> None:
     lts = (t_group.table[u] for u in t_group.generating_set())
-    if not _normalizes(lts, [p.images for p in B.generators], B.element_set):
+    if not _normalizes(lts, B.generators, B.element_set):
         raise ConstructionError(
             "subgroup structure is not stable under its translations"
         )
@@ -464,10 +460,8 @@ def induced_hgs(inp: InducedInput) -> RegularSubgroup:
     s_of = inp.s_of_coset
     telems = inp.t_elements
     elems = []
-    for a in inp.a_structure.elements:
-        ai = a.images
-        for b in inp.b_structure.elements:
-            bi = b.images
+    for ai in inp.a_structure.elements:
+        for bi in inp.b_structure.elements:
             img = [0] * n
             for g in range(n):
                 ci, ti = fac[g]
@@ -506,7 +500,7 @@ def transport_quotient_structure(
     if sorted(mapping) != list(range(cs.degree)):
         raise ConstructionError("automorphism does not permute the cosets")
     A2 = perm_group_from_elements(
-        _conjugate_all((p.images for p in A.elements), mapping, _invert(mapping))
+        _conjugate_all(A.elements, mapping, _invert(mapping))
     )
     if not A2.is_regular():
         raise ConstructionError("transported quotient structure lost regularity")
@@ -526,7 +520,7 @@ def transport_subgroup_structure(
     pos2 = {t: i for i, t in enumerate(t2_elements)}
     mapping = tuple(pos2[phi.images[t]] for t in T.elements)
     B2 = perm_group_from_elements(
-        _conjugate_all((p.images for p in B.elements), mapping, _invert(mapping))
+        _conjugate_all(B.elements, mapping, _invert(mapping))
     )
     if not B2.is_regular():
         raise ConstructionError("transported subgroup structure lost regularity")
@@ -563,14 +557,14 @@ def _coset_prime(cs: CosetSpace, L: PermGroup) -> list:
     only have order p, so Q = <sigma> is forced for every such sigma.
     """
     d = cs.degree
-    sigma = next(p for p in L.elements if _tuple_order(p.images) == d)
+    sigma = next(p for p in L.elements if _tuple_order(p) == d)
     elems = []
     cur = tuple(range(d))
     for _ in range(d):
         elems.append(cur)
-        cur = _compose(sigma.images, cur)
+        cur = _compose(sigma, cur)
     eset = frozenset(elems)
-    if not _normalizes((q.images for q in L.elements), elems, eset):
+    if not _normalizes(L.elements, elems, eset):
         return []
     return [perm_group_from_elements(eset)]
 
@@ -584,7 +578,7 @@ def coset_stable_regular_subgroups(G: FiniteGroup, T: Subgroup) -> list:
     d = cs.degree
     L = left_translation_image(cs)
     if d <= 8:
-        found = stable_regular_subgroups([p.images for p in L.generators])
+        found = stable_regular_subgroups(L.generators)
         return sorted(map(perm_group_from_elements, found),
                       key=PermGroup.canonical_key)
     if _is_prime(d):

@@ -22,8 +22,14 @@ from typing import List, Tuple
 from .errors import CorrespondenceError
 from .groups import Subgroup, _join_closures, subgroup_closure
 from .hgs import RegularSubgroup
-from .perms import PermGroup, _conjugate_all, _normalizes, perm_group_from_elements
-from .rho import _rho_images, rho_conjugate
+from .perms import (
+    PermGroup,
+    _conjugate_all,
+    _normalizes,
+    perm_group_from_elements,
+    rho_embed,
+)
+from .rho import rho_conjugate
 
 
 def _is_translation_stable(N: RegularSubgroup, members: frozenset, gens) -> bool:
@@ -55,9 +61,8 @@ def _lambda_orbits(N: RegularSubgroup, table: list) -> list:
 def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
     """All subgroups of N stable under the translation action, sorted by
     order and element list: the joins of closures of lambda(G)-orbits."""
-    table = [p.images for p in N.eta]
-    found = _join_closures(table, _lambda_orbits(N, table))
-    out = [perm_group_from_elements(table[a] for a in key) for key in found]
+    found = _join_closures(N.eta, _lambda_orbits(N, N.eta))
+    out = [perm_group_from_elements(N.eta[a] for a in key) for key in found]
     out.sort(key=lambda P: (P.order, P.canonical_key()))
     return out
 
@@ -70,10 +75,9 @@ def fixed_subgroup(N: RegularSubgroup, P: PermGroup) -> Subgroup:
     """
     if not P.element_set <= N.perms.element_set:
         raise CorrespondenceError("P is not a subgroup of the structure")
-    gens = [p.images for p in P.generators]
-    if not _is_translation_stable(N, P.element_set, gens):
+    if not _is_translation_stable(N, P.element_set, P.generators):
         raise CorrespondenceError("P is not stable under the translation action")
-    points = {p.images.index(0) for p in P.elements}
+    points = {p.index(0) for p in P.elements}
     U = subgroup_closure(N.group, points)
     if len(U.elements) != P.order:
         raise CorrespondenceError(
@@ -104,7 +108,7 @@ class RealizableLattice:
             "entries": [
                 {
                     "order": p.order,
-                    "stable_subgroup": [list(q.images) for q in p.elements],
+                    "stable_subgroup": [list(q) for q in p.elements],
                     "fixed_subgroup": list(u.elements),
                 }
                 for p, u in self.entries
@@ -148,12 +152,10 @@ def _build_lattice(N: RegularSubgroup) -> RealizableLattice:
 def _transport_matches(G, lat1: RealizableLattice,
                        lat2: RealizableLattice, g: int) -> bool:
     """Does conjugating lat1 entrywise by g reproduce lat2 exactly?"""
-    rho_g, rho_ginv = _rho_images(G, g), _rho_images(G, G.inverse[g])
+    rho_g, rho_ginv = rho_embed(G, g), rho_embed(G, G.inverse[g])
     transported = {}
     for P, U in lat1:
-        key = frozenset(
-            _conjugate_all((p.images for p in P.elements), rho_g, rho_ginv)
-        )
+        key = frozenset(_conjugate_all(P.elements, rho_g, rho_ginv))
         transported[key] = tuple(sorted(G.conj(u, g) for u in U.elements))
     if len(transported) != len(lat2.entries):
         return False

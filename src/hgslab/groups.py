@@ -733,7 +733,7 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
         (n,) = spec.params
         if n < 1:
             raise InvalidSpec("dihedral parameter must be positive")
-        return FiniteGroup(*_dihedral_table(n), spec=spec)
+        return FiniteGroup(*_semidirect_table(n, 2, n - 1, 0, "rs"), spec=spec)
 
     if kind == "metacyclic":
         p, q, d = spec.params
@@ -763,7 +763,7 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
         (n,) = spec.params
         if n != 8:
             raise InvalidSpec("quaternion group is only defined for order 8")
-        return FiniteGroup(*_dicyclic_table(4), spec=spec)
+        return FiniteGroup(*_semidirect_table(4, 2, 3, 2, "ab"), spec=spec)
 
     if kind == "dicyclic":
         (n,) = spec.params
@@ -771,7 +771,7 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
             raise InvalidSpec("dicyclic parameter must be even")
         if n < 4:
             raise InvalidSpec("dicyclic parameter must be at least 4")
-        return FiniteGroup(*_dicyclic_table(n), spec=spec)
+        return FiniteGroup(*_semidirect_table(n, 2, n - 1, n // 2, "ab"), spec=spec)
 
     if kind == "elemab":
         p, k = spec.params
@@ -798,24 +798,22 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
     raise InvalidSpec(f"unknown group kind {kind!r}")
 
 
-def _dihedral_table(n: int) -> tuple:
-    # elements r^i s^j with index 2*i + j
-    order = 2 * n
+def _semidirect_table(n: int, q: int, d: int, twist: int, letters: str) -> tuple:
+    """Table and names of the group of pairs (i, j), i mod n and j mod q,
+    with (i, j).(k, l) = (i + k d^j + [twist if j + l >= q], j + l).
 
-    def idx(i: int, j: int) -> int:
-        return 2 * (i % n) + (j % 2)
-
-    table = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in range(2):
-            for k in range(n):
-                for l in range(2):
-                    ii = (i + (k if j == 0 else -k)) % n
-                    table[idx(i, j)][idx(k, l)] = idx(ii, j + l)
-    names = []
-    for i in range(n):
-        for j in range(2):
-            names.append(_word_name([("r", i % n), ("s", j % 2)]))
+    The pair (i, j) is the word x^i y^j, x and y named by letters, at index
+    q*i + j.  Dihedral is (q, d, twist) = (2, n-1, 0), dicyclic (2, n-1, n/2)
+    and metacyclic (q, d, 0).
+    """
+    powers = [pow(d, j, n) for j in range(q)]
+    table = [
+        [q * ((i + k * powers[j] + (twist if j + l >= q else 0)) % n) + (j + l) % q
+         for k in range(n) for l in range(q)]
+        for i in range(n) for j in range(q)
+    ]
+    x, y = letters
+    names = [_word_name([(x, i), (y, j)]) for i in range(n) for j in range(q)]
     return table, names
 
 
@@ -829,48 +827,7 @@ def _metacyclic_table(p: int, q: int, d: int) -> tuple:
             f"metacyclic parameter d={d} has multiplicative order "
             f"{_mult_order(d, p)} mod {p}, expected {q}"
         )
-    order = p * q
-    powers = [pow(d, j, p) for j in range(q)]
-
-    def idx(i: int, j: int) -> int:
-        return q * (i % p) + (j % q)
-
-    table = [[0] * order for _ in range(order)]
-    for i in range(p):
-        for j in range(q):
-            dj = powers[j]
-            for k in range(p):
-                for l in range(q):
-                    table[idx(i, j)][idx(k, l)] = idx(i + k * dj, j + l)
-    names = []
-    for i in range(p):
-        for j in range(q):
-            names.append(_word_name([("s", i), ("t", j)]))
-    return table, names
-
-
-def _dicyclic_table(n: int) -> tuple:
-    # order 2n, elements a^i b^j with index 2*i + j, b^2 = a^(n/2)
-    order = 2 * n
-    half = n // 2
-
-    def idx(i: int, j: int) -> int:
-        return 2 * (i % n) + (j % 2)
-
-    table = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in range(2):
-            for k in range(n):
-                for l in range(2):
-                    ii = i + (k if j == 0 else -k)
-                    if j == 1 and l == 1:
-                        ii += half
-                    table[idx(i, j)][idx(k, l)] = idx(ii, j + l)
-    names = []
-    for i in range(n):
-        for j in range(2):
-            names.append(_word_name([("a", i % n), ("b", j % 2)]))
-    return table, names
+    return _semidirect_table(p, q, d, 0, "st")
 
 
 def _perm_list_table(perms: list) -> tuple:

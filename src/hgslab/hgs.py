@@ -36,7 +36,6 @@ from .perms import (
     _invert,
     _normalizes,
     _tuple_order,
-    centralizer_of_regular,
     lambda_image,
     perm_group_from_elements,
     rho_image,
@@ -47,7 +46,8 @@ class RegularSubgroup:
     """A certified G-stable regular subgroup of Perm(G).
 
     eta[a] is the unique member sending 0 to a; this indexing doubles as the
-    regularity certificate.
+    regularity certificate, and since eta[a] . eta[b] = eta[eta[a][b]] the
+    rows of eta are N's Cayley table.
     """
 
     __slots__ = ("group", "perms", "eta", "_type_label", "_lattice")
@@ -92,7 +92,7 @@ class RegularSubgroup:
 
     def to_json(self) -> dict:
         out = {
-            "generators": [list(p.images) for p in self.perms.generators],
+            "generators": [list(p) for p in self.perms.generators],
             "order": self.order,
             "canonical_hash": self.canonical_hash(),
         }
@@ -160,7 +160,7 @@ def certify(
         raise NotRegular(f"order {perms.order}, expected {n}")
     eta: list = [None] * n
     for p in perms.elements:
-        a = p.images[0]
+        a = p[0]
         if eta[a] is not None:
             raise NotRegular(f"elements {eta[a]} and {p} both send 0 to {a}")
         eta[a] = p
@@ -168,9 +168,7 @@ def certify(
     members = perms.element_set
     probes = perms.generators
     for g in G.generating_set():
-        moved = _conjugate_all(
-            (p.images for p in probes), G.table[g], G.table[G.inverse[g]]
-        )
+        moved = _conjugate_all(probes, G.table[g], G.table[G.inverse[g]])
         for p, conj in zip(probes, moved):
             if conj not in members:
                 raise NotStable(
@@ -180,9 +178,14 @@ def certify(
 
 
 def opposite(N: RegularSubgroup) -> RegularSubgroup:
-    """The centralizer of N in Perm(G), certified as a structure."""
-    cent = centralizer_of_regular(N.perms)
-    return certify(N.group, cent)
+    """The centralizer of N in Perm(G), certified as a structure.
+
+    It is made of the columns of N's table eta: the map x -> eta[x][m]
+    commutes with every eta[a], for eta[a][eta[x][m]] = eta[eta[a][x]][m],
+    and the n columns are distinct, so they are the whole centralizer of
+    the regular N.
+    """
+    return certify(N.group, perm_group_from_elements(zip(*N.eta)))
 
 
 def lambda_structure(G: FiniteGroup) -> RegularSubgroup:
@@ -200,24 +203,28 @@ def rho_structure(G: FiniteGroup) -> RegularSubgroup:
 def structure_group(N: RegularSubgroup) -> FiniteGroup:
     """The abstract group carried by the eta indexing of a structure.
 
-    Row a of the table is eta_a's image array: eta_a . eta_b = eta_{eta_a[b]}.
+    Its table is eta itself: eta_a . eta_b = eta_{eta_a[b]}.
     """
-    return FiniteGroup([p.images for p in N.eta], check=False)
+    return FiniteGroup(N.eta, check=False)
+
+
+def _catalog_type(M: FiniteGroup) -> Optional[GroupSpec]:
+    """The first catalog spec whose group is isomorphic to M, or None."""
+    for spec in catalog_specs(M.order):
+        if are_isomorphic(build_group(spec), M) is not None:
+            return spec
+    return None
 
 
 def type_of(N: RegularSubgroup) -> GroupSpec:
     """Catalog spec isomorphic to N; raises UnknownType outside the catalog."""
-    if N._type_label is not None:
-        return N._type_label
-    star = structure_group(N)
-    for spec in catalog_specs(N.order):
-        M = build_group(spec)
-        if are_isomorphic(M, star) is not None:
-            N._type_label = spec
-            return spec
-    raise UnknownType(
-        f"no catalog group of order {N.order} is isomorphic to this subgroup"
-    )
+    if N._type_label is None:
+        N._type_label = _catalog_type(structure_group(N))
+    if N._type_label is None:
+        raise UnknownType(
+            f"no catalog group of order {N.order} is isomorphic to this subgroup"
+        )
+    return N._type_label
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +378,7 @@ def enumerate_hgs(
             raise InvalidSpec(
                 f"type filter has order {M.order}, the group has order {n}"
             )
-        specs = [_canonical_type(type_filter)]
+        specs = [_catalog_type(M) or type_filter]
         complete = False
 
     found: dict = {}
@@ -385,15 +392,6 @@ def enumerate_hgs(
         pg = perm_group_from_elements(key)
         structures.append(certify(G, pg, type_label=spec))
     return HgsInventory(G, structures, complete)
-
-
-def _canonical_type(spec: GroupSpec) -> GroupSpec:
-    """Replace a filter spec by the catalog spec of the same type if any."""
-    M = build_group(spec)
-    for cand in catalog_specs(M.order):
-        if are_isomorphic(build_group(cand), M) is not None:
-            return cand
-    return spec
 
 
 # ---------------------------------------------------------------------------

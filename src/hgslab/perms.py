@@ -1,12 +1,13 @@
 """Permutations of group elements and permutation subgroups.
 
-A permutation is stored as its image sequence: p[x] is the image of x.
-Composition is function composition, compose(p, q)[x] = p[q[x]].
-The left translation lambda(g) sends x to g*x and the right translation
-rho(g) sends x to x*g^-1, so both maps g -> lambda(g), g -> rho(g) are
-homomorphisms and their images commute elementwise.
+A permutation is its image tuple: p[x] is the image of x, and there is no
+wrapper class (the former GPerm is gone).  Composition is function
+composition, _compose(p, q)[x] = p[q[x]].  The left translation lambda(g)
+sends x to g*x and the right translation rho(g) sends x to x*g^-1, so both
+maps g -> lambda(g), g -> rho(g) are homomorphisms and their images
+commute elementwise.
 
-Products are row gathers: compose(p, q) is itemgetter(*q)(p), which reads
+Products are row gathers: _compose(p, q) is itemgetter(*q)(p), which reads
 all n images at C level instead of looping over the points in Python.
 itemgetter with a single index returns a scalar, not a 1-tuple, so images
 of length 0 or 1 take a plain generator instead.  A conjugation is two
@@ -21,69 +22,8 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import ClosureCapExceeded, InvalidSpec, NotRegular
+from .errors import ClosureCapExceeded, InvalidSpec
 from .groups import FiniteGroup, Subgroup, _respects
-
-
-class GPerm:
-    """A permutation of 0..base-1 held as an image tuple."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int], check: bool = True):
-        imgs = tuple(images)
-        if check and tuple(sorted(imgs)) != tuple(range(len(imgs))):
-            raise InvalidSpec(f"not a permutation: {imgs}")
-        self.images = imgs
-
-    @property
-    def base(self) -> int:
-        return len(self.images)
-
-    def __getitem__(self, x: int) -> int:
-        return self.images[x]
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __mul__(self, other: "GPerm") -> "GPerm":
-        """self after other."""
-        return GPerm(_compose(self.images, other.images), check=False)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GPerm) and self.images == other.images
-
-    def __lt__(self, other: "GPerm") -> bool:
-        return self.images < other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"GPerm{self.images}"
-
-    def inverse(self) -> "GPerm":
-        return GPerm(_invert(self.images), check=False)
-
-    def order(self) -> int:
-        return _tuple_order(self.images)
-
-
-def identity_perm(base: int) -> GPerm:
-    return GPerm(range(base), check=False)
-
-
-def compose(p: GPerm, q: GPerm) -> GPerm:
-    """Apply q first, then p."""
-    return GPerm(_compose(p.images, q.images), check=False)
-
-
-def conjugate(p: GPerm, q: GPerm) -> GPerm:
-    """q p q^-1."""
-    return GPerm(_conjugate(p.images, q.images), check=False)
-
-
-# raw tuple helpers for hot loops
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -134,14 +74,17 @@ class PermGroup:
 
     __slots__ = ("base", "elements", "generators", "element_set")
 
-    def __init__(self, elements: Iterable[GPerm], generators=()):
+    def __init__(self, elements: Iterable[tuple], generators=()):
         elems = tuple(sorted(elements))
         if not elems:
             raise InvalidSpec("a permutation group needs elements")
-        self.base = elems[0].base
+        self.base = len(elems[0])
         self.elements = elems
-        self.generators = tuple(generators) if generators else _greedy_generators(elems)
-        self.element_set = frozenset(p.images for p in elems)
+        self.element_set = frozenset(elems)
+        self.generators = (
+            tuple(generators) if generators
+            else _greedy_generators(elems, self.element_set)
+        )
 
     @property
     def order(self) -> int:
@@ -154,8 +97,7 @@ class PermGroup:
         return iter(self.elements)
 
     def __contains__(self, p) -> bool:
-        images = p.images if isinstance(p, GPerm) else tuple(p)
-        return images in self.element_set
+        return tuple(p) in self.element_set
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PermGroup) and self.element_set == other.element_set
@@ -168,14 +110,14 @@ class PermGroup:
 
     def canonical_key(self) -> tuple:
         """Sorted image tuples; the canonical form for dedup and hashing."""
-        return tuple(p.images for p in self.elements)
+        return self.elements
 
     def canonical_hash(self) -> str:
         blob = repr(self.canonical_key()).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def orbit(self, x: int) -> tuple:
-        return tuple(sorted({p.images[x] for p in self.elements}))
+        return tuple(sorted({p[x] for p in self.elements}))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.base
@@ -186,7 +128,7 @@ class PermGroup:
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(
-            _compose(a.images, b.images) == _compose(b.images, a.images)
+            _compose(a, b) == _compose(b, a)
             for i, a in enumerate(gens)
             for b in gens[i + 1:]
         )
@@ -195,12 +137,12 @@ class PermGroup:
         return {
             "base": self.base,
             "order": self.order,
-            "generators": [list(p.images) for p in self.generators],
-            "elements": [list(p.images) for p in self.elements],
+            "generators": [list(p) for p in self.generators],
+            "elements": [list(p) for p in self.elements],
         }
 
 
-def _greedy_generators(elems: Sequence[GPerm]) -> tuple:
+def _greedy_generators(elems: Sequence[tuple], members: frozenset) -> tuple:
     """Small generating sequence for a closed permutation set.
 
     Candidates are tried by decreasing order.  For n permutations of n
@@ -210,15 +152,14 @@ def _greedy_generators(elems: Sequence[GPerm]) -> tuple:
     _greedy_close rejects it whatever the candidate order.
     """
     if len(elems) == 1:
-        return (elems[0],)
-    n = elems[0].base
-    regular = len(elems) == n and len({p.images[0] for p in elems}) == n
+        return elems
+    n = len(elems[0])
+    regular = len(elems) == n and len({p[0] for p in elems}) == n
     order = _cycle_at_0 if regular else _tuple_order
-    ordered = sorted(elems, key=lambda q: (-order(q.images), q.images))
-    gens = _greedy_close([p.images for p in ordered], {p.images for p in elems})
+    gens = _greedy_close(sorted(elems, key=lambda q: (-order(q), q)), members)
     if gens is None:
         raise InvalidSpec("set is not closed under composition")
-    return tuple(GPerm(g, check=False) for g in gens)
+    return tuple(gens)
 
 
 def _greedy_close(candidates: Sequence[tuple], members) -> Optional[list]:
@@ -302,86 +243,57 @@ def _close_images(gens: list, cap: Optional[int] = None) -> set:
     return out
 
 
-def generated_perm_group(gens: Sequence[GPerm], cap: Optional[int] = None) -> PermGroup:
+def generated_perm_group(
+    gens: Sequence[Sequence[int]], cap: Optional[int] = None
+) -> PermGroup:
     """Close a generator list under composition.
 
-    The closure aborts once it exceeds cap, which defaults to 10 * base^2.
+    Every generator must be a permutation of 0..b-1, b being the length of
+    the first.  The closure aborts once it exceeds cap, which defaults to
+    10 * b^2.
     """
-    gens = list(gens)
+    gens = [tuple(g) for g in gens]
     if not gens:
         raise InvalidSpec("need at least one generator")
-    b = gens[0].base
+    b = len(gens[0])
     for g in gens:
-        if g.base != b:
-            raise InvalidSpec("generators act on different bases")
+        if sorted(g) != list(range(b)):
+            raise InvalidSpec(f"not a permutation of 0..{b - 1}: {g}")
     if cap is None:
         cap = 10 * b * b
-    closed = _close_images([g.images for g in gens], cap=cap)
-    elems = [GPerm(im, check=False) for im in closed]
-    return PermGroup(elems, generators=tuple(gens))
+    return PermGroup(_close_images(gens, cap=cap), generators=gens)
 
 
 def perm_group_from_elements(images_set: Iterable[tuple]) -> PermGroup:
-    """Wrap a set of image tuples; PermGroup raises InvalidSpec when the
-    set is not closed under composition."""
-    return PermGroup([GPerm(im, check=False) for im in images_set])
+    """The group of a set of image tuples; PermGroup raises InvalidSpec
+    when the set is not closed under composition."""
+    return PermGroup(images_set)
 
 
 # ---------------------------------------------------------------------------
 # Translations
 
 
-def lambda_embed(G: FiniteGroup, g: int) -> GPerm:
+def lambda_embed(G: FiniteGroup, g: int) -> tuple:
     """Left translation x -> g*x; this is row g of the Cayley table."""
-    return GPerm(G.table[g], check=False)
+    return G.table[g]
 
 
-def rho_embed(G: FiniteGroup, g: int) -> GPerm:
+def rho_embed(G: FiniteGroup, g: int) -> tuple:
     """Right translation x -> x*g^-1."""
     ginv = G.inverse[g]
-    return GPerm(tuple(G.table[x][ginv] for x in range(G.order)), check=False)
+    return tuple(G.table[x][ginv] for x in range(G.order))
 
 
 def lambda_image(G: FiniteGroup) -> PermGroup:
-    elems = [lambda_embed(G, g) for g in range(G.order)]
-    gens = [lambda_embed(G, g) for g in G.generating_set()] or [identity_perm(G.order)]
-    return PermGroup(elems, generators=tuple(gens))
+    gens = [lambda_embed(G, g) for g in G.generating_set() or (0,)]
+    return PermGroup(G.table, generators=gens)
 
 
 def rho_image(G: FiniteGroup) -> PermGroup:
     elems = [rho_embed(G, g) for g in range(G.order)]
-    gens = [rho_embed(G, g) for g in G.generating_set()] or [identity_perm(G.order)]
-    return PermGroup(elems, generators=tuple(gens))
-
-
-# ---------------------------------------------------------------------------
-# Centralizer of a regular subgroup
-
-
-def centralizer_of_regular(N: PermGroup) -> PermGroup:
-    """Centralizer in the full symmetric group of a regular subgroup.
-
-    For regular N the centralizer is again regular and is read off from the
-    bijection eta -> eta[0]: the element sending x to eta_x[m] belongs to it
-    for every point m, and these exhaust it.  No search over the symmetric
-    group happens.
-    """
-    n = N.base
-    if N.order != n:
-        raise NotRegular(f"order {N.order} does not match base {n}")
-    eta = [None] * n
-    for p in N.elements:
-        a = p.images[0]
-        if eta[a] is not None:
-            raise NotRegular(f"two elements send 0 to {a}")
-        eta[a] = p.images
-    ident = tuple(range(n))
-    opp = []
-    for m, images in enumerate(zip(*eta)):
-        if tuple(sorted(images)) != ident:
-            raise NotRegular(f"centralizer candidate at {m} is not a bijection")
-        opp.append(GPerm(images, check=False))
-    return PermGroup(opp)
+    gens = [rho_embed(G, g) for g in G.generating_set() or (0,)]
+    return PermGroup(elems, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +339,16 @@ def coset_space(G: FiniteGroup, T: Subgroup) -> CosetSpace:
     return CosetSpace(G, T)
 
 
-def left_translation(space: CosetSpace, h: int) -> GPerm:
+def left_translation(space: CosetSpace, h: int) -> tuple:
     """The permutation of cosets induced by left multiplication with h."""
     G = space.group
-    images = tuple(
+    return tuple(
         space.coset_of[G.table[h][rep]] for rep in space.representatives
     )
-    return GPerm(images, check=False)
 
 
 def left_translation_image(space: CosetSpace) -> PermGroup:
-    elems = {left_translation(space, h).images for h in range(space.group.order)}
+    elems = {left_translation(space, h) for h in range(space.group.order)}
     return perm_group_from_elements(elems)
 
 
@@ -445,12 +356,12 @@ def left_translation_image(space: CosetSpace) -> PermGroup:
 # Holomorph membership
 
 
-def in_holomorph(M: FiniteGroup, p: GPerm) -> bool:
+def in_holomorph(M: FiniteGroup, p: tuple) -> bool:
     """Membership test via the unique candidate factorization.
 
     p = lambda(m) . a with m = p[0] forces a = lambda(m^-1) . p; membership
     reduces to a being an automorphism.
     """
-    m = p.images[0]
-    a = _compose(M.table[M.inverse[m]], p.images)
+    m = p[0]
+    a = _compose(M.table[M.inverse[m]], p)
     return _respects(a, M.table, M.table)

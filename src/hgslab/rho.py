@@ -18,12 +18,7 @@ from typing import Optional
 from .errors import InvariantError
 from .groups import FiniteGroup, Subgroup, subgroup_closure
 from .hgs import HgsInventory, RegularSubgroup, certify, opposite
-from .perms import _conjugate_all, _normalizes, perm_group_from_elements
-
-
-def _rho_images(G: FiniteGroup, g: int) -> tuple:
-    ginv = G.inverse[g]
-    return tuple(G.table[x][ginv] for x in range(G.order))
+from .perms import _conjugate_all, _normalizes, perm_group_from_elements, rho_embed
 
 
 def _conjugate_key(elements, q: tuple, qinv: tuple) -> frozenset:
@@ -36,9 +31,7 @@ def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     """The structure rho(g) . N . rho(g)^-1, certified."""
     G = N.group
     key = _conjugate_key(
-        (p.images for p in N.perms.elements),
-        _rho_images(G, g),
-        _rho_images(G, G.inverse[g]),
+        N.perms.elements, rho_embed(G, g), rho_embed(G, G.inverse[g])
     )
     if key == N.perms.element_set:
         return N
@@ -98,7 +91,7 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
     G = N.group
     table, inverse = G.table, G.inverse
     gens = [
-        (s, _rho_images(G, s), _rho_images(G, inverse[s]))
+        (s, rho_embed(G, s), rho_embed(G, inverse[s]))
         for s in G.generating_set()
     ]
     base_key = N.perms.element_set
@@ -118,9 +111,9 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
     stabilizer = subgroup_closure(G, schreier)
     if len(transversal) * stabilizer.order != G.order:
         raise InvariantError("orbit-stabilizer count mismatch")
-    probes = [p.images for p in N.perms.generators]
+    probes = N.perms.generators
     for h in stabilizer.elements:
-        if not _normalizes([_rho_images(G, h)], probes, base_key):
+        if not _normalizes([rho_embed(G, h)], probes, base_key):
             raise InvariantError(f"stabilizer element {h} moves the structure")
     return transversal, stabilizer
 

@@ -59,10 +59,9 @@ from .hgs import (
     type_of,
 )
 from .perms import (
-    GPerm,
+    _compose,
     _conjugate,
     _conjugate_all,
-    compose,
     generated_perm_group,
     lambda_embed,
     perm_group_from_elements,
@@ -98,7 +97,7 @@ def metacyclic_params(G: FiniteGroup) -> tuple:
 def metacyclic_base_structure(G: FiniteGroup) -> RegularSubgroup:
     """The cyclic-type structure generated by lambda(s) rho(t)."""
     _, q, _ = metacyclic_params(G)
-    gen = compose(lambda_embed(G, q), rho_embed(G, 1))
+    gen = _compose(lambda_embed(G, q), rho_embed(G, 1))
     return certify(G, generated_perm_group([gen], cap=G.order ** 2))
 
 
@@ -109,7 +108,7 @@ def metacyclic_cyclic_family(G: FiniteGroup) -> list:
     for i in range(p):
         e = (i * (1 - d)) % p
         u = q * e + 1
-        gen = compose(lambda_embed(G, q), rho_embed(G, u))
+        gen = _compose(lambda_embed(G, q), rho_embed(G, u))
         out.append(certify(G, generated_perm_group([gen], cap=G.order ** 2)))
     return out
 
@@ -125,7 +124,7 @@ def metacyclic_sibling_family(G: FiniteGroup) -> list:
     out = []
     for k in range(p):
         u = q * k + 1
-        mixed = compose(lambda_embed(G, 1), rho_embed(G, G.inverse[u]))
+        mixed = _compose(lambda_embed(G, 1), rho_embed(G, G.inverse[u]))
         gens = [lambda_embed(G, q), mixed]
         out.append(certify(G, generated_perm_group(gens, cap=G.order ** 2)))
     return out
@@ -146,20 +145,20 @@ def dihedral_two_generator_family(n: int) -> tuple:
     G = build_group(f"dihedral:{n}")
     members = []
     for k in range(n // 2):
-        a = compose(lambda_embed(G, 2), rho_embed(G, dihedral_index(n, 2 * k, 1)))
+        a = _compose(lambda_embed(G, 2), rho_embed(G, dihedral_index(n, 2 * k, 1)))
         b = lambda_embed(G, 1)
         members.append(certify(G, generated_perm_group([a, b], cap=4 * n * n)))
     return G, members
 
 
-def dihedral_mu(G: FiniteGroup, n: int, k: int) -> GPerm:
+def dihedral_mu(G: FiniteGroup, n: int, k: int) -> tuple:
     """mu_k sends r^i s^j to r^{i+(-1)^{i+j+k}} s^j."""
     images = [0] * (2 * n)
     for i in range(n):
         for j in range(2):
             e = (i + (-1) ** ((i + j + k) % 2)) % n
             images[dihedral_index(n, i, j)] = dihedral_index(n, e, j)
-    return GPerm(images)
+    return tuple(images)
 
 
 def dihedral_opposite_generators(G: FiniteGroup, n: int, k: int) -> frozenset:
@@ -353,7 +352,7 @@ def _abelian_transport_exhaustive(G: FiniteGroup) -> Optional[str]:
     families = {}
     for am in maps:
         N = hgs_from_abelian_map(am)
-        families[am.images] = frozenset(p.images for p in N.perms.elements)
+        families[am.images] = N.perms.element_set
     inner = [inner_automorphism(G, g).images for g in range(n)]
     for am in maps:
         elems = families[am.images]

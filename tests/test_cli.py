@@ -96,7 +96,7 @@ def test_resolve_structure_references(s3):
     idx0 = resolve_structure(s3, "index:0")
     assert resolve_structure(s3, f"hash:{idx0.canonical_hash()}") \
         .perms.element_set == idx0.perms.element_set
-    gens = ";".join(",".join(str(x) for x in p.images)
+    gens = ";".join(",".join(str(x) for x in p)
                     for p in lambda_structure(s3).perms.generators)
     assert resolve_structure(s3, f"gens:{gens}").perms.element_set == \
         lambda_structure(s3).perms.element_set

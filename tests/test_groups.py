@@ -1,6 +1,8 @@
 """Group catalog, spec parsing, subgroups, homomorphisms, automorphisms."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -261,3 +263,28 @@ def test_automorphisms_equal_every_bijection_respecting_the_table():
             if is_homomorphism(G, G, (0,) + rest)
         ]
         assert [phi.images for phi in automorphisms(G)] == want, spec
+
+
+# sha256 prefixes of [table, names, inverse] per group, recorded from the
+# per-family builders (one loop nest each for dihedral, dicyclic and
+# metacyclic) that the shared semidirect-product builder replaced
+SEMIDIRECT_FAMILIES = {
+    "dihedral": ([f"dihedral:{n}" for n in range(1, 40)], "254b8fce6ae45e46b325"),
+    "dicyclic": (
+        [f"dicyclic:{n}" for n in range(4, 39, 2)] + ["quaternion:8"],
+        "7f2defcbc2c46b1afc7e",
+    ),
+    "metacyclic": (
+        [f"metacyclic:{p}:{q}:{d}" for p, q, d in [
+            (3, 2, 2), (5, 2, 4), (7, 2, 6), (7, 3, 2), (7, 3, 4), (13, 3, 3),
+            (31, 5, 2)]],
+        "0d2864cf619f9546244b",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEMIDIRECT_FAMILIES))
+def test_semidirect_tables_names_and_inverses_are_unchanged(family):
+    specs, want = SEMIDIRECT_FAMILIES[family]
+    blob = json.dumps([[G.table, G.names, G.inverse] for G in map(build_group, specs)])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:20] == want

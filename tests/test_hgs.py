@@ -5,7 +5,6 @@ import time
 import pytest
 
 from hgslab import (
-    GPerm,
     NotRegular,
     NotStable,
     UnknownType,
@@ -91,9 +90,9 @@ def test_certify_rejects_wrong_order(s3):
 def test_certify_rejects_unstable_regular(d4):
     # conjugating the left translations by a transposition of two
     # non-identity points keeps regularity but breaks stability
-    swap = GPerm((0, 2, 1, 3, 4, 5, 6, 7))
+    swap = (0, 2, 1, 3, 4, 5, 6, 7)
     moved = perm_group_from_elements(
-        _conjugate(p.images, swap.images) for p in lambda_image(d4).elements
+        _conjugate(p, swap) for p in lambda_image(d4).elements
     )
     assert moved.is_regular()
     with pytest.raises(NotStable):

@@ -45,9 +45,9 @@ def perm_group_as_group(P):
     is lexicographically smallest.  Every product is composed, O(n^3).
     """
     elems = P.elements
-    pos = {p.images: i for i, p in enumerate(elems)}
+    pos = {p: i for i, p in enumerate(elems)}
     table = [
-        [pos[_compose(a.images, b.images)] for b in elems] for a in elems
+        [pos[_compose(a, b)] for b in elems] for a in elems
     ]
     return FiniteGroup(table, check=False), elems
 
@@ -162,7 +162,7 @@ def _oracle(G, spec):
         if iso0 is None:
             continue
         isomorphic += 1
-        base = [q_elems[iso0.images[g]].images for g in range(n)]
+        base = [q_elems[iso0.images[g]] for g in range(n)]
         for aut in auts:
             beta = [base[aut.images[g]] for g in range(n)]
             key, _ = _structure_from_embedding(G, M, beta)

@@ -327,7 +327,7 @@ def test_cycle_at_0_is_the_order_on_catalog_structures(catalog_structures):
     assert len(catalog_structures) == 376
     for N in catalog_structures:
         for p in N.perms.elements:
-            assert _cycle_at_0(p.images) == _tuple_order(p.images)
+            assert _cycle_at_0(p) == _tuple_order(p)
 
 
 # ---------------------------------------------------------------------------

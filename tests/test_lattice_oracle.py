@@ -51,8 +51,8 @@ def _scan_stable_subgroups(N):
     out = []
     for sub in _every_subgroup(abstract):
         perms = [elems[i] for i in sub.elements]
-        members = frozenset(p.images for p in perms)
-        gens = [elems[i].images for i in sub.generators] or [p.images for p in perms]
+        members = frozenset(perms)
+        gens = [elems[i] for i in sub.generators] or perms
         if _is_translation_stable(N, members, gens):
             out.append(perm_group_from_elements(members))
     out.sort(key=lambda P: (P.order, P.canonical_key()))

@@ -26,8 +26,8 @@ from hgslab import (
     same_conjugate,
     subgroup_closure,
 )
-from hgslab.perms import _compose, _greedy_close, perm_group_from_elements
-from hgslab.rho import RhoOrbit, _conjugate_key, _rho_images
+from hgslab.perms import _compose, _greedy_close, perm_group_from_elements, rho_embed
+from hgslab.rho import RhoOrbit, _conjugate_key
 from hgslab.verify import metacyclic_base_structure
 
 CATALOG = [str(g) for n in list(range(1, 16)) + [21] for g in catalog_specs(n)]
@@ -37,12 +37,12 @@ def _scan_orbit(N):
     """The orbit of N by conjugating with every right translation."""
     G = N.group
     base_key = N.perms.element_set
-    base_elems = [p.images for p in N.perms.elements]
+    base_elems = N.perms.elements
     first_g = {}
     stab = []
     for g in range(G.order):
         key = _conjugate_key(
-            base_elems, _rho_images(G, g), _rho_images(G, G.inverse[g])
+            base_elems, rho_embed(G, g), rho_embed(G, G.inverse[g])
         )
         if key == base_key:
             stab.append(g)
@@ -73,11 +73,11 @@ def _scan_partition(structures):
 
 def _scan_same_conjugate(N1, N2):
     G = N1.group
-    elems = [p.images for p in N1.perms.elements]
+    elems = N1.perms.elements
     target = N2.perms.element_set
     for g in range(G.order):
         if _conjugate_key(
-            elems, _rho_images(G, g), _rho_images(G, G.inverse[g])
+            elems, rho_embed(G, g), rho_embed(G, G.inverse[g])
         ) == target:
             return g
     return None
@@ -133,11 +133,11 @@ def _all_pairs_closed(elems):
 def test_greedy_close_equals_all_pairs_on_seeded_mutants():
     rng = random.Random(20261018)
     bases = [
-        [p.images for p in s.perms.elements]
+        list(s.perms.elements)
         for spec in ("sym:3", "dihedral:4", "quaternion:8", "metacyclic:7:3:2")
         for s in enumerate_hgs(build_group(spec))
     ]
-    bases += [[p.images for p in s.perms.elements] for s in _s5_structures()[:3]]
+    bases += [list(s.perms.elements) for s in _s5_structures()[:3]]
     verdicts = []
     for elems in bases:
         n = len(elems)
