@@ -45,13 +45,11 @@ from .groups import (
 from .perms import (
     CosetSpace,
     PermGroup,
-    coset_space,
     generated_perm_group,
     lambda_embed,
     lambda_image,
     left_translation,
     left_translation_image,
-    perm_group_from_elements,
     rho_embed,
     rho_image,
 )

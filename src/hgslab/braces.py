@@ -32,11 +32,11 @@ from .groups import (
 )
 from .hgs import RegularSubgroup, certify
 from .perms import (
+    PermGroup,
     _compose,
     _conjugate_all,
+    _escape,
     _invert,
-    _normalizes,
-    perm_group_from_elements,
 )
 
 
@@ -157,7 +157,7 @@ def brace_from_subgroup(N: RegularSubgroup) -> SkewBrace:
 
 def subgroup_from_brace(B: SkewBrace) -> RegularSubgroup:
     """The star rows as a structure on the circ group; round-trips exactly."""
-    perms = perm_group_from_elements(B.star)
+    perms = PermGroup(B.star)
     return certify(B.circ_group, perms)
 
 
@@ -221,7 +221,7 @@ def rho_fix_criteria(B: SkewBrace, g: int) -> tuple:
         N = subgroup_from_brace(B)
     G = B.circ_group
     phi = inner_automorphism(G, g).images
-    normalizes = _normalizes([phi], N.perms.generators, N.perms.element_set)
+    normalizes = _escape([phi], N.perms.generators, N.perms.element_set) is None
     preserves = _respects(phi, B.star, B.star)
     relation = _right_relation_at(B, g)
     return normalizes, preserves, relation

@@ -39,13 +39,11 @@ from .perms import (
     _compose,
     _conjugate_all,
     _invert,
-    _normalizes,
+    _escape,
     _tuple_order,
-    coset_space,
     in_holomorph,
     left_translation,
     left_translation_image,
-    perm_group_from_elements,
 )
 from .rho import rho_conjugate
 
@@ -181,9 +179,8 @@ def to_hol_embedding(
 def from_hol_embedding(emb: HolEmbedding) -> RegularSubgroup:
     """The structure behind an embedding: conjugate the left translations
     of the target back to Perm(G) along the base point bijection."""
-    key, _ = _structure_from_embedding(emb.source, emb.target, emb.beta)
-    label = emb.target.spec
-    return certify(emb.source, perm_group_from_elements(key), type_label=label)
+    key = _structure_from_embedding(emb.source, emb.target, emb.beta)
+    return certify(emb.source, PermGroup(key), type_label=emb.target.spec)
 
 
 def embedding_conjugation_check(emb: HolEmbedding, g: int) -> bool:
@@ -331,7 +328,7 @@ def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
         # rho(psi(h)^-1) sends m to m . psi(h), column p of the table
         elems.append(_compose(arow, columns[p]))
     try:
-        return certify(G, perm_group_from_elements(elems))
+        return certify(G, PermGroup(elems))
     except HgsError as exc:
         raise ConstructionError(f"abelian map construction failed: {exc}") from exc
 
@@ -397,7 +394,7 @@ def _check_coset_stable(cs: CosetSpace, A: PermGroup) -> None:
     """A must be normalized by every left translation of the full group;
     generators suffice on both sides."""
     lts = (left_translation(cs, h) for h in cs.group.generating_set())
-    if not _normalizes(lts, A.generators, A.element_set):
+    if _escape(lts, A.generators, A.element_set) is not None:
         raise ConstructionError(
             "quotient structure is not stable under left translation"
         )
@@ -405,7 +402,7 @@ def _check_coset_stable(cs: CosetSpace, A: PermGroup) -> None:
 
 def _check_subgroup_stable(t_group: FiniteGroup, B: PermGroup) -> None:
     lts = (t_group.table[u] for u in t_group.generating_set())
-    if not _normalizes(lts, B.generators, B.element_set):
+    if _escape(lts, B.generators, B.element_set) is not None:
         raise ConstructionError(
             "subgroup structure is not stable under its translations"
         )
@@ -423,7 +420,7 @@ def induced_input(
         raise ConstructionError("complement and subgroup must intersect trivially")
     if len(S.elements) * len(T.elements) != G.order:
         raise ConstructionError("orders do not factor the group")
-    cs = coset_space(G, T)
+    cs = CosetSpace(G, T)
     s_of = [-1] * cs.degree
     for s in S.elements:
         c = cs.coset_of[s]
@@ -468,77 +465,33 @@ def induced_hgs(inp: InducedInput) -> RegularSubgroup:
                 img[g] = tm[s_of[ai[ci]]][telems[bi[ti]]]
             elems.append(tuple(img))
     try:
-        return certify(G, perm_group_from_elements(elems))
+        return certify(G, PermGroup(elems))
     except HgsError as exc:
         raise ConstructionError(f"induced construction failed: {exc}") from exc
 
 
-def _automorphism_or_error(G: FiniteGroup, phi: GroupHom) -> None:
-    if phi.domain is not G or phi.codomain is not G:
-        raise ConstructionError("phi must be an automorphism of the group")
-    if sorted(phi.images) != list(range(G.order)) or not is_homomorphism(
-        G, G, phi.images
-    ):
-        raise ConstructionError("phi must be an automorphism of the group")
-
-
-def transport_quotient_structure(
-    cs: CosetSpace, A: PermGroup, phi: GroupHom
-) -> tuple:
-    """Move a stable regular quotient structure along an automorphism.
-
-    Returns the coset space of phi(T) and the transported subgroup, which
-    is revalidated on the new space.
-    """
-    G = cs.group
-    _automorphism_or_error(G, phi)
-    T = cs.subgroup
-    T2 = Subgroup(G, (phi.images[t] for t in T.elements),
-                  generators=tuple(phi.images[t] for t in T.generators))
-    cs2 = coset_space(G, T2)
-    mapping = tuple(cs2.coset_of[phi.images[r]] for r in cs.representatives)
-    if sorted(mapping) != list(range(cs.degree)):
-        raise ConstructionError("automorphism does not permute the cosets")
-    A2 = perm_group_from_elements(
-        _conjugate_all(A.elements, mapping, _invert(mapping))
-    )
-    if not A2.is_regular():
-        raise ConstructionError("transported quotient structure lost regularity")
-    _check_coset_stable(cs2, A2)
-    return cs2, A2
-
-
-def transport_subgroup_structure(
-    T: Subgroup, B: PermGroup, phi: GroupHom
-) -> tuple:
-    """Move a stable regular structure on T along an automorphism of G."""
-    G = T.parent
-    _automorphism_or_error(G, phi)
-    T2 = Subgroup(G, (phi.images[t] for t in T.elements),
-                  generators=tuple(phi.images[t] for t in T.generators))
-    t2_group, t2_elements = T2.as_group()
-    pos2 = {t: i for i, t in enumerate(t2_elements)}
-    mapping = tuple(pos2[phi.images[t]] for t in T.elements)
-    B2 = perm_group_from_elements(
-        _conjugate_all(B.elements, mapping, _invert(mapping))
-    )
-    if not B2.is_regular():
-        raise ConstructionError("transported subgroup structure lost regularity")
-    _check_subgroup_stable(t2_group, B2)
-    return T2, B2
-
-
 def induced_transport_check(inp: InducedInput, g: int) -> bool:
-    """Inner transport of both components tracks rho-conjugation by g."""
+    """Inner transport of both components tracks rho-conjugation by g.
+
+    phi = inn(g) is an automorphism that keeps the normal complement S, so
+    it carries T to T2 = phi(T), the coset tT to phi(t)T2 and the position
+    of t in T to that of phi(t) in T2; A and B are conjugated along those
+    two bijections, and induced_input revalidates the result.
+    """
     G = inp.group
-    phi = inner_automorphism(G, g)
-    s_set = inp.s_sub.element_set
-    if any(phi.images[s] not in s_set for s in inp.s_sub.elements):
-        raise ConstructionError("automorphism does not preserve the complement")
-    cs2, A2 = transport_quotient_structure(inp.quotient, inp.a_structure, phi)
-    T2 = cs2.subgroup
-    T2b, B2 = transport_subgroup_structure(inp.t_sub, inp.b_structure, phi)
-    inp2 = induced_input(G, T2b, inp.s_sub, A2, B2)
+    phi = inner_automorphism(G, g).images
+    T = inp.t_sub
+    T2 = Subgroup(G, (phi[t] for t in T.elements),
+                  generators=tuple(phi[t] for t in T.generators))
+    cs2 = CosetSpace(G, T2)
+    pos2 = {t: i for i, t in enumerate(T2.elements)}
+    on_cosets = [cs2.coset_of[phi[r]] for r in inp.quotient.representatives]
+    on_t = [pos2[phi[t]] for t in T.elements]
+    A2, B2 = (
+        PermGroup(_conjugate_all(X.elements, m, _invert(m)))
+        for X, m in ((inp.a_structure, on_cosets), (inp.b_structure, on_t))
+    )
+    inp2 = induced_input(G, T2, inp.s_sub, A2, B2)
     lhs = rho_conjugate(induced_hgs(inp), g)
     rhs = induced_hgs(inp2)
     return lhs.perms.element_set == rhs.perms.element_set
@@ -564,9 +517,9 @@ def _coset_prime(cs: CosetSpace, L: PermGroup) -> list:
         elems.append(cur)
         cur = _compose(sigma, cur)
     eset = frozenset(elems)
-    if not _normalizes(L.elements, elems, eset):
+    if _escape(L.elements, elems, eset) is not None:
         return []
-    return [perm_group_from_elements(eset)]
+    return [PermGroup(eset)]
 
 
 def coset_stable_regular_subgroups(G: FiniteGroup, T: Subgroup) -> list:
@@ -574,13 +527,12 @@ def coset_stable_regular_subgroups(G: FiniteGroup, T: Subgroup) -> list:
     image of G, sorted canonically; the bijection scan of
     stable_regular_subgroups for degree <= 8, uniqueness argument for prime
     degree."""
-    cs = coset_space(G, T)
+    cs = CosetSpace(G, T)
     d = cs.degree
     L = left_translation_image(cs)
     if d <= 8:
         found = stable_regular_subgroups(L.generators)
-        return sorted(map(perm_group_from_elements, found),
-                      key=PermGroup.canonical_key)
+        return sorted(map(PermGroup, found), key=PermGroup.canonical_key)
     if _is_prime(d):
         return _coset_prime(cs, L)
     raise UnsupportedOrder(f"coset degree {d} is beyond the search range")

@@ -25,8 +25,7 @@ from .hgs import RegularSubgroup
 from .perms import (
     PermGroup,
     _conjugate_all,
-    _normalizes,
-    perm_group_from_elements,
+    _escape,
     rho_embed,
 )
 from .rho import rho_conjugate
@@ -36,7 +35,8 @@ def _is_translation_stable(N: RegularSubgroup, members: frozenset, gens) -> bool
     """Conjugation by lambda(g) must keep the subgroup inside itself;
     group generators suffice on both sides."""
     G = N.group
-    return _normalizes((G.table[h] for h in G.generating_set()), gens, members)
+    lts = (G.table[h] for h in G.generating_set())
+    return _escape(lts, gens, members) is None
 
 
 def _lambda_orbits(N: RegularSubgroup, table: list) -> list:
@@ -62,7 +62,7 @@ def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
     """All subgroups of N stable under the translation action, sorted by
     order and element list: the joins of closures of lambda(G)-orbits."""
     found = _join_closures(N.eta, _lambda_orbits(N, N.eta))
-    out = [perm_group_from_elements(N.eta[a] for a in key) for key in found]
+    out = [PermGroup(N.eta[a] for a in key) for key in found]
     out.sort(key=lambda P: (P.order, P.canonical_key()))
     return out
 

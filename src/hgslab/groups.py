@@ -4,6 +4,15 @@ Conventions used everywhere in this package:
   * elements of a group of order n are the integers 0..n-1,
   * index 0 is the identity,
   * table[a][b] is the product a*b.
+
+Element ids have one closure kernel, _join: it extends a subgroup, given
+with the ids that generate it, by a piece of further ids.  Old elements are
+multiplied by the piece only and new ones by every generator, so
+subgroup_closure (the trivial subgroup and one piece), generating_set (one
+id at a time, never re-closing what it has) and the subgroup lattices of
+_join_closures (breadth first over the pieces) share it.  Permutations
+have their own kernel, perms._greedy_close; ids are never closed through
+their lambda rows, which would turn table lookups into tuple products.
 """
 
 from __future__ import annotations
@@ -75,10 +84,6 @@ class GroupSpec:
     @staticmethod
     def alternating(n: int) -> "GroupSpec":
         return GroupSpec("alt", (n,))
-
-    @staticmethod
-    def quaternion(n: int = 8) -> "GroupSpec":
-        return GroupSpec("quaternion", (n,))
 
     @staticmethod
     def dicyclic(n: int) -> "GroupSpec":
@@ -237,15 +242,9 @@ class FiniteGroup:
 
     # -- basic operations
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, a: int, g: int) -> int:
         """g a g^-1."""
         return self.table[self.table[g][a]][self.inverse[g]]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __len__(self) -> int:
         return self.order
@@ -306,20 +305,17 @@ class FiniteGroup:
         return self._memo("center", compute)
 
     def generating_set(self) -> tuple:
-        """Greedy small generating set, highest element order first."""
+        """Greedy small generating set, highest element order first: walk the
+        ids by (-order, id) and join each one not reached yet."""
 
         def compute():
-            n = self.order
             orders = self.element_orders
             chosen: list[int] = []
-            current = {0}
-            while len(current) < n:
-                best = max(
-                    (x for x in range(n) if x not in current),
-                    key=lambda x: (orders[x], -x),
-                )
-                chosen.append(best)
-                current = _closure_set(self.table, chosen)
+            have = {0}
+            for x in sorted(range(self.order), key=lambda x: (-orders[x], x)):
+                if x not in have:
+                    have = _join(self.table, have, chosen, (x,))
+                    chosen.append(x)
             return tuple(chosen)
 
         return self._memo("gens", compute)
@@ -358,21 +354,22 @@ def _respects(images: Sequence[int], src_rows, dst_rows) -> bool:
     return True
 
 
-def _closure_set(table: Sequence[Sequence[int]], gens: Iterable[int]) -> set:
-    """Subgroup closure of a set of element ids inside a Cayley table."""
-    out = {0}
-    frontier = [0]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
+def _join(table: Sequence[Sequence[int]], have, gens, piece) -> set:
+    """Closure of have and piece in a Cayley table, have being the subgroup
+    that the ids gens generate.
+
+    Old elements are multiplied by the piece only, new ones by gens and the
+    piece: an element of the join is a word in gens and the piece, and have
+    is already closed under gens.
+    """
+    out, fresh = set(have), []
+    for xs, by in ((have, piece), (fresh, (*gens, *piece))):
+        for x in xs:
             row = table[x]
-            for g in gens:
-                y = row[g]
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
+            for g in by:
+                if row[g] not in out:
+                    out.add(row[g])
+                    fresh.append(row[g])
     return out
 
 
@@ -445,17 +442,16 @@ def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     for g in gens:
         if not 0 <= g < G.order:
             raise InvalidSpec(f"element id {g} out of range")
-    return Subgroup(G, _closure_set(G.table, gens), generators=tuple(gens))
+    return Subgroup(G, _join(G.table, (0,), (), gens), generators=tuple(gens))
 
 
 def _join_closures(table: Sequence[Sequence[int]], pieces) -> dict:
     """Every subgroup generated by a union of pieces: {element set: gens}.
 
-    Breadth first from the trivial subgroup, each subgroup S is joined with
-    every piece outside it (a piece lies inside or outside S as a whole).
-    S's elements are multiplied by the piece only, new elements by S's
-    generators and the piece; these carried generators are the values.
-    Raises ClosureCapExceeded as soon as more than LATTICE_LIMIT are found.
+    Breadth first from the trivial subgroup, each subgroup S is joined
+    (_join) with every piece outside it (a piece lies inside or outside S as
+    a whole); the generators carried along are the values.  Raises
+    ClosureCapExceeded as soon as more than LATTICE_LIMIT are found.
     """
     trivial = frozenset((0,))
     found = {trivial: ()}
@@ -466,18 +462,9 @@ def _join_closures(table: Sequence[Sequence[int]], pieces) -> dict:
             for piece in pieces:
                 if piece[0] in have:
                     continue
-                joined = found[have] + piece
-                out, fresh = set(have), []
-                for xs, by in ((have, piece), (fresh, joined)):
-                    for x in xs:
-                        row = table[x]
-                        for g in by:
-                            if row[g] not in out:
-                                out.add(row[g])
-                                fresh.append(row[g])
-                key = frozenset(out)
+                key = frozenset(_join(table, have, found[have], piece))
                 if key not in found:
-                    found[key] = joined
+                    found[key] = found[have] + piece
                     if len(found) > LATTICE_LIMIT:
                         raise ClosureCapExceeded(
                             f"more than {LATTICE_LIMIT} subgroups in the lattice"
@@ -585,12 +572,6 @@ class GroupHom:
             other.domain,
             self.codomain,
             tuple(self.images[x] for x in other.images),
-        )
-
-    def is_bijective(self) -> bool:
-        return (
-            self.domain.order == self.codomain.order
-            and len(set(self.images)) == self.domain.order
         )
 
 

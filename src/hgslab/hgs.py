@@ -34,10 +34,9 @@ from .perms import (
     _conjugate,
     _conjugate_all,
     _invert,
-    _normalizes,
+    _escape,
     _tuple_order,
     lambda_image,
-    perm_group_from_elements,
     rho_image,
 )
 
@@ -165,15 +164,13 @@ def certify(
             raise NotRegular(f"elements {eta[a]} and {p} both send 0 to {a}")
         eta[a] = p
     # eta is filled exactly when the orbit of 0 is everything
-    members = perms.element_set
-    probes = perms.generators
-    for g in G.generating_set():
-        moved = _conjugate_all(probes, G.table[g], G.table[G.inverse[g]])
-        for p, conj in zip(probes, moved):
-            if conj not in members:
-                raise NotStable(
-                    f"conjugate of {p} by translation of g={g} leaves the set"
-                )
+    lgens = (G.table[g] for g in G.generating_set())
+    escape = _escape(lgens, perms.generators, perms.element_set)
+    if escape is not None:
+        q, p = escape
+        raise NotStable(
+            f"conjugate of {p} by translation of g={q[0]} leaves the set"
+        )
     return RegularSubgroup(G, perms, eta, type_label=type_label)
 
 
@@ -185,7 +182,7 @@ def opposite(N: RegularSubgroup) -> RegularSubgroup:
     and the n columns are distinct, so they are the whole centralizer of
     the regular N.
     """
-    return certify(N.group, perm_group_from_elements(zip(*N.eta)))
+    return certify(N.group, PermGroup(zip(*N.eta)))
 
 
 def lambda_structure(G: FiniteGroup) -> RegularSubgroup:
@@ -331,8 +328,8 @@ def _regular_embeddings(G: FiniteGroup, M: FiniteGroup):
 
 def _structure_from_embedding(
     G: FiniteGroup, M: FiniteGroup, beta_images: Sequence[tuple]
-) -> tuple:
-    """Canonical key and element images of the structure behind an embedding.
+) -> frozenset:
+    """Element set of the structure behind an embedding.
 
     beta_images[g] is a permutation of M; b(g) = beta(g)[0] must be a
     bijection G -> M, and the structure is a . lambda_M(mu) . a^-1 over all
@@ -345,12 +342,7 @@ def _structure_from_embedding(
     a = [0] * n
     for g, m in enumerate(b):
         a[m] = g
-    tm = M.table
-    elems = []
-    for mu in range(n):
-        row = tm[mu]
-        elems.append(tuple(a[row[bx]] for bx in b))
-    return frozenset(elems), elems
+    return frozenset(tuple(a[row[bx]] for bx in b) for row in M.table)
 
 
 def enumerate_hgs(
@@ -385,11 +377,10 @@ def enumerate_hgs(
     for spec in specs:
         M = build_group(spec)
         for beta in _regular_embeddings(G, M):
-            key, _ = _structure_from_embedding(G, M, beta)
-            found.setdefault(key, spec)
+            found.setdefault(_structure_from_embedding(G, M, beta), spec)
     structures = []
     for key, spec in found.items():
-        pg = perm_group_from_elements(key)
+        pg = PermGroup(key)
         structures.append(certify(G, pg, type_label=spec))
     return HgsInventory(G, structures, complete)
 
@@ -420,7 +411,7 @@ def stable_regular_subgroups(lgens: Sequence[tuple]) -> dict:
             key = frozenset(_conjugate_all(table, b, _invert(b)))
             if key not in seen:
                 seen.add(key)
-                if _normalizes(lgens, key, key):
+                if _escape(lgens, key, key) is None:
                     found[key] = spec
     return found
 
@@ -435,7 +426,7 @@ def brute_force_inventory(G: FiniteGroup) -> HgsInventory:
         )
     lgens = [G.table[g] for g in G.generating_set()] or [G.table[0]]
     structures = [
-        certify(G, perm_group_from_elements(key), type_label=spec)
+        certify(G, PermGroup(key), type_label=spec)
         for key, spec in stable_regular_subgroups(lgens).items()
     ]
     return HgsInventory(G, structures, complete=True)

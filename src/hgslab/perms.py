@@ -13,6 +13,13 @@ itemgetter with a single index returns a scalar, not a 1-tuple, so images
 of length 0 or 1 take a plain generator instead.  A conjugation is two
 gathers, q . p . q^-1 = q . (p . q^-1), with the gather by q^-1 built once
 per conjugator (_conjugate_all).
+
+Permutations have one closure kernel, _greedy_close: PermGroup uses it to
+check that a set is closed under composition, generated_perm_group to
+close a generator list under the fixed cap of 10 * b^2 elements.  They have
+one stability check, _escape: the first conjugate q . p . q^-1 that leaves
+a set, which certify reports and every other caller reads as a verdict.
+Element ids in a Cayley table are closed by groups._join instead.
 """
 
 from __future__ import annotations
@@ -56,13 +63,17 @@ def _conjugate_all(elements: Iterable[tuple], q: tuple, qinv: tuple) -> list:
     return [itemgetter(*at_qinv(p))(q) for p in elements]
 
 
-def _normalizes(conjugators: Iterable[tuple], probes, members) -> bool:
-    """Whether q . p . q^-1 lies in members for every q and every probe p."""
-    return all(
-        c in members
-        for q in conjugators
-        for c in _conjugate_all(probes, q, _invert(q))
-    )
+def _escape(conjugators: Iterable[tuple], probes, members) -> Optional[tuple]:
+    """The first (q, p) whose conjugate q . p . q^-1 leaves members, or None.
+
+    Conjugators are walked in order, the probes in order for each of them;
+    probes must be a sequence or a set, as it is read twice per conjugator.
+    """
+    for q in conjugators:
+        for p, c in zip(probes, _conjugate_all(probes, q, _invert(q))):
+            if c not in members:
+                return q, p
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -149,38 +160,38 @@ def _greedy_generators(elems: Sequence[tuple], members: frozenset) -> tuple:
     points with distinct images of 0 the order is read as the length of the
     cycle through 0: if the set is a group it is regular, so every element
     is semiregular and that cycle length is its order; if it is not a group,
-    _greedy_close rejects it whatever the candidate order.
+    the closure differs from it whatever the candidate order.
     """
     if len(elems) == 1:
         return elems
     n = len(elems[0])
     regular = len(elems) == n and len({p[0] for p in elems}) == n
     order = _cycle_at_0 if regular else _tuple_order
-    gens = _greedy_close(sorted(elems, key=lambda q: (-order(q), q)), members)
-    if gens is None:
+    candidates = sorted(elems, key=lambda q: (-order(q), q))
+    try:
+        gens, reached = _greedy_close(candidates, len(members))
+    except ClosureCapExceeded:
+        reached = None
+    if reached != members:
         raise InvalidSpec("set is not closed under composition")
     return tuple(gens)
 
 
-def _greedy_close(candidates: Sequence[tuple], members) -> Optional[list]:
-    """Close a generating subset picked greedily from candidates, in order.
+def _greedy_close(candidates: Sequence[tuple], limit: int) -> tuple:
+    """(generators, reached): the closure of candidates, generators picked
+    greedily from them in order.
 
     Each candidate not reached yet becomes a generator, and the reached set
     is extended to its closure under right multiplication by the generators:
     old elements only need the new generator, new elements need all of
-    them.  Returns the picked generators once the reached set is all of
-    members, or None as soon as a product leaves members (so members is
-    closed exactly when the result is not None, given candidates cover it).
-    Costs O(n^2 k) for n members and k picks.
+    them.  A set of candidates is closed under composition exactly when it
+    is the reached set.  Raises ClosureCapExceeded once more than limit
+    elements are reached.  Costs O(r k) products for r reached elements
+    and k picks.
     """
-    ident = tuple(range(len(candidates[0]))) if candidates else ()
-    if ident not in members:
-        return None
-    have = {ident}
+    have = {tuple(range(len(candidates[0])))}
     gens: list = []
     for p in candidates:
-        if len(have) == len(members):
-            break
         if p in have:
             continue
         gens.append(p)
@@ -190,11 +201,13 @@ def _greedy_close(candidates: Sequence[tuple], members) -> Optional[list]:
             for g in by:
                 y = _compose(x, g)
                 if y not in have:
-                    if y not in members:
-                        return None
+                    if len(have) >= limit:
+                        raise ClosureCapExceeded(
+                            f"closure exceeded cap of {limit} elements"
+                        )
                     have.add(y)
                     pending.append((y, gens))
-    return gens if len(have) == len(members) else None
+    return gens, have
 
 
 def _cycle_at_0(images: tuple) -> int:
@@ -222,35 +235,12 @@ def _tuple_order(images: tuple) -> int:
     return order
 
 
-def _close_images(gens: list, cap: Optional[int] = None) -> set:
-    base = len(gens[0]) if gens else 0
-    ident = tuple(range(base))
-    out = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                p = _compose(a, g)
-                if p not in out:
-                    if cap is not None and len(out) >= cap:
-                        raise ClosureCapExceeded(
-                            f"closure exceeded cap of {cap} elements"
-                        )
-                    out.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return out
-
-
-def generated_perm_group(
-    gens: Sequence[Sequence[int]], cap: Optional[int] = None
-) -> PermGroup:
+def generated_perm_group(gens: Sequence[Sequence[int]]) -> PermGroup:
     """Close a generator list under composition.
 
     Every generator must be a permutation of 0..b-1, b being the length of
-    the first.  The closure aborts once it exceeds cap, which defaults to
-    10 * b^2.
+    the first.  The closure aborts with ClosureCapExceeded once it exceeds
+    10 * b^2 elements; a structure on b points has b.
     """
     gens = [tuple(g) for g in gens]
     if not gens:
@@ -259,15 +249,8 @@ def generated_perm_group(
     for g in gens:
         if sorted(g) != list(range(b)):
             raise InvalidSpec(f"not a permutation of 0..{b - 1}: {g}")
-    if cap is None:
-        cap = 10 * b * b
-    return PermGroup(_close_images(gens, cap=cap), generators=gens)
-
-
-def perm_group_from_elements(images_set: Iterable[tuple]) -> PermGroup:
-    """The group of a set of image tuples; PermGroup raises InvalidSpec
-    when the set is not closed under composition."""
-    return PermGroup(images_set)
+    _, reached = _greedy_close(gens, 10 * b * b)
+    return PermGroup(reached, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +318,6 @@ class CosetSpace:
         return len(self.cosets)
 
 
-def coset_space(G: FiniteGroup, T: Subgroup) -> CosetSpace:
-    return CosetSpace(G, T)
-
-
 def left_translation(space: CosetSpace, h: int) -> tuple:
     """The permutation of cosets induced by left multiplication with h."""
     G = space.group
@@ -349,7 +328,7 @@ def left_translation(space: CosetSpace, h: int) -> tuple:
 
 def left_translation_image(space: CosetSpace) -> PermGroup:
     elems = {left_translation(space, h) for h in range(space.group.order)}
-    return perm_group_from_elements(elems)
+    return PermGroup(elems)
 
 
 # ---------------------------------------------------------------------------

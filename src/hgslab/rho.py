@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import InvariantError
 from .groups import FiniteGroup, Subgroup, subgroup_closure
 from .hgs import HgsInventory, RegularSubgroup, certify, opposite
-from .perms import _conjugate_all, _normalizes, perm_group_from_elements, rho_embed
+from .perms import PermGroup, _conjugate_all, _escape, rho_embed
 
 
 def _conjugate_key(elements, q: tuple, qinv: tuple) -> frozenset:
@@ -35,7 +35,7 @@ def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     )
     if key == N.perms.element_set:
         return N
-    return certify(G, perm_group_from_elements(key), type_label=N._type_label)
+    return certify(G, PermGroup(key), type_label=N._type_label)
 
 
 class RhoOrbit:
@@ -113,7 +113,7 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
         raise InvariantError("orbit-stabilizer count mismatch")
     probes = N.perms.generators
     for h in stabilizer.elements:
-        if not _normalizes([rho_embed(G, h)], probes, base_key):
+        if _escape([rho_embed(G, h)], probes, base_key) is not None:
             raise InvariantError(f"stabilizer element {h} moves the structure")
     return transversal, stabilizer
 
@@ -133,9 +133,7 @@ def _build_orbit(
         if key == N.perms.element_set:
             member = N
         else:
-            member = certify(
-                G, perm_group_from_elements(key), type_label=N._type_label
-            )
+            member = certify(G, PermGroup(key), type_label=N._type_label)
         built.append(
             (member.canonical_key(), member, _least_in_coset(G, t, stabilizer))
         )

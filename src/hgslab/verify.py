@@ -59,12 +59,12 @@ from .hgs import (
     type_of,
 )
 from .perms import (
+    PermGroup,
     _compose,
     _conjugate,
     _conjugate_all,
     generated_perm_group,
     lambda_embed,
-    perm_group_from_elements,
     rho_embed,
 )
 from .rho import (
@@ -88,28 +88,25 @@ def _inventory(spec: str):
 # Example family builders
 
 
-def metacyclic_params(G: FiniteGroup) -> tuple:
-    """(p, q, d) with s at index q and t at index 1."""
-    p, q, d = G.spec.params
-    return p, q, d
-
-
 def metacyclic_base_structure(G: FiniteGroup) -> RegularSubgroup:
-    """The cyclic-type structure generated by lambda(s) rho(t)."""
-    _, q, _ = metacyclic_params(G)
+    """The cyclic-type structure generated by lambda(s) rho(t).
+
+    G.spec.params is (p, q, d), with s at index q and t at index 1.
+    """
+    _, q, _ = G.spec.params
     gen = _compose(lambda_embed(G, q), rho_embed(G, 1))
-    return certify(G, generated_perm_group([gen], cap=G.order ** 2))
+    return certify(G, generated_perm_group([gen]))
 
 
 def metacyclic_cyclic_family(G: FiniteGroup) -> list:
     """Members generated by lambda(s) rho(s^{i(1-d)} t), one per i."""
-    p, q, d = metacyclic_params(G)
+    p, q, d = G.spec.params
     out = []
     for i in range(p):
         e = (i * (1 - d)) % p
         u = q * e + 1
         gen = _compose(lambda_embed(G, q), rho_embed(G, u))
-        out.append(certify(G, generated_perm_group([gen], cap=G.order ** 2)))
+        out.append(certify(G, generated_perm_group([gen])))
     return out
 
 
@@ -120,13 +117,13 @@ def metacyclic_sibling_family(G: FiniteGroup) -> list:
     multiplication by s^k t itself, so the inverse index is handed to
     rho_embed; using s^k t there instead would leave a point fixed.
     """
-    p, q, _ = metacyclic_params(G)
+    p, q, _ = G.spec.params
     out = []
     for k in range(p):
         u = q * k + 1
         mixed = _compose(lambda_embed(G, 1), rho_embed(G, G.inverse[u]))
         gens = [lambda_embed(G, q), mixed]
-        out.append(certify(G, generated_perm_group(gens, cap=G.order ** 2)))
+        out.append(certify(G, generated_perm_group(gens)))
     return out
 
 
@@ -147,11 +144,11 @@ def dihedral_two_generator_family(n: int) -> tuple:
     for k in range(n // 2):
         a = _compose(lambda_embed(G, 2), rho_embed(G, dihedral_index(n, 2 * k, 1)))
         b = lambda_embed(G, 1)
-        members.append(certify(G, generated_perm_group([a, b], cap=4 * n * n)))
+        members.append(certify(G, generated_perm_group([a, b])))
     return G, members
 
 
-def dihedral_mu(G: FiniteGroup, n: int, k: int) -> tuple:
+def dihedral_mu(n: int, k: int) -> tuple:
     """mu_k sends r^i s^j to r^{i+(-1)^{i+j+k}} s^j."""
     images = [0] * (2 * n)
     for i in range(n):
@@ -163,8 +160,8 @@ def dihedral_mu(G: FiniteGroup, n: int, k: int) -> tuple:
 
 def dihedral_opposite_generators(G: FiniteGroup, n: int, k: int) -> frozenset:
     """The subgroup generated by rho(r^{2k} s) and mu_k, as an element set."""
-    gens = [rho_embed(G, dihedral_index(n, 2 * k, 1)), dihedral_mu(G, n, k)]
-    return generated_perm_group(gens, cap=4 * n * n).element_set
+    gens = [rho_embed(G, dihedral_index(n, 2 * k, 1)), dihedral_mu(n, k)]
+    return generated_perm_group(gens).element_set
 
 
 def dihedral_fpf_pair(G: FiniteGroup, n: int, k: int) -> tuple:
@@ -315,7 +312,7 @@ def check_opposite_transport() -> Tuple[bool, str]:
 
 def check_metacyclic_sibling_family() -> Tuple[bool, str]:
     G = build_group("metacyclic:7:3:2")
-    p, q, d = metacyclic_params(G)
+    p, q, d = G.spec.params
     family = metacyclic_sibling_family(G)
     keys = [N.perms.element_set for N in family]
     if len(set(keys)) != 7:
@@ -404,9 +401,7 @@ def check_construction_transports() -> Tuple[bool, str]:
     S_ = subgroup_closure(G, [3])
     (A,) = coset_stable_regular_subgroups(G, T)
     t_group, _ = T.as_group()
-    B = perm_group_from_elements(
-        [tuple(t_group.table[u]) for u in range(len(T.elements))]
-    )
+    B = PermGroup([tuple(t_group.table[u]) for u in range(len(T.elements))])
     inp = induced_input(G, T, S_, A, B)
     N = induced_hgs(inp)
     fam_keys = {M.perms.element_set for M in rho_orbit(base).members}

@@ -46,7 +46,7 @@ from hgslab.constructions import (
 )
 from hgslab.correspondence import _transport_matches, realizable_lattice
 from hgslab.groups import all_subgroups, subgroup_closure
-from hgslab.perms import perm_group_from_elements, rho_embed
+from hgslab.perms import PermGroup, rho_embed
 from hgslab.verify import (
     _abelian_transport_exhaustive,
     _brace_coherent,
@@ -114,7 +114,7 @@ def test_criterion_02_dihedral_family():
     s_index = dihedral_index(4, 0, 1)
     for k in range(2):
         stated = generated_perm_group(
-            [rho_embed(G4, s_index), dihedral_mu(G4, 4, k)], cap=128
+            [rho_embed(G4, s_index), dihedral_mu(4, k)]
         )
         assert opposite(members4[k]).perms.element_set == stated.element_set, \
             f"n=4 k={k}: opposite differs from the stated two-generator form"
@@ -239,7 +239,7 @@ def test_criterion_08_construction_transports():
     S = subgroup_closure(G, [3])
     (A,) = coset_stable_regular_subgroups(G, T)
     t_group, _ = T.as_group()
-    B = perm_group_from_elements(
+    B = PermGroup(
         tuple(t_group.table[u]) for u in range(3)
     )
     inp = induced_input(G, T, S, A, B)

@@ -28,7 +28,7 @@ from hgslab import (
     induced_transport_check,
     is_homomorphism,
     lambda_structure,
-    perm_group_from_elements,
+    PermGroup,
     rho_partition,
     rho_structure,
     structure_group,
@@ -233,5 +233,5 @@ def test_induced_on_dihedral_12():
 
 def test_perm_group_from_elements_round_trip(s3):
     lam = lambda_structure(s3).perms
-    again = perm_group_from_elements(list(lam.elements))
+    again = PermGroup(list(lam.elements))
     assert again.element_set == lam.element_set

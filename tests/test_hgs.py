@@ -23,7 +23,7 @@ from hgslab import (
     rho_structure,
     type_of,
 )
-from hgslab.perms import _conjugate, perm_group_from_elements
+from hgslab.perms import PermGroup, _conjugate
 
 # independently cross-checked against the brute-force oracle at order <= 8
 INVENTORY_SIZES = {
@@ -91,12 +91,17 @@ def test_certify_rejects_unstable_regular(d4):
     # conjugating the left translations by a transposition of two
     # non-identity points keeps regularity but breaks stability
     swap = (0, 2, 1, 3, 4, 5, 6, 7)
-    moved = perm_group_from_elements(
+    moved = PermGroup(
         _conjugate(p, swap) for p in lambda_image(d4).elements
     )
     assert moved.is_regular()
-    with pytest.raises(NotStable):
+    with pytest.raises(NotStable) as caught:
         certify(d4, moved)
+    # the first generator of moved whose conjugate by lambda(2) escapes
+    assert str(caught.value) == (
+        "conjugate of (1, 4, 3, 5, 6, 7, 0, 2) by translation of g=2 "
+        "leaves the set"
+    )
 
 
 def test_lambda_rho_structures(d4, s3):

@@ -22,7 +22,7 @@ from hgslab import (
     parse_spec,
 )
 from hgslab.hgs import _structure_from_embedding
-from hgslab.perms import _compose, perm_group_from_elements
+from hgslab.perms import PermGroup, _compose
 
 CATALOG_PAIRS = [
     (str(g), str(m))
@@ -66,7 +66,7 @@ def _regular_subgroups_of_holomorph(spec):
     M = build_group(spec)
     n = M.order
     if n == 1:
-        result = (perm_group_from_elements([(0,)]),)
+        result = (PermGroup([(0,)]),)
         _HOL_CACHE[key] = result
         return result
     # Hol(M) = lambda(M) Aut(M), sorted as a permutation group lists it
@@ -140,7 +140,7 @@ def _regular_subgroups_of_holomorph(spec):
     out = []
     for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
         if len(sub) == n:
-            out.append(perm_group_from_elements(sub))
+            out.append(PermGroup(sub))
     result = tuple(out)
     _HOL_CACHE[key] = result
     return result
@@ -165,7 +165,7 @@ def _oracle(G, spec):
         base = [q_elems[iso0.images[g]] for g in range(n)]
         for aut in auts:
             beta = [base[aut.images[g]] for g in range(n)]
-            key, _ = _structure_from_embedding(G, M, beta)
+            key = _structure_from_embedding(G, M, beta)
             found.add(key)
     return found, isomorphic
 

@@ -21,7 +21,7 @@ from hgslab import (
 )
 from hgslab.correspondence import _is_translation_stable
 from hgslab.groups import subgroup_closure
-from hgslab.perms import perm_group_from_elements
+from hgslab.perms import PermGroup
 from test_hol_oracle import perm_group_as_group
 
 
@@ -54,7 +54,7 @@ def _scan_stable_subgroups(N):
         members = frozenset(perms)
         gens = [elems[i] for i in sub.generators] or perms
         if _is_translation_stable(N, members, gens):
-            out.append(perm_group_from_elements(members))
+            out.append(PermGroup(members))
     out.sort(key=lambda P: (P.order, P.canonical_key()))
     return out
 

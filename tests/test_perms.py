@@ -6,14 +6,14 @@ from hgslab import (
     ClosureCapExceeded,
     InvalidSpec,
     build_group,
-    coset_space,
+    CosetSpace,
     generated_perm_group,
     lambda_embed,
     lambda_image,
     lambda_structure,
     left_translation,
     left_translation_image,
-    perm_group_from_elements,
+    PermGroup,
     rho_embed,
     opposite,
     rho_image,
@@ -90,12 +90,12 @@ def test_generated_perm_group_and_cap():
     swap = (1, 0, 2, 3, 4, 5)
     assert generated_perm_group([cycle]).order == 6
     with pytest.raises(ClosureCapExceeded):
-        generated_perm_group([cycle, swap], cap=100)  # sym(6) has order 720
+        generated_perm_group([cycle, swap])  # 720 elements > 10 * 6^2
 
 
 def test_perm_group_canonical_hash_is_content_based(s3):
     a = lambda_image(s3)
-    b = perm_group_from_elements(list(a.elements))
+    b = PermGroup(list(a.elements))
     assert a.canonical_hash() == b.canonical_hash()
     assert a.canonical_key() == b.canonical_key()
 
@@ -109,7 +109,7 @@ def test_perm_group_as_group_recovers_the_group(s3):
 
 def test_coset_space_shape(d4):
     T = subgroup_closure(d4, [1])  # the reflection s, order 2
-    cs = coset_space(d4, T)
+    cs = CosetSpace(d4, T)
     assert cs.degree == 4
     assert cs.cosets[0][0] == 0  # identity coset first
     assert sorted(x for c in cs.cosets for x in c) == list(range(8))
