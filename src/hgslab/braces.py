@@ -221,7 +221,8 @@ def rho_fix_criteria(B: SkewBrace, g: int) -> tuple:
         N = subgroup_from_brace(B)
     G = B.circ_group
     phi = inner_automorphism(G, g).images
-    normalizes = _escape([phi], N.perms.generators, N.perms.element_set) is None
+    inn = (phi, inner_automorphism(G, G.inverse[g]).images)
+    normalizes = _escape([inn], N.perms.generators, N.perms.element_set) is None
     preserves = _respects(phi, B.star, B.star)
     relation = _right_relation_at(B, g)
     return normalizes, preserves, relation

@@ -32,7 +32,6 @@ from .hgs import (
     RegularSubgroup,
     certify,
     enumerate_hgs,
-    brute_force_inventory,
     lambda_structure,
     opposite,
     rho_structure,
@@ -398,10 +397,7 @@ def cmd_construct_induced(args) -> Tuple[dict, List[str]]:
     S = subgroup_closure(G, _parse_int_list(args.s_gens, "--s-gens"))
     a_candidates = coset_stable_regular_subgroups(G, T)
     t_group, t_elems = T.as_group()
-    if len(t_elems) <= 8:
-        b_inventory = brute_force_inventory(t_group)
-    else:
-        b_inventory = enumerate_hgs(t_group)
+    b_inventory = enumerate_hgs(t_group)
     rows = []
     for ai, A in enumerate(a_candidates):
         for bi, Bs in enumerate(b_inventory):

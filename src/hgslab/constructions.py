@@ -19,18 +19,19 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _is_prime,
     _respects,
     are_isomorphic,
+    catalog_complete,
+    catalog_specs,
     extend_generator_images,
     inner_automorphism,
     is_homomorphism,
 )
 from .hgs import (
     RegularSubgroup,
+    _embedding_sets,
     _structure_from_embedding,
     certify,
-    stable_regular_subgroups,
     structure_group,
 )
 from .perms import (
@@ -40,10 +41,8 @@ from .perms import (
     _conjugate_all,
     _invert,
     _escape,
-    _tuple_order,
     in_holomorph,
     left_translation,
-    left_translation_image,
 )
 from .rho import rho_conjugate
 
@@ -179,7 +178,7 @@ def to_hol_embedding(
 def from_hol_embedding(emb: HolEmbedding) -> RegularSubgroup:
     """The structure behind an embedding: conjugate the left translations
     of the target back to Perm(G) along the base point bijection."""
-    key = _structure_from_embedding(emb.source, emb.target, emb.beta)
+    key = _structure_from_embedding(range(emb.source.order), emb.target, emb.beta)
     return certify(emb.source, PermGroup(key), type_label=emb.target.spec)
 
 
@@ -393,7 +392,9 @@ class InducedInput:
 def _check_coset_stable(cs: CosetSpace, A: PermGroup) -> None:
     """A must be normalized by every left translation of the full group;
     generators suffice on both sides."""
-    lts = (left_translation(cs, h) for h in cs.group.generating_set())
+    G = cs.group
+    lts = [(left_translation(cs, h), left_translation(cs, G.inverse[h]))
+           for h in G.generating_set()]
     if _escape(lts, A.generators, A.element_set) is not None:
         raise ConstructionError(
             "quotient structure is not stable under left translation"
@@ -401,7 +402,8 @@ def _check_coset_stable(cs: CosetSpace, A: PermGroup) -> None:
 
 
 def _check_subgroup_stable(t_group: FiniteGroup, B: PermGroup) -> None:
-    lts = (t_group.table[u] for u in t_group.generating_set())
+    table, inverse = t_group.table, t_group.inverse
+    lts = ((table[u], table[inverse[u]]) for u in t_group.generating_set())
     if _escape(lts, B.generators, B.element_set) is not None:
         raise ConstructionError(
             "subgroup structure is not stable under its translations"
@@ -501,38 +503,13 @@ def induced_transport_check(inp: InducedInput, g: int) -> bool:
 # Stable regular subgroups on a coset space
 
 
-def _coset_prime(cs: CosetSpace, L: PermGroup) -> list:
-    """Prime degree: the only candidate is the cycle group of any order-p
-    element of the translation image.
-
-    If a normalized regular Q existed, <sigma> Q would be a p-group of
-    order p^2 inside Sym(p) unless Q = <sigma>; Sylow p-subgroups of Sym(p)
-    only have order p, so Q = <sigma> is forced for every such sigma.
-    """
-    d = cs.degree
-    sigma = next(p for p in L.elements if _tuple_order(p) == d)
-    elems = []
-    cur = tuple(range(d))
-    for _ in range(d):
-        elems.append(cur)
-        cur = _compose(sigma, cur)
-    eset = frozenset(elems)
-    if _escape(L.elements, elems, eset) is not None:
-        return []
-    return [PermGroup(eset)]
-
-
 def coset_stable_regular_subgroups(G: FiniteGroup, T: Subgroup) -> list:
     """All regular subgroups of Perm(G/T) normalized by the translation
-    image of G, sorted canonically; the bijection scan of
-    stable_regular_subgroups for degree <= 8, uniqueness argument for prime
-    degree."""
+    image of G, sorted canonically: the embedding search of enumerate_hgs
+    over the catalog types of the coset degree, which must be complete."""
     cs = CosetSpace(G, T)
     d = cs.degree
-    L = left_translation_image(cs)
-    if d <= 8:
-        found = stable_regular_subgroups(L.generators)
-        return sorted(map(PermGroup, found), key=PermGroup.canonical_key)
-    if _is_prime(d):
-        return _coset_prime(cs, L)
-    raise UnsupportedOrder(f"coset degree {d} is beyond the search range")
+    if not catalog_complete(d):
+        raise UnsupportedOrder(f"catalog is incomplete for coset degree {d}")
+    found = _embedding_sets(cs, catalog_specs(d))
+    return sorted(map(PermGroup, found), key=PermGroup.canonical_key)

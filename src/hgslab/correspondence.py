@@ -35,7 +35,7 @@ def _is_translation_stable(N: RegularSubgroup, members: frozenset, gens) -> bool
     """Conjugation by lambda(g) must keep the subgroup inside itself;
     group generators suffice on both sides."""
     G = N.group
-    lts = (G.table[h] for h in G.generating_set())
+    lts = ((G.table[h], G.table[G.inverse[h]]) for h in G.generating_set())
     return _escape(lts, gens, members) is None
 
 

@@ -27,7 +27,8 @@ from .errors import ClosureCapExceeded, InvalidSpec, OrderTooLarge
 # Exhaustive associativity checking is cubic; cap it at small orders.
 ASSOCIATIVITY_CHECK_LIMIT = 24
 
-# Orders for which catalog_specs() lists every isomorphism type.
+# Orders for which catalog_specs() lists every isomorphism type; primes are
+# complete too (see catalog_complete).
 COMPLETE_ORDERS = frozenset(range(1, 16)) | {21}
 
 SYMMETRIC_DEGREE_LIMIT = 5
@@ -1007,7 +1008,9 @@ def catalog_specs(n: int) -> list:
 
 
 def catalog_complete(n: int) -> bool:
-    return n in COMPLETE_ORDERS
+    """True when catalog_specs(n) lists every group of order n; the only
+    group of prime order p is cyclic:p."""
+    return n in COMPLETE_ORDERS or _is_prime(n)
 
 
 def _factorial(k: int) -> int:

@@ -2,21 +2,22 @@
 
 Such subgroups classify the Hopf-Galois structures on a Galois extension
 with group G, so we call a certified one a structure.  Enumeration follows
-Byott's translation: structures of type M on G correspond to regular
-embeddings beta: G -> Hol(M), two embeddings giving the same structure
-exactly when they are conjugate under Aut(M).  An element of Hol(M) is the
-image tuple lambda(m) . a with a in Aut(M), and it sends the base point to
-m, so an embedding is regular exactly when its base-point images are
-distinct.  The search backtracks over the images of G's generating set,
-spreads each partial choice along G's Cayley graph, and rejects it as soon
-as a relation of G fails or a base-point image repeats.
+Byott's translation, which also covers the separable case: the regular
+subgroups of Perm(G/T) of type M normalized by G correspond to the
+homomorphisms beta: G -> Hol(M) for which xT -> beta(x)(0) is a bijection,
+up to conjugation by Aut(M).  An element of Hol(M) is the image tuple
+lambda(m) . a with a in Aut(M).  The search backtracks over the images of
+G's generating set, spreads each partial choice along G's Cayley graph, and
+rejects it as soon as a relation of G fails or two cosets send the base
+point to the same place.  enumerate_hgs is the case T = {e}.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import itertools
+from collections import Counter
+from operator import eq, getitem
+from typing import Optional, Sequence
 
 from .errors import InvalidSpec, NotRegular, NotStable, UnknownType, UnsupportedOrder
 from .groups import (
@@ -27,8 +28,10 @@ from .groups import (
     build_group,
     catalog_complete,
     catalog_specs,
+    subgroup_closure,
 )
 from .perms import (
+    CosetSpace,
     PermGroup,
     _compose,
     _conjugate,
@@ -37,6 +40,7 @@ from .perms import (
     _escape,
     _tuple_order,
     lambda_image,
+    left_translation,
     rho_image,
 )
 
@@ -164,7 +168,7 @@ def certify(
             raise NotRegular(f"elements {eta[a]} and {p} both send 0 to {a}")
         eta[a] = p
     # eta is filled exactly when the orbit of 0 is everything
-    lgens = (G.table[g] for g in G.generating_set())
+    lgens = [(G.table[g], G.table[G.inverse[g]]) for g in G.generating_set()]
     escape = _escape(lgens, perms.generators, perms.element_set)
     if escape is not None:
         q, p = escape
@@ -228,19 +232,23 @@ def type_of(N: RegularSubgroup) -> GroupSpec:
 # Enumeration by generator images into Hol(M)
 
 
-def _fpf_by_order(M: FiniteGroup) -> dict:
-    """Fixed-point-free elements lambda(m) . a of Hol(M), keyed by order.
+def _hol_pools(M: FiniteGroup, auts: Sequence[tuple], wanted) -> dict:
+    """Elements lambda(m) . a of Hol(M) keyed by (order, fixed points), for
+    the automorphisms a in auts and the fixed-point counts in wanted.
 
-    Every non-identity member of a regular subgroup moves every point, so
-    these are the only images a non-identity element of G can receive.
+    lambda(m) . a fixes x exactly when m = x . a(x)^-1, so one pass over the
+    points counts the fixed points of all n elements sharing an a, and only
+    the elements with a wanted count are formed.
     """
-    n = M.order
+    table, inverse = M.table, M.inverse
     pools: dict = {}
-    for aut in automorphisms(M):
-        for m in range(1, n):
-            p = _compose(M.table[m], aut.images)
-            if all(px != x for x, px in enumerate(p)):
-                pools.setdefault(_tuple_order(p), []).append(p)
+    for a in auts:
+        fixed = Counter(map(getitem, table, map(inverse.__getitem__, a)))
+        for m, row in enumerate(table):
+            f = fixed.get(m, 0)
+            if f in wanted:
+                p = _compose(row, a)
+                pools.setdefault((_tuple_order(p), f), []).append(p)
     return pools
 
 
@@ -257,21 +265,22 @@ def _orbit_representatives(pool: Sequence[tuple], auts: Sequence[tuple]) -> list
 
 
 def _close_along_cayley_graph(
-    G: FiniteGroup, gens: Sequence[int], images: Sequence[tuple]
+    cs: CosetSpace, gens: Sequence[int], images: Sequence[tuple]
 ) -> Optional[list]:
     """The map x -> beta(x) on <gens> with beta(gens[k]) = images[k], or None.
 
-    beta is spread along the Cayley graph by beta(x * g) = beta(x) . beta(g).
+    beta is spread along G's Cayley graph by beta(x * g) = beta(x) . beta(g),
+    and owner[m] is the coset of the elements sending the base point to m.
     The choice dies when an element is reached with two different images (a
-    relation of G fails) or when two elements send the base point to the same
-    place (the image is not semiregular).
+    relation of G fails) or when two cosets would own one m.  Once all of G
+    is reached, each of the d cosets owns a point of M and no point has two
+    owners, so xT -> beta(x)(0) is a well-defined bijection.
     """
-    table = G.table
-    ident = tuple(range(G.order))
-    beta: list = [None] * G.order
-    beta[0] = ident
-    hit = [False] * G.order
-    hit[0] = True
+    table, coset_of = cs.group.table, cs.coset_of
+    beta: list = [None] * len(table)
+    beta[0] = tuple(range(cs.degree))
+    owner: list = [None] * cs.degree
+    owner[0] = 0
     edges = list(zip(gens, images))
     frontier = [0]
     while frontier:
@@ -283,9 +292,11 @@ def _close_along_cayley_graph(
                 y = row[g]
                 by = beta[y]
                 if by is None:
-                    if hit[q[0]]:
+                    m = q[0]
+                    if owner[m] is None:
+                        owner[m] = coset_of[y]
+                    elif owner[m] != coset_of[y]:
                         return None
-                    hit[q[0]] = True
                     beta[y] = q
                     nxt.append(y)
                 elif by != q:
@@ -294,55 +305,69 @@ def _close_along_cayley_graph(
     return beta
 
 
-def _regular_embeddings(G: FiniteGroup, M: FiniteGroup):
-    """Image lists of regular embeddings G -> Hol(M), one per Aut(M)-class.
+def _regular_embeddings(cs: CosetSpace, M: FiniteGroup):
+    """Image lists of the homomorphisms beta: G -> Hol(M) for which
+    xT -> beta(x)(0) is a bijection G/T -> M, one per Aut(M)-class.
 
-    Two embeddings conjugate under Aut(M) give the same structure, so each
-    generator image is taken only up to conjugation by the automorphisms of
-    M that fix the images chosen before it; the first generator is thus taken
-    up to Aut(M)-conjugacy.  Conjugating by such an automorphism moves the
-    next image to its representative without moving the earlier ones, so
-    every class is reached, and two representatives never share a class.
+    beta(g) is conjugate to the translation of g on G/T, so its order and
+    number of fixed points pick its pool.  Conjugate embeddings give the
+    same subgroup, so each generator image is taken only up to conjugation
+    by the automorphisms of M that fix the earlier images (the first one up
+    to Aut(M)-conjugacy).  Such a conjugation moves the next image to its
+    representative without moving the earlier ones, so every class is
+    reached, and two representatives never share a class.
     """
-    gens = G.generating_set()
-    orders = G.element_orders
-    pools = _fpf_by_order(M)
+    gens = cs.group.generating_set()
+    points = range(cs.degree)
+    lts = [left_translation(cs, g) for g in gens]
+    shapes = [(_tuple_order(lt), sum(map(eq, lt, points))) for lt in lts]
+    auts = [(a.images, _invert(a.images)) for a in automorphisms(M)]
+    pools = _hol_pools(M, [a for a, _ in auts], {f for _, f in shapes})
 
     def search(beta, images, auts):
         i = len(images)
         if i == len(gens):
             yield beta
             return
-        pool = pools.get(orders[gens[i]], ())
-        for c in _orbit_representatives(pool, auts):
+        for c in _orbit_representatives(pools.get(shapes[i], ()), auts):
             chosen = images + [c]
-            closed = _close_along_cayley_graph(G, gens[: i + 1], chosen)
+            closed = _close_along_cayley_graph(cs, gens[: i + 1], chosen)
             if closed is not None:
                 fixing = [(a, ai) for a, ai in auts if _conjugate(c, a, ai) == c]
                 yield from search(closed, chosen, fixing)
 
-    ident = tuple(range(G.order))
-    auts = [(a.images, _invert(a.images)) for a in automorphisms(M)]
-    yield from search([ident], [], auts)
+    yield from search([tuple(points)], [], auts)
 
 
 def _structure_from_embedding(
-    G: FiniteGroup, M: FiniteGroup, beta_images: Sequence[tuple]
+    representatives: Sequence[int], M: FiniteGroup, beta: Sequence[tuple]
 ) -> frozenset:
-    """Element set of the structure behind an embedding.
+    """Element set of the structure behind an embedding beta: G -> Hol(M).
 
-    beta_images[g] is a permutation of M; b(g) = beta(g)[0] must be a
-    bijection G -> M, and the structure is a . lambda_M(mu) . a^-1 over all
-    mu with a = b^-1.
+    beta[x] is a permutation of M; b(xT) = beta(x)[0], read at the coset
+    representatives (all of G when T = {e}), must be a bijection G/T -> M,
+    and the structure is b^-1 . lambda_M(mu) . b over all mu.
     """
-    n = G.order
-    b = [beta_images[g][0] for g in range(n)]
-    if len(set(b)) != n:
+    b = [beta[r][0] for r in representatives]
+    d = len(b)
+    if len(set(b)) != d:
         raise NotRegular("embedding image is not regular at the base point")
-    a = [0] * n
-    for g, m in enumerate(b):
-        a[m] = g
+    a = [0] * d
+    for i, m in enumerate(b):
+        a[m] = i
     return frozenset(tuple(a[row[bx]] for bx in b) for row in M.table)
+
+
+def _embedding_sets(cs: CosetSpace, specs: Sequence[GroupSpec]) -> dict:
+    """{element set: spec} over the regular subgroups of Perm(G/T) that the
+    translations of G normalize and whose type is in specs."""
+    found: dict = {}
+    for spec in specs:
+        M = build_group(spec)
+        for beta in _regular_embeddings(cs, M):
+            key = _structure_from_embedding(cs.representatives, M, beta)
+            found.setdefault(key, spec)
+    return found
 
 
 def enumerate_hgs(
@@ -350,9 +375,8 @@ def enumerate_hgs(
 ) -> HgsInventory:
     """All G-stable regular subgroups of Perm(G), optionally of one type.
 
-    For each type M the regular embeddings G -> Hol(M) are enumerated up to
-    Aut(M)-conjugacy (see _regular_embeddings), mapped to structures by
-    _structure_from_embedding, deduplicated by element set and certified.
+    _embedding_sets over the cosets of the trivial subgroup, which are the
+    elements of G, finds the element sets; each one is certified.
     Requires a catalog-complete order unless a type filter narrows the
     search; the completeness flag on the result reflects that.
     """
@@ -373,15 +397,11 @@ def enumerate_hgs(
         specs = [_catalog_type(M) or type_filter]
         complete = False
 
-    found: dict = {}
-    for spec in specs:
-        M = build_group(spec)
-        for beta in _regular_embeddings(G, M):
-            found.setdefault(_structure_from_embedding(G, M, beta), spec)
-    structures = []
-    for key, spec in found.items():
-        pg = PermGroup(key)
-        structures.append(certify(G, pg, type_label=spec))
+    found = _embedding_sets(CosetSpace(G, subgroup_closure(G, ())), specs)
+    structures = [
+        certify(G, PermGroup(key), type_label=spec)
+        for key, spec in found.items()
+    ]
     return HgsInventory(G, structures, complete)
 
 
@@ -402,6 +422,7 @@ def stable_regular_subgroups(lgens: Sequence[tuple]) -> dict:
     being the first type whose scan met the set.  Only sensible for d <= 8.
     """
     d = len(lgens[0])
+    pairs = [(q, _invert(q)) for q in lgens]
     found: dict = {}
     seen: set = set()
     for spec in catalog_specs(d):
@@ -411,7 +432,7 @@ def stable_regular_subgroups(lgens: Sequence[tuple]) -> dict:
             key = frozenset(_conjugate_all(table, b, _invert(b)))
             if key not in seen:
                 seen.add(key)
-                if _escape(lgens, key, key) is None:
+                if _escape(pairs, key, key) is None:
                     found[key] = spec
     return found
 

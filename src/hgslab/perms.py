@@ -66,11 +66,12 @@ def _conjugate_all(elements: Iterable[tuple], q: tuple, qinv: tuple) -> list:
 def _escape(conjugators: Iterable[tuple], probes, members) -> Optional[tuple]:
     """The first (q, p) whose conjugate q . p . q^-1 leaves members, or None.
 
-    Conjugators are walked in order, the probes in order for each of them;
-    probes must be a sequence or a set, as it is read twice per conjugator.
+    Conjugators come as (q, q^-1) pairs and are walked in order, the probes
+    in order for each of them; probes must be a sequence or a set, as it is
+    read twice per conjugator.
     """
-    for q in conjugators:
-        for p, c in zip(probes, _conjugate_all(probes, q, _invert(q))):
+    for q, qinv in conjugators:
+        for p, c in zip(probes, _conjugate_all(probes, q, qinv)):
             if c not in members:
                 return q, p
     return None
@@ -312,9 +313,6 @@ class CosetSpace:
 
     @property
     def degree(self) -> int:
-        return len(self.cosets)
-
-    def __len__(self) -> int:
         return len(self.cosets)
 
 

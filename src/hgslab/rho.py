@@ -113,7 +113,8 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
         raise InvariantError("orbit-stabilizer count mismatch")
     probes = N.perms.generators
     for h in stabilizer.elements:
-        if _escape([rho_embed(G, h)], probes, base_key) is not None:
+        pair = (rho_embed(G, h), rho_embed(G, inverse[h]))
+        if _escape([pair], probes, base_key) is not None:
             raise InvariantError(f"stabilizer element {h} moves the structure")
     return transversal, stabilizer
 

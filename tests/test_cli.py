@@ -127,6 +127,26 @@ def test_brace_verb_with_compare(capsys):
     assert payload["compare"]["isomorphic"] is True
 
 
+def test_construct_induced_at_coset_degree_9(capsys):
+    code, out, _ = run_cli(capsys, "construct", "induced",
+                           "--group", "dihedral:9", "--t-gens", "1",
+                           "--s-gens", "2", "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["quotient_structures"] == 1
+    assert len(payload["induced"]) == 1
+
+
+def test_construct_induced_refuses_an_incomplete_coset_degree(capsys):
+    code, out, err = run_cli(capsys, "construct", "induced",
+                             "--group", "cyclic:16", "--t-gens=",
+                             "--s-gens", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "coset degree 16" in err
+
+
 def test_construct_fpf_cli_matches_lambda(capsys):
     code, out, _ = run_cli(capsys, "construct", "fpf", "--group", "sym:3",
                            "--f1", "0,1,2,3,4,5", "--f2", "0,0,0,0,0,0",

@@ -8,9 +8,11 @@ import pytest
 from hgslab import (
     AbelianMap,
     ConstructionError,
+    CosetSpace,
     GroupHom,
     abelian_maps,
     abelian_transport_check,
+    all_subgroups,
     brute_force_inventory,
     build_group,
     catalog_specs,
@@ -28,6 +30,7 @@ from hgslab import (
     induced_transport_check,
     is_homomorphism,
     lambda_structure,
+    left_translation_image,
     PermGroup,
     rho_partition,
     rho_structure,
@@ -35,6 +38,7 @@ from hgslab import (
     subgroup_closure,
     to_hol_embedding,
 )
+from hgslab.hgs import stable_regular_subgroups
 from hgslab.verify import (
     dihedral_fpf_pair,
     dihedral_two_generator_family,
@@ -168,7 +172,7 @@ def test_coset_stable_subgroups_prime_and_brute_agree(m733):
     assert len(found) == 1
     C8 = build_group("cyclic:8")
     T8 = subgroup_closure(C8, [4])
-    found8 = coset_stable_regular_subgroups(C8, T8)  # degree 4, brute force
+    found8 = coset_stable_regular_subgroups(C8, T8)  # degree 4
     # for a normal T the count matches the inventory of the quotient
     assert len(found8) == len(enumerate_hgs(build_group("cyclic:4")))
     (one,) = coset_stable_regular_subgroups(C8, subgroup_closure(C8, [1]))
@@ -190,6 +194,51 @@ def test_coset_search_with_trivial_subgroup_equals_enumeration():
             total += len(found)
     assert total == 208
     assert time.perf_counter() - start < 30
+
+
+COSET_ORACLE_GROUPS = [
+    "sym:3", "dihedral:4", "alt:4", "dihedral:6", "sym:4", "metacyclic:7:3:2",
+    "quaternion:8", "dihedral:5", "dicyclic:6", "cyclic:8", "elemab:2:3",
+]
+
+
+def test_coset_search_equals_bijection_scan():
+    # every subgroup T of coset degree 2..8, normal ones (non-faithful
+    # actions) included, against the scan behind brute_force_inventory
+    start = time.perf_counter()
+    pairs = 0
+    for spec in COSET_ORACLE_GROUPS:
+        G = build_group(spec)
+        for T in all_subgroups(G):
+            if not 1 < G.order // len(T.elements) <= 8:
+                continue
+            lgens = left_translation_image(CosetSpace(G, T)).generators
+            found = coset_stable_regular_subgroups(G, T)
+            assert {A.element_set for A in found} == \
+                set(stable_regular_subgroups(lgens)), (spec, T.elements)
+            pairs += 1
+    assert pairs == 98
+    assert time.perf_counter() - start < 30
+
+
+# canonical hashes of the one structure per pair, as found by the Sylow
+# argument for prime degree that the embedding search replaced
+PRIME_DEGREE_HASHES = {
+    ("cyclic:17", ()): "769fb47ace8bd781",
+    ("cyclic:23", ()): "84fae9937f766846",
+    ("dihedral:11", (1,)): "af854f56ac40a40b",
+    ("metacyclic:31:5:2", (1,)): "51c8770f5577309c",
+}
+
+
+def test_coset_search_at_prime_degrees_above_the_catalog_range():
+    assert build_group("metacyclic:31:5:2").element_orders[1] == 5
+    for (spec, t_gens), want in PRIME_DEGREE_HASHES.items():
+        G = build_group(spec)
+        T = subgroup_closure(G, t_gens)
+        assert G.order // len(T.elements) in (11, 17, 23, 31)
+        found = coset_stable_regular_subgroups(G, T)
+        assert [A.canonical_hash() for A in found] == [want], spec
 
 
 def test_induced_structure_lands_in_inventory(m733):
@@ -231,7 +280,7 @@ def test_induced_on_dihedral_12():
             assert N.perms.element_set in inv_keys
 
 
-def test_perm_group_from_elements_round_trip(s3):
+def test_perm_group_round_trip(s3):
     lam = lambda_structure(s3).perms
     again = PermGroup(list(lam.elements))
     assert again.element_set == lam.element_set

@@ -41,7 +41,7 @@ CASES = [
     ("construct_induced_metacyclic_7_3_2_t_1_s_3.json",
      ["construct", "induced", "--group", "metacyclic:7:3:2", "--t-gens", "1",
       "--s-gens", "3", "--json"]),
-    # coset degree 6, through the same scan as the brute-force inventory
+    # coset degree 6; the subgroup level T has order 2
     ("construct_induced_dihedral_6_t_1_s_2.json",
      ["construct", "induced", "--group", "dihedral:6", "--t-gens", "1",
       "--s-gens", "2", "--json"]),

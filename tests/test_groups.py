@@ -36,6 +36,7 @@ def test_catalog_class_counts():
 def test_catalog_complete_orders():
     assert catalog_complete(12)
     assert catalog_complete(21)
+    assert catalog_complete(17)
     assert not catalog_complete(16)
     assert not catalog_complete(20)
 

@@ -69,6 +69,13 @@ def test_enumerate_unsupported_order_without_filter():
     assert not inv.complete
 
 
+def test_prime_order_enumerates_without_a_filter():
+    # Kohl: the cyclic group of order p^n has p^(n-1) structures; n = 1 here
+    inv = enumerate_hgs(build_group("cyclic:17"))
+    assert inv.complete
+    assert len(inv) == 1
+
+
 def test_type_filtered_enumeration_beyond_catalog_orders():
     start = time.perf_counter()
     for spec, want in [("sym:4", 8), ("dihedral:8", 24)]:

@@ -165,7 +165,7 @@ def _oracle(G, spec):
         base = [q_elems[iso0.images[g]] for g in range(n)]
         for aut in auts:
             beta = [base[aut.images[g]] for g in range(n)]
-            key = _structure_from_embedding(G, M, beta)
+            key = _structure_from_embedding(range(n), M, beta)
             found.add(key)
     return found, isomorphic
 
