@@ -187,16 +187,14 @@ def resolve_structure(G: FiniteGroup, ref: str) -> RegularSubgroup:
     raise UsageError(f"unknown structure reference {ref!r}")
 
 
-def _structure_index(G: FiniteGroup, N: RegularSubgroup) -> Optional[int]:
+def _inventory_index(G: FiniteGroup) -> dict:
+    """{element set: inventory index} over G's inventory, or {} when G
+    cannot be enumerated."""
     try:
         inv = enumerate_hgs(G)
     except HgsError:
-        return None
-    key = N.perms.element_set
-    for i, s in enumerate(inv):
-        if s.perms.element_set == key:
-            return i
-    return None
+        return {}
+    return {s.perms.element_set: i for i, s in enumerate(inv)}
 
 
 def _type_or_none(N: RegularSubgroup) -> Optional[str]:
@@ -291,7 +289,7 @@ def cmd_hgs_show(args) -> Tuple[dict, List[str]]:
         "structure": N.to_json(),
         "type": _type_or_none(N),
         "abelian": N.is_abelian(),
-        "index": _structure_index(G, N),
+        "index": _inventory_index(G).get(N.perms.element_set),
         "orbit_size": orb.size,
         "stabilizer_order": len(orb.stabilizer.elements),
         "translation_normalized": orb.size == 1,
@@ -383,7 +381,7 @@ def cmd_construct_fpf(args) -> Tuple[dict, List[str]]:
         "group": str(G.spec),
         "structure": N.to_json(),
         "type": _type_or_none(N),
-        "index": _structure_index(G, N),
+        "index": _inventory_index(G).get(N.perms.element_set),
     }
     lines = [f"fixed point free pair on {G.spec} builds"
              f" hash={N.canonical_hash()} type={payload['type']}"
@@ -398,18 +396,22 @@ def cmd_construct_induced(args) -> Tuple[dict, List[str]]:
     a_candidates = coset_stable_regular_subgroups(G, T)
     t_group, t_elems = T.as_group()
     b_inventory = enumerate_hgs(t_group)
-    rows = []
-    for ai, A in enumerate(a_candidates):
-        for bi, Bs in enumerate(b_inventory):
-            inp = induced_input(G, T, S, A, Bs.perms)
-            N = induced_hgs(inp)
-            rows.append({
-                "quotient_choice": ai,
-                "subgroup_choice": bi,
-                "hash": N.canonical_hash(),
-                "type": _type_or_none(N),
-                "index": _structure_index(G, N),
-            })
+    built = [
+        (ai, bi, induced_hgs(induced_input(G, T, S, A, Bs.perms)))
+        for ai, A in enumerate(a_candidates)
+        for bi, Bs in enumerate(b_inventory)
+    ]
+    index = _inventory_index(G) if built else {}
+    rows = [
+        {
+            "quotient_choice": ai,
+            "subgroup_choice": bi,
+            "hash": N.canonical_hash(),
+            "type": _type_or_none(N),
+            "index": index.get(N.perms.element_set),
+        }
+        for ai, bi, N in built
+    ]
     payload = {
         "group": str(G.spec),
         "t_order": len(t_elems),

@@ -266,7 +266,7 @@ def lambda_embed(G: FiniteGroup, g: int) -> tuple:
 def rho_embed(G: FiniteGroup, g: int) -> tuple:
     """Right translation x -> x*g^-1."""
     ginv = G.inverse[g]
-    return tuple(G.table[x][ginv] for x in range(G.order))
+    return tuple([row[ginv] for row in G.table])
 
 
 def lambda_image(G: FiniteGroup) -> PermGroup:

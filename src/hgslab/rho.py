@@ -4,11 +4,11 @@ Conjugating a structure N by rho(g) gives another structure, and since
 rho(g) = lambda(g)^-1 . inn(g) with inn(g) the conjugation permutation
 x -> g x g^-1, the result equals inn(g) N inn(g)^-1.  The map g -> N_g is a
 left action of G on the inventory; this module computes its orbits and
-stabilizers.  An orbit is searched breadth first over the generators of G
-only, recording for each member M a transversal element t_M with
-N_{t_M} = M; the stabilizer is closed from Schreier generators, and the
-elements reaching M form the coset t_M . Stab, whose least element is M's
-carrier.
+stabilizers straight from orbit-stabilizer.  The stabilizer is the set of h
+for which rho(h) normalizes N, checked on N's generators; the elements
+reaching a member M form a coset t . Stab, so walking G in order and
+skipping the cosets already met gives each member once, carried by the least
+element of its coset.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvariantError
-from .groups import FiniteGroup, Subgroup, subgroup_closure
+from .groups import Subgroup, subgroup_closure
 from .hgs import HgsInventory, RegularSubgroup, certify, opposite
 from .perms import PermGroup, _conjugate_all, _escape, rho_embed
 
@@ -84,45 +84,36 @@ class RhoOrbit:
 
 
 def _orbit_search(N: RegularSubgroup) -> tuple:
-    """(transversal, stabilizer) of N: transversal maps each member's
-    element set M to t_M with N_{t_M} = M, and the stabilizer is closed from
-    the Schreier generators t_{s.M}^-1 . s . t_M (Holt-Eick-O'Brien,
-    Handbook of Computational Group Theory, 4.1)."""
+    """(transversal, stabilizer) of N: the stabilizer holds the h for which
+    rho(h) normalizes N, and transversal maps each member's element set M to
+    the least g with N_g = M, the least element of the coset g . Stab."""
     G = N.group
     table, inverse = G.table, G.inverse
-    gens = [
-        (s, rho_embed(G, s), rho_embed(G, inverse[s]))
-        for s in G.generating_set()
+    base_key, probes = N.perms.element_set, N.perms.generators
+    fixing = [
+        h
+        for h in range(G.order)
+        if _escape(
+            [(rho_embed(G, h), rho_embed(G, inverse[h]))], probes, base_key
+        ) is None
     ]
-    base_key = N.perms.element_set
-    transversal = {base_key: 0}
-    queue = [base_key]
-    schreier = set()
-    for M in queue:
-        t = transversal[M]
-        for s, q, qinv in gens:
-            K = _conjugate_key(M, q, qinv)
-            st = table[s][t]
-            if K in transversal:
-                schreier.add(table[inverse[transversal[K]]][st])
-            else:
-                transversal[K] = st
-                queue.append(K)
-    stabilizer = subgroup_closure(G, schreier)
-    if len(transversal) * stabilizer.order != G.order:
-        raise InvariantError("orbit-stabilizer count mismatch")
-    probes = N.perms.generators
-    for h in stabilizer.elements:
-        pair = (rho_embed(G, h), rho_embed(G, inverse[h]))
-        if _escape([pair], probes, base_key) is not None:
-            raise InvariantError(f"stabilizer element {h} moves the structure")
+    stabilizer = subgroup_closure(G, fixing)
+    if stabilizer.order != len(fixing):
+        raise InvariantError("the elements fixing the structure do not close")
+    transversal, covered = {}, set()
+    for g in range(G.order):
+        if g in covered:
+            continue
+        covered.update(table[g][h] for h in fixing)
+        key = _conjugate_key(
+            N.perms.elements, rho_embed(G, g), rho_embed(G, inverse[g])
+        )
+        if key in transversal:
+            raise InvariantError(
+                f"the cosets of {transversal[key]} and {g} give one conjugate"
+            )
+        transversal[key] = g
     return transversal, stabilizer
-
-
-def _least_in_coset(G: FiniteGroup, t: int, stabilizer: Subgroup) -> int:
-    """Least element of t . Stab, the smallest g with N_g = N_t."""
-    row = G.table[t]
-    return min(row[h] for h in stabilizer.elements)
 
 
 def _build_orbit(
@@ -135,9 +126,7 @@ def _build_orbit(
             member = N
         else:
             member = certify(G, PermGroup(key), type_label=N._type_label)
-        built.append(
-            (member.canonical_key(), member, _least_in_coset(G, t, stabilizer))
-        )
+        built.append((member.canonical_key(), member, t))
     built.sort(key=lambda b: b[0])
     members = [m for _, m, _ in built]
     carrier = [g for _, _, g in built]
@@ -174,15 +163,13 @@ def rho_partition(inventory: HgsInventory) -> list:
 def same_conjugate(N1: RegularSubgroup, N2: RegularSubgroup) -> Optional[int]:
     """Smallest g with rho(g) . N1 . rho(g)^-1 == N2, or None.
 
-    The whole orbit of N1 is searched, as the full stabilizer is needed.
+    The whole orbit of N1 is built, one conjugate per coset of its
+    stabilizer, each carried by the least element of its coset.
     """
     if N1.group is not N2.group:
         raise ValueError("structures live on different groups")
-    transversal, stabilizer = _orbit_search(N1)
-    t = transversal.get(N2.perms.element_set)
-    if t is None:
-        return None
-    return _least_in_coset(N1.group, t, stabilizer)
+    transversal, _ = _orbit_search(N1)
+    return transversal.get(N2.perms.element_set)
 
 
 def opposite_conjugate_commute(N: RegularSubgroup, g: int) -> bool:

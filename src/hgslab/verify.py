@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .braces import (
@@ -72,7 +73,6 @@ from .rho import (
     rho_conjugate,
     rho_orbit,
     rho_partition,
-    same_conjugate,
 )
 
 _INVENTORY_CACHE: dict = {}
@@ -471,12 +471,12 @@ def check_brace_comparison_census() -> Tuple[bool, str]:
     merely isomorphic ones; the consistency flags must always hold."""
     equal = iso_only = neither = 0
     for spec in ("sym:3", "dihedral:4", "quaternion:8"):
-        structures = _inventory(spec).structures
-        for i, a in enumerate(structures):
-            for b in structures[i + 1:]:
-                if same_conjugate(a, b) is None:
-                    continue
-                cmpres = compare_braces(a, b)
+        inv = _inventory(spec)
+        index = {s.perms.element_set: i for i, s in enumerate(inv)}
+        for orbit in rho_partition(inv):
+            ids = sorted(index[m.perms.element_set] for m in orbit.members)
+            for i, j in combinations(ids, 2):
+                cmpres = compare_braces(inv[i], inv[j])
                 if not cmpres.consistent:
                     return False, f"{spec}: inconsistent comparison criteria"
                 if cmpres.equal:

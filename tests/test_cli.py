@@ -137,6 +137,30 @@ def test_construct_induced_at_coset_degree_9(capsys):
     assert len(payload["induced"]) == 1
 
 
+@pytest.mark.parametrize("group,s_gens,rows", [
+    ("dihedral:6", "2", 3),
+    ("elemab:2:3", "2,4", 4),
+])
+def test_construct_induced_enumerates_each_group_once(capsys, monkeypatch,
+                                                       group, s_gens, rows):
+    enumerated = []
+    enumerate_hgs = cli_module.enumerate_hgs
+
+    def counting(G, *args, **kwargs):
+        enumerated.append(G.order)
+        return enumerate_hgs(G, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "enumerate_hgs", counting)
+    code, out, _ = run_cli(capsys, "construct", "induced", "--group", group,
+                           "--t-gens", "1", "--s-gens", s_gens, "--json")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert len(payload["induced"]) == rows
+    assert all(r["index"] is not None for r in payload["induced"])
+    # the subgroup level T once, then G once for every row's index
+    assert enumerated == [payload["t_order"], build_group(group).order]
+
+
 def test_construct_induced_refuses_an_incomplete_coset_degree(capsys):
     code, out, err = run_cli(capsys, "construct", "induced",
                              "--group", "cyclic:16", "--t-gens=",

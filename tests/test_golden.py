@@ -16,7 +16,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("hgs_rho_orbits_metacyclic_7_3_2.json",
      ["hgs", "rho-orbits", "--group", "metacyclic:7:3:2", "--json"]),
-    # orbit of 3 with a stabilizer of order 4, closed from Schreier generators
+    # orbit of 3 with a stabilizer of order 4, the h whose rho(h) normalizes N
     ("hgs_show_dihedral_6_index_3.json",
      ["hgs", "show", "--group", "dihedral:6", "--structure", "index:3",
       "--json"]),

@@ -1,11 +1,14 @@
 """Differential oracles for the rho action and the subgroup check.
 
-`rho_orbit` searches an orbit over the generators of G and closes the
-stabilizer from Schreier generators.  The oracle here is the direct route:
-conjugate the structure by every right translation, take the first element
-that reaches each member as its carrier, and collect the elements that fix
-it as the stabilizer.  Both must give the same `to_json()`, member for
-member and carrier for carrier.
+`rho_orbit` takes the stabilizer as the elements h for which rho(h)
+normalizes the structure, and one conjugate per coset of it, carried by the
+coset's least element.  The oracle here is the direct route: conjugate the
+structure by every right translation, take the first element that reaches
+each member as its carrier, and collect the elements that fix it as the
+stabilizer.  Both must give the same `to_json()`, member for member and
+carrier for carrier.  The paper's theorem gives a second oracle for the
+stabilizer alone: it is the inner stabilizer of the structure's skew brace,
+element for element.
 
 `_greedy_close` decides whether a set of permutations is closed by closing a
 generating subset of it; the oracle tests every product of two members.
@@ -16,11 +19,13 @@ import random
 from hgslab import (
     ClosureCapExceeded,
     abelian_maps,
+    brace_from_subgroup,
     build_group,
     catalog_specs,
     certify,
     enumerate_hgs,
     hgs_from_abelian_map,
+    inner_stabilizer,
     lambda_structure,
     rho_orbit,
     rho_partition,
@@ -108,6 +113,24 @@ def test_rho_orbit_equals_scan_on_s5_abelian_maps():
     structures = _s5_structures()
     assert len(structures) == 26
     _check_orbits(structures)
+
+
+def _stabilizer_is_inner_stabilizer(N):
+    want = inner_stabilizer(brace_from_subgroup(N)).elements
+    assert rho_orbit(N).stabilizer.elements == want
+
+
+def test_stabilizer_equals_inner_stabilizer_of_the_brace():
+    total = 0
+    for spec in CATALOG:
+        for N in enumerate_hgs(build_group(spec)):
+            _stabilizer_is_inner_stabilizer(N)
+            total += 1
+    assert total == 376
+    orbits = rho_partition(_s5_structures())
+    assert sorted(len(o) for o in orbits) == [1, 10, 15]
+    for orbit in orbits:
+        _stabilizer_is_inner_stabilizer(orbit.base)
 
 
 def test_same_conjugate_equals_scan_inside_catalog_orbits():
