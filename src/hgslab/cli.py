@@ -10,6 +10,7 @@ computation error, 3 verification check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -147,8 +148,15 @@ def _parse_int_list(text: str, what: str) -> List[int]:
         raise UsageError(f"{what} must be comma-separated integers: {text!r}")
 
 
-def resolve_structure(G: FiniteGroup, ref: str) -> RegularSubgroup:
-    """Resolve lambda | rho | index:<i> | hash:<prefix> | gens:<imgs;imgs>."""
+def _inventory_once(G: FiniteGroup):
+    """A callable returning G's inventory, kept from its first success."""
+    return functools.cache(lambda: enumerate_hgs(G))
+
+
+def resolve_structure(G: FiniteGroup, ref: str, inventory=None) -> RegularSubgroup:
+    """Resolve lambda | rho | index:<i> | hash:<prefix> | gens:<imgs;imgs>;
+    index: and hash: call inventory (default: enumerate G) for G's inventory."""
+    inventory = inventory or _inventory_once(G)
     if ref == "lambda":
         return lambda_structure(G)
     if ref == "rho":
@@ -158,7 +166,7 @@ def resolve_structure(G: FiniteGroup, ref: str) -> RegularSubgroup:
             i = int(ref[len("index:"):])
         except ValueError:
             raise UsageError(f"bad structure index in {ref!r}")
-        inv = enumerate_hgs(G)
+        inv = inventory()
         if not 0 <= i < len(inv):
             raise UsageError(
                 f"index {i} out of range; the inventory has {len(inv)} entries"
@@ -166,7 +174,7 @@ def resolve_structure(G: FiniteGroup, ref: str) -> RegularSubgroup:
         return inv[i]
     if ref.startswith("hash:"):
         prefix = ref[len("hash:"):]
-        inv = enumerate_hgs(G)
+        inv = inventory()
         hits = [s for s in inv if s.canonical_hash().startswith(prefix)]
         if not hits:
             raise UsageError(f"no structure hash starts with {prefix!r}")
@@ -187,11 +195,10 @@ def resolve_structure(G: FiniteGroup, ref: str) -> RegularSubgroup:
     raise UsageError(f"unknown structure reference {ref!r}")
 
 
-def _inventory_index(G: FiniteGroup) -> dict:
-    """{element set: inventory index} over G's inventory, or {} when G
-    cannot be enumerated."""
+def _inventory_index(inventory) -> dict:
+    """{element set: index} over inventory(), or {} when it cannot be built."""
     try:
-        inv = enumerate_hgs(G)
+        inv = inventory()
     except HgsError:
         return {}
     return {s.perms.element_set: i for i, s in enumerate(inv)}
@@ -281,7 +288,8 @@ def cmd_hgs_rho_orbits(args) -> Tuple[dict, List[str]]:
 
 def cmd_hgs_show(args) -> Tuple[dict, List[str]]:
     G = build_group(args.group)
-    N = resolve_structure(G, args.structure)
+    inventory = _inventory_once(G)
+    N = resolve_structure(G, args.structure, inventory)
     orb = rho_orbit(N)
     opp = opposite(N)
     payload = {
@@ -289,7 +297,7 @@ def cmd_hgs_show(args) -> Tuple[dict, List[str]]:
         "structure": N.to_json(),
         "type": _type_or_none(N),
         "abelian": N.is_abelian(),
-        "index": _inventory_index(G).get(N.perms.element_set),
+        "index": _inventory_index(inventory).get(N.perms.element_set),
         "orbit_size": orb.size,
         "stabilizer_order": len(orb.stabilizer.elements),
         "translation_normalized": orb.size == 1,
@@ -311,7 +319,8 @@ def cmd_hgs_show(args) -> Tuple[dict, List[str]]:
 
 def cmd_brace(args) -> Tuple[dict, List[str]]:
     G = build_group(args.group)
-    N = resolve_structure(G, args.structure)
+    inventory = _inventory_once(G)
+    N = resolve_structure(G, args.structure, inventory)
     B = brace_from_subgroup(N)
     stab = inner_stabilizer(B)
     payload = {
@@ -335,7 +344,7 @@ def cmd_brace(args) -> Tuple[dict, List[str]]:
         lines.append("  circ table:")
         lines.extend(f"    {list(row)}" for row in B.circ)
     if args.compare:
-        M = resolve_structure(G, args.compare)
+        M = resolve_structure(G, args.compare, inventory)
         cmp_res = compare_braces(N, M)
         payload["compare"] = {
             "other_hash": M.canonical_hash(),
@@ -381,7 +390,7 @@ def cmd_construct_fpf(args) -> Tuple[dict, List[str]]:
         "group": str(G.spec),
         "structure": N.to_json(),
         "type": _type_or_none(N),
-        "index": _inventory_index(G).get(N.perms.element_set),
+        "index": _inventory_index(_inventory_once(G)).get(N.perms.element_set),
     }
     lines = [f"fixed point free pair on {G.spec} builds"
              f" hash={N.canonical_hash()} type={payload['type']}"
@@ -401,7 +410,7 @@ def cmd_construct_induced(args) -> Tuple[dict, List[str]]:
         for ai, A in enumerate(a_candidates)
         for bi, Bs in enumerate(b_inventory)
     ]
-    index = _inventory_index(G) if built else {}
+    index = _inventory_index(_inventory_once(G)) if built else {}
     rows = [
         {
             "quotient_choice": ai,

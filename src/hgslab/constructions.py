@@ -44,7 +44,7 @@ from .perms import (
     in_holomorph,
     left_translation,
 )
-from .rho import rho_conjugate
+from .rho import _is_conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +190,7 @@ def embedding_conjugation_check(emb: HolEmbedding, g: int) -> bool:
     """
     G = emb.source
     twisted = emb.precompose(inner_automorphism(G, G.inverse[g]))
-    lhs = from_hol_embedding(twisted)
-    rhs = rho_conjugate(from_hol_embedding(emb), g)
-    return lhs.perms.element_set == rhs.perms.element_set
+    return _is_conjugate(from_hol_embedding(emb), g, from_hol_embedding(twisted))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +233,8 @@ def fpf_transport_check(f1: GroupHom, f2: GroupHom, g: int) -> bool:
     g^-1 of the original structure."""
     G = f1.domain
     phi = inner_automorphism(G, g)
-    base = hgs_from_fpf(f1, f2)
     twisted = hgs_from_fpf(f1.compose(phi), f2.compose(phi))
-    target = rho_conjugate(base, G.inverse[g])
-    return twisted.perms.element_set == target.perms.element_set
+    return _is_conjugate(hgs_from_fpf(f1, f2), G.inverse[g], twisted)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +334,7 @@ def abelian_transport_check(am: AbelianMap, g: int) -> bool:
     phi = inner_automorphism(G, g)
     phi_inv = inner_automorphism(G, G.inverse[g])
     conj = AbelianMap(phi.compose(am.hom.compose(phi_inv)))
-    lhs = rho_conjugate(hgs_from_abelian_map(am), g)
-    rhs = hgs_from_abelian_map(conj)
-    return lhs.perms.element_set == rhs.perms.element_set
+    return _is_conjugate(hgs_from_abelian_map(am), g, hgs_from_abelian_map(conj))
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +488,7 @@ def induced_transport_check(inp: InducedInput, g: int) -> bool:
         for X, m in ((inp.a_structure, on_cosets), (inp.b_structure, on_t))
     )
     inp2 = induced_input(G, T2, inp.s_sub, A2, B2)
-    lhs = rho_conjugate(induced_hgs(inp), g)
-    rhs = induced_hgs(inp2)
-    return lhs.perms.element_set == rhs.perms.element_set
+    return _is_conjugate(induced_hgs(inp), g, induced_hgs(inp2))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ Conventions used everywhere in this package:
 Element ids have one closure kernel, _join: it extends a subgroup, given
 with the ids that generate it, by a piece of further ids.  Old elements are
 multiplied by the piece only and new ones by every generator, so
-subgroup_closure (the trivial subgroup and one piece), generating_set (one
-id at a time, never re-closing what it has) and the subgroup lattices of
+subgroup_closure and generating_set (through _greedy_join, one id at a
+time, skipping ids already reached) and the subgroup lattices of
 _join_closures (breadth first over the pieces) share it.  Permutations
 have their own kernel, perms._greedy_close; ids are never closed through
 their lambda rows, which would turn table lookups into tuple products.
@@ -311,13 +311,8 @@ class FiniteGroup:
 
         def compute():
             orders = self.element_orders
-            chosen: list[int] = []
-            have = {0}
-            for x in sorted(range(self.order), key=lambda x: (-orders[x], x)):
-                if x not in have:
-                    have = _join(self.table, have, chosen, (x,))
-                    chosen.append(x)
-            return tuple(chosen)
+            ids = sorted(range(self.order), key=lambda x: (-orders[x], x))
+            return _greedy_join(self.table, ids)[0]
 
         return self._memo("gens", compute)
 
@@ -372,6 +367,17 @@ def _join(table: Sequence[Sequence[int]], have, gens, piece) -> set:
                     out.add(row[g])
                     fresh.append(row[g])
     return out
+
+
+def _greedy_join(table: Sequence[Sequence[int]], ids) -> tuple:
+    """(gens, reached): walk ids in order and join each one not reached yet;
+    reached, the subgroup that ids generate, is also generated by gens."""
+    gens, reached = [], {0}
+    for x in ids:
+        if x not in reached:
+            reached = _join(table, reached, gens, (x,))
+            gens.append(x)
+    return tuple(gens), reached
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +449,7 @@ def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     for g in gens:
         if not 0 <= g < G.order:
             raise InvalidSpec(f"element id {g} out of range")
-    return Subgroup(G, _join(G.table, (0,), (), gens), generators=tuple(gens))
+    return Subgroup(G, _greedy_join(G.table, gens)[1], generators=tuple(gens))
 
 
 def _join_closures(table: Sequence[Sequence[int]], pieces) -> dict:

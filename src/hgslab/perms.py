@@ -46,9 +46,9 @@ def _invert(p: tuple) -> tuple:
     return tuple(out)
 
 
-def _conjugate(p: tuple, q: tuple, qinv: Optional[tuple] = None) -> tuple:
-    """q . p . q^-1; pass qinv = q^-1 when it is at hand."""
-    return _conjugate_all((p,), q, _invert(q) if qinv is None else qinv)[0]
+def _conjugate(p: tuple, q: tuple, qinv: tuple) -> tuple:
+    """q . p . q^-1, given qinv = q^-1."""
+    return _conjugate_all((p,), q, qinv)[0]
 
 
 def _conjugate_all(elements: Iterable[tuple], q: tuple, qinv: tuple) -> list:

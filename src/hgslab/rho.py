@@ -38,6 +38,18 @@ def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     return certify(G, PermGroup(key), type_label=N._type_label)
 
 
+def _is_conjugate(N: RegularSubgroup, g: int, M: RegularSubgroup) -> bool:
+    """Whether rho(g) . N . rho(g)^-1 == M, decided on N's generators.
+
+    M is a certified structure on the same G, so a group with |G| elements.
+    The conjugate is generated by the conjugates of N's generators; when
+    those lie in M the whole conjugate does, and equal orders make it M.
+    """
+    G = N.group
+    pair = (rho_embed(G, g), rho_embed(G, G.inverse[g]))
+    return _escape([pair], N.perms.generators, M.perms.element_set) is None
+
+
 class RhoOrbit:
     """One orbit of the right-translation action on structures.
 
@@ -89,14 +101,7 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
     the least g with N_g = M, the least element of the coset g . Stab."""
     G = N.group
     table, inverse = G.table, G.inverse
-    base_key, probes = N.perms.element_set, N.perms.generators
-    fixing = [
-        h
-        for h in range(G.order)
-        if _escape(
-            [(rho_embed(G, h), rho_embed(G, inverse[h]))], probes, base_key
-        ) is None
-    ]
+    fixing = [h for h in range(G.order) if _is_conjugate(N, h, N)]
     stabilizer = subgroup_closure(G, fixing)
     if stabilizer.order != len(fixing):
         raise InvariantError("the elements fixing the structure do not close")
@@ -163,17 +168,15 @@ def rho_partition(inventory: HgsInventory) -> list:
 def same_conjugate(N1: RegularSubgroup, N2: RegularSubgroup) -> Optional[int]:
     """Smallest g with rho(g) . N1 . rho(g)^-1 == N2, or None.
 
-    The whole orbit of N1 is built, one conjugate per coset of its
-    stabilizer, each carried by the least element of its coset.
+    The elements of G are tried in order, each decided on N1's generators
+    by _is_conjugate; no conjugate and no orbit is built.
     """
     if N1.group is not N2.group:
         raise ValueError("structures live on different groups")
-    transversal, _ = _orbit_search(N1)
-    return transversal.get(N2.perms.element_set)
+    hits = (g for g in range(N1.group.order) if _is_conjugate(N1, g, N2))
+    return next(hits, None)
 
 
 def opposite_conjugate_commute(N: RegularSubgroup, g: int) -> bool:
     """Whether taking the opposite commutes with conjugating by rho(g)."""
-    lhs = opposite(rho_conjugate(N, g)).perms.element_set
-    rhs = rho_conjugate(opposite(N), g).perms.element_set
-    return lhs == rhs
+    return _is_conjugate(opposite(N), g, opposite(rho_conjugate(N, g)))

@@ -63,12 +63,13 @@ from .perms import (
     PermGroup,
     _compose,
     _conjugate,
-    _conjugate_all,
+    _escape,
     generated_perm_group,
     lambda_embed,
     rho_embed,
 )
 from .rho import (
+    _is_conjugate,
     opposite_conjugate_commute,
     rho_conjugate,
     rho_orbit,
@@ -266,7 +267,7 @@ def _brace_coherent(G: FiniteGroup, S: RegularSubgroup) -> Optional[str]:
         crit = rho_fix_criteria(B, g)
         if len(set(crit)) != 1:
             return f"fix criteria disagree at g={g}: {crit}"
-        direct = rho_conjugate(S, g).perms.element_set == S.perms.element_set
+        direct = _is_conjugate(S, g, S)
         if crit[0] != direct:
             return f"criteria contradict direct conjugation at g={g}"
         fixed_all = fixed_all and direct
@@ -322,10 +323,9 @@ def check_metacyclic_sibling_family() -> Tuple[bool, str]:
             return False, f"member {k} is not of metacyclic type"
         # conjugation by rho(t) multiplies the index by d, so only the
         # k = 0 member is fixed by it
-        if rho_conjugate(N, 1).perms.element_set != keys[(d * k) % p]:
+        if not _is_conjugate(N, 1, family[(d * k) % p]):
             return False, f"rho(t) does not send member {k} to member dk"
-        shifted = rho_conjugate(N, q).perms.element_set
-        if shifted != keys[(k + 1 - d) % p]:
+        if not _is_conjugate(N, q, family[(k + 1 - d) % p]):
             return False, f"rho(s) does not shift member {k} by 1-d"
     orbit = rho_orbit(family[0])
     if {M.perms.element_set for M in orbit.members} != set(keys):
@@ -346,23 +346,19 @@ def _abelian_transport_exhaustive(G: FiniteGroup) -> Optional[str]:
     """Set-level transport for every abelian map and every g."""
     maps = abelian_maps(G)
     n = G.order
-    families = {}
-    for am in maps:
-        N = hgs_from_abelian_map(am)
-        families[am.images] = N.perms.element_set
+    families = {am.images: hgs_from_abelian_map(am) for am in maps}
     inner = [inner_automorphism(G, g).images for g in range(n)]
     for am in maps:
-        elems = families[am.images]
+        probes = families[am.images].perms.generators
         for g in range(n):
             phi, phi_inv = inner[g], inner[G.inverse[g]]
-            conj_map = _conjugate(am.images, phi, phi_inv)
-            expected = families.get(conj_map)
+            expected = families.get(_conjugate(am.images, phi, phi_inv))
             if expected is None:
                 return f"conjugated map left the family at g={g}"
             # stability makes conjugation by rho(g) equal conjugation by
-            # the inner automorphism of g
-            moved = frozenset(_conjugate_all(elems, phi, phi_inv))
-            if moved != expected:
+            # the inner automorphism of g; generators decide, as in certify
+            members = expected.perms.element_set
+            if _escape([(phi, phi_inv)], probes, members) is not None:
                 return f"transport failed for map {am.images[:4]}..., g={g}"
     return None
 

@@ -137,12 +137,8 @@ def test_construct_induced_at_coset_degree_9(capsys):
     assert len(payload["induced"]) == 1
 
 
-@pytest.mark.parametrize("group,s_gens,rows", [
-    ("dihedral:6", "2", 3),
-    ("elemab:2:3", "2,4", 4),
-])
-def test_construct_induced_enumerates_each_group_once(capsys, monkeypatch,
-                                                       group, s_gens, rows):
+def _count_enumerations(monkeypatch) -> list:
+    """The orders of the groups the CLI enumerates, appended per call."""
     enumerated = []
     enumerate_hgs = cli_module.enumerate_hgs
 
@@ -151,6 +147,16 @@ def test_construct_induced_enumerates_each_group_once(capsys, monkeypatch,
         return enumerate_hgs(G, *args, **kwargs)
 
     monkeypatch.setattr(cli_module, "enumerate_hgs", counting)
+    return enumerated
+
+
+@pytest.mark.parametrize("group,s_gens,rows", [
+    ("dihedral:6", "2", 3),
+    ("elemab:2:3", "2,4", 4),
+])
+def test_construct_induced_enumerates_each_group_once(capsys, monkeypatch,
+                                                       group, s_gens, rows):
+    enumerated = _count_enumerations(monkeypatch)
     code, out, _ = run_cli(capsys, "construct", "induced", "--group", group,
                            "--t-gens", "1", "--s-gens", s_gens, "--json")
     assert code == 0
@@ -159,6 +165,41 @@ def test_construct_induced_enumerates_each_group_once(capsys, monkeypatch,
     assert all(r["index"] is not None for r in payload["induced"])
     # the subgroup level T once, then G once for every row's index
     assert enumerated == [payload["t_order"], build_group(group).order]
+
+
+@pytest.mark.parametrize("argv,orders", [
+    (("hgs", "show", "--group", "dihedral:6", "--structure", "index:3"), [12]),
+    (("brace", "--group", "dihedral:6", "--structure", "index:3",
+      "--compare", "index:21"), [12]),
+    # order 16 cannot be enumerated without a type filter, and lambda needs
+    # no inventory, so the command never tries
+    (("brace", "--group", "cyclic:16", "--structure", "lambda"), []),
+])
+def test_structure_references_enumerate_each_group_once(capsys, monkeypatch,
+                                                        argv, orders):
+    enumerated = _count_enumerations(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]
+    assert enumerated == orders
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("hgs", "show", "--group", "dihedral:6", "--structure", "index:99"), 1),
+    (("hgs", "show", "--group", "dihedral:6", "--structure", "index:x"), 1),
+    (("hgs", "show", "--group", "dihedral:6", "--structure", "hash:zzzz"), 1),
+    (("brace", "--group", "dihedral:6", "--structure", "lambda",
+      "--compare", "nonsense"), 1),
+    (("hgs", "show", "--group", "dihedral:6", "--structure", "gens:1,0"), 1),
+    (("correspondence", "--group", "dihedral:6", "--structure", "lambda",
+      "--transport", "99"), 1),
+    (("hgs", "show", "--group", "cyclic:16", "--structure", "index:0"), 2),
+])
+def test_bad_structure_references_fail_on_one_line(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_construct_induced_refuses_an_incomplete_coset_degree(capsys):

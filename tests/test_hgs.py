@@ -99,7 +99,7 @@ def test_certify_rejects_unstable_regular(d4):
     # non-identity points keeps regularity but breaks stability
     swap = (0, 2, 1, 3, 4, 5, 6, 7)
     moved = PermGroup(
-        _conjugate(p, swap) for p in lambda_image(d4).elements
+        _conjugate(p, swap, swap) for p in lambda_image(d4).elements
     )
     assert moved.is_regular()
     with pytest.raises(NotStable) as caught:
