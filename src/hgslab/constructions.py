@@ -30,6 +30,7 @@ from .groups import (
 from .hgs import (
     RegularSubgroup,
     _embedding_sets,
+    _structure,
     _structure_from_embedding,
     certify,
     structure_group,
@@ -37,6 +38,7 @@ from .hgs import (
 from .perms import (
     CosetSpace,
     PermGroup,
+    _columns,
     _compose,
     _conjugate_all,
     _invert,
@@ -314,16 +316,15 @@ def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
     lambda(h psi(h)^-1) . rho(psi(h)^-1)."""
     G = am.group
     tm, inv = G.table, G.inverse
-    n = G.order
-    columns = tuple(zip(*tm))
+    columns = _columns(G)
     elems = []
-    for h in range(n):
+    for h in range(G.order):
         p = am.images[h]
         arow = tm[tm[h][inv[p]]]
         # rho(psi(h)^-1) sends m to m . psi(h), column p of the table
         elems.append(_compose(arow, columns[p]))
     try:
-        return certify(G, PermGroup(elems))
+        return _structure(G, frozenset(elems))
     except HgsError as exc:
         raise ConstructionError(f"abelian map construction failed: {exc}") from exc
 

@@ -10,11 +10,17 @@ lambda(m) . a with a in Aut(M).  The search backtracks over the images of
 G's generating set, spreads each partial choice along G's Cayley graph, and
 rejects it as soon as a relation of G fails or two cosets send the base
 point to the same place.  enumerate_hgs is the case T = {e}.
+
+_structure certifies each element set once per group while a caller holds
+the result (a weak per-group memo), so inventories, rho-orbits and abelian
+map structures share one object per set; it is handed out again only under
+the same type label, and caller-supplied generators never enter it.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import Counter
 from operator import eq, getitem
 from typing import Optional, Sequence
@@ -53,7 +59,7 @@ class RegularSubgroup:
     rows of eta are N's Cayley table.
     """
 
-    __slots__ = ("group", "perms", "eta", "_type_label", "_lattice")
+    __slots__ = ("group", "perms", "eta", "_type_label", "_lattice", "__weakref__")
 
     def __init__(self, group: FiniteGroup, perms: PermGroup, eta, type_label=None):
         self.group = group
@@ -176,6 +182,17 @@ def certify(
             f"conjugate of {p} by translation of g={q[0]} leaves the set"
         )
     return RegularSubgroup(G, perms, eta, type_label=type_label)
+
+
+def _structure(G: FiniteGroup, key: frozenset, type_label=None) -> RegularSubgroup:
+    """The structure on G with element set key: the live one if its label
+    still equals type_label (type_of may have filled it in), else a fresh
+    certified one, which replaces it in the memo."""
+    live = G._memo("structures", weakref.WeakValueDictionary)
+    N = live.get(key)
+    if N is None or N._type_label != type_label:
+        N = live[key] = certify(G, PermGroup(key), type_label=type_label)
+    return N
 
 
 def opposite(N: RegularSubgroup) -> RegularSubgroup:
@@ -398,10 +415,7 @@ def enumerate_hgs(
         complete = False
 
     found = _embedding_sets(CosetSpace(G, subgroup_closure(G, ())), specs)
-    structures = [
-        certify(G, PermGroup(key), type_label=spec)
-        for key, spec in found.items()
-    ]
+    structures = [_structure(G, key, spec) for key, spec in found.items()]
     return HgsInventory(G, structures, complete)
 
 

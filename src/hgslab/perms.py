@@ -5,7 +5,8 @@ wrapper class (the former GPerm is gone).  Composition is function
 composition, _compose(p, q)[x] = p[q[x]].  The left translation lambda(g)
 sends x to g*x and the right translation rho(g) sends x to x*g^-1, so both
 maps g -> lambda(g), g -> rho(g) are homomorphisms and their images
-commute elementwise.
+commute elementwise.  lambda(g) is row g of the Cayley table and rho(g) is
+column g^-1, read from a column table built once per group.
 
 Products are row gathers: _compose(p, q) is itemgetter(*q)(p), which reads
 all n images at C level instead of looping over the points in Python.
@@ -263,10 +264,14 @@ def lambda_embed(G: FiniteGroup, g: int) -> tuple:
     return G.table[g]
 
 
+def _columns(G: FiniteGroup) -> tuple:
+    """The columns of G's Cayley table, built once per group."""
+    return G._memo("columns", lambda: tuple(zip(*G.table)))
+
+
 def rho_embed(G: FiniteGroup, g: int) -> tuple:
-    """Right translation x -> x*g^-1."""
-    ginv = G.inverse[g]
-    return tuple([row[ginv] for row in G.table])
+    """Right translation x -> x*g^-1; this is column g^-1 of the table."""
+    return _columns(G)[G.inverse[g]]
 
 
 def lambda_image(G: FiniteGroup) -> PermGroup:
@@ -275,9 +280,8 @@ def lambda_image(G: FiniteGroup) -> PermGroup:
 
 
 def rho_image(G: FiniteGroup) -> PermGroup:
-    elems = [rho_embed(G, g) for g in range(G.order)]
     gens = [rho_embed(G, g) for g in G.generating_set() or (0,)]
-    return PermGroup(elems, generators=gens)
+    return PermGroup(_columns(G), generators=gens)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ stabilizers straight from orbit-stabilizer.  The stabilizer is the set of h
 for which rho(h) normalizes N, checked on N's generators; the elements
 reaching a member M form a coset t . Stab, so walking G in order and
 skipping the cosets already met gives each member once, carried by the least
-element of its coset.
+element of its coset.  Members and conjugates come from hgs._structure, so
+a set that a live structure already holds, such as an inventory member, is
+that same object rather than a fresh certified copy.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional
 
 from .errors import InvariantError
 from .groups import Subgroup, subgroup_closure
-from .hgs import HgsInventory, RegularSubgroup, certify, opposite
-from .perms import PermGroup, _conjugate_all, _escape, rho_embed
+from .hgs import HgsInventory, RegularSubgroup, _structure, opposite
+from .perms import _conjugate_all, _escape, rho_embed
 
 
 def _conjugate_key(elements, q: tuple, qinv: tuple) -> frozenset:
@@ -28,14 +30,12 @@ def _conjugate_key(elements, q: tuple, qinv: tuple) -> frozenset:
 
 
 def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
-    """The structure rho(g) . N . rho(g)^-1, certified."""
+    """The structure rho(g) . N . rho(g)^-1, certified (or the live one)."""
     G = N.group
     key = _conjugate_key(
         N.perms.elements, rho_embed(G, g), rho_embed(G, G.inverse[g])
     )
-    if key == N.perms.element_set:
-        return N
-    return certify(G, PermGroup(key), type_label=N._type_label)
+    return N if key == N.perms.element_set else _structure(G, key, N._type_label)
 
 
 def _is_conjugate(N: RegularSubgroup, g: int, M: RegularSubgroup) -> bool:
@@ -127,10 +127,7 @@ def _build_orbit(
     G = N.group
     built = []
     for key, t in transversal.items():
-        if key == N.perms.element_set:
-            member = N
-        else:
-            member = certify(G, PermGroup(key), type_label=N._type_label)
+        member = N if key == N.perms.element_set else _structure(G, key, N._type_label)
         built.append((member.canonical_key(), member, t))
     built.sort(key=lambda b: b[0])
     members = [m for _, m, _ in built]

@@ -8,6 +8,7 @@ exhibits, each one recomputed rather than read from stored constants.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -70,7 +71,6 @@ from .perms import (
 )
 from .rho import (
     _is_conjugate,
-    opposite_conjugate_commute,
     rho_conjugate,
     rho_orbit,
     rho_partition,
@@ -292,22 +292,33 @@ def check_brace_coherence() -> Tuple[bool, str]:
     return True, f"{count} braces coherent through order 12"
 
 
+def _opposite_transport_failure(structures) -> Optional[int]:
+    """The first g at which taking the opposite fails to commute with
+    conjugating by rho(g), as opposite_conjugate_commute decides it, or
+    None; each opposite is built once per element set."""
+    opp = functools.cache(opposite)
+    for S in structures:
+        for g in range(S.group.order):
+            if not _is_conjugate(opp(S), g, opp(rho_conjugate(S, g))):
+                return g
+    return None
+
+
 def check_opposite_transport() -> Tuple[bool, str]:
     count = 0
     for order in range(1, 13):
         for spec in catalog_specs(order):
-            G = build_group(spec)
-            for S in _inventory(str(spec)).structures:
-                for g in range(G.order):
-                    if not opposite_conjugate_commute(S, g):
-                        return False, f"{spec}: failed at g={g}"
-                count += 1
+            structures = _inventory(str(spec)).structures
+            g = _opposite_transport_failure(structures)
+            if g is not None:
+                return False, f"{spec}: failed at g={g}"
+            count += len(structures)
     G = build_group("metacyclic:7:3:2")
-    for M in rho_orbit(metacyclic_base_structure(G)).members:
-        for g in range(21):
-            if not opposite_conjugate_commute(M, g):
-                return False, f"metacyclic orbit member failed at g={g}"
-        count += 1
+    members = rho_orbit(metacyclic_base_structure(G)).members
+    g = _opposite_transport_failure(members)
+    if g is not None:
+        return False, f"metacyclic orbit member failed at g={g}"
+    count += len(members)
     return True, f"{count} structures commute with opposite under conjugation"
 
 
