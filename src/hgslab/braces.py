@@ -1,14 +1,16 @@
 """Skew braces extracted from structures.
 
-A skew brace here is one index set carrying two group tables, star and circ,
-sharing identity 0 and satisfying the left brace relation
+A skew brace here is two groups on one index set, star and circ, sharing
+identity 0 and satisfying the left brace relation
 
     x o (y * z) = (x o y) * inv(x) * (x o z)
 
 with inv the star inverse.  A structure N on G yields the brace with
-circ = G's table and star read off the eta index; conversely the star rows
-are themselves a structure on the circ group.  The two-sidedness, inner
-stabilizer, and Yang-Baxter content of a structure all live here.
+circ = G and star the group whose table is the eta index, which certify
+already made a group table: only tables from outside (skew_brace_from_tables)
+are validated as groups.  Conversely the star rows are themselves a
+structure on the circ group.  The two-sidedness, inner stabilizer, and
+Yang-Baxter content of a structure all live here.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .groups import (
     inner_automorphism,
     subgroup_closure,
 )
-from .hgs import RegularSubgroup, certify
+from .hgs import RegularSubgroup, certify, structure_group
 from .perms import (
     PermGroup,
     _compose,
@@ -40,42 +42,24 @@ from .perms import (
 
 
 class SkewBrace:
-    """Two compatible group tables on one index set with identity 0."""
+    """Two groups on one index set with identity 0: star and circ."""
 
-    __slots__ = (
-        "size",
-        "star",
-        "circ",
-        "star_inverse",
-        "circ_inverse",
-        "source",
-        "circ_group",
-        "_star_group",
-    )
+    __slots__ = ("star_group", "circ_group", "source", "size",
+                 "star", "circ", "star_inverse", "circ_inverse")
 
     def __init__(
         self,
-        star,
-        circ,
+        star_group: FiniteGroup,
         circ_group: FiniteGroup,
         source: Optional[RegularSubgroup] = None,
     ):
-        self.star = tuple(tuple(row) for row in star)
-        self.circ = tuple(tuple(row) for row in circ)
-        self.size = len(self.star)
+        self.star_group = star_group
         self.circ_group = circ_group
         self.source = source
-        self._star_group = None
-        self.star_inverse = _inverse_row(self.star)
-        self.circ_inverse = _inverse_row(self.circ)
-
-    @property
-    def star_group(self) -> FiniteGroup:
-        if self._star_group is None:
-            self._star_group = FiniteGroup(
-                self.star, names=self.circ_group.names
-            )
-        return self._star_group
+        # the groups' own tables and inverse rows, not copies
+        self.size = circ_group.order
+        self.star, self.star_inverse = star_group.table, star_group.inverse
+        self.circ, self.circ_inverse = circ_group.table, circ_group.inverse
 
     def __eq__(self, other) -> bool:
         return (
@@ -99,20 +83,6 @@ class SkewBrace:
         }
 
 
-def _inverse_row(table) -> tuple:
-    n = len(table)
-    inv = [0] * n
-    for a in range(n):
-        row = table[a]
-        for b in range(n):
-            if row[b] == 0:
-                inv[a] = b
-                break
-        else:
-            raise BraceAxiomError(f"element {a} has no inverse")
-    return tuple(inv)
-
-
 def _check_brace_relation(B: SkewBrace) -> None:
     """Left brace relation over all triples; raises with a witness.
 
@@ -134,24 +104,27 @@ def _check_brace_relation(B: SkewBrace) -> None:
                 )
 
 
-def skew_brace_from_tables(
-    star, circ, source: Optional[RegularSubgroup] = None, names=None
-) -> SkewBrace:
-    """Validating factory: both tables must be groups sharing identity 0."""
-    if source is not None:
-        circ_group = source.group
-    else:
-        circ_group = FiniteGroup(circ, names=names)
-    B = SkewBrace(star, circ, circ_group, source=source)
-    # building the star group validates identity, inverses, associativity
-    B.star_group
+def skew_brace_from_tables(star, circ, names=None) -> SkewBrace:
+    """Validating factory for tables from outside: both must be group
+    tables of one order sharing identity 0, and satisfy the brace relation."""
+    if len(star) != len(circ):
+        raise BraceAxiomError(
+            f"star table has order {len(star)}, circ table has order {len(circ)}"
+        )
+    B = SkewBrace(FiniteGroup(star, names=names), FiniteGroup(circ, names=names))
     _check_brace_relation(B)
     return B
 
 
 def brace_from_subgroup(N: RegularSubgroup) -> SkewBrace:
-    """The brace on G with star[a][b] = (eta_a . eta_b)[0] = eta_a[b]."""
-    return skew_brace_from_tables(N.eta, N.group.table, source=N)
+    """The brace on G with star[a][b] = (eta_a . eta_b)[0] = eta_a[b].
+
+    certify already made eta a group table, so only the brace relation
+    is checked.
+    """
+    B = SkewBrace(structure_group(N), N.group, source=N)
+    _check_brace_relation(B)
+    return B
 
 
 def subgroup_from_brace(B: SkewBrace) -> RegularSubgroup:
@@ -328,13 +301,6 @@ class YbeMap:
 
     def __call__(self, x: int, y: int) -> tuple:
         return self.left[x][y], self.right[x][y]
-
-    @property
-    def table(self) -> list:
-        return [
-            [(self.left[x][y], self.right[x][y]) for y in range(self.size)]
-            for x in range(self.size)
-        ]
 
     def is_bijective(self) -> bool:
         n = self.size

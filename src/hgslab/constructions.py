@@ -43,6 +43,7 @@ from .perms import (
     _conjugate_all,
     _invert,
     _escape,
+    _left_translations,
     in_holomorph,
     left_translation,
 )
@@ -396,15 +397,6 @@ def _check_coset_stable(cs: CosetSpace, A: PermGroup) -> None:
         )
 
 
-def _check_subgroup_stable(t_group: FiniteGroup, B: PermGroup) -> None:
-    table, inverse = t_group.table, t_group.inverse
-    lts = ((table[u], table[inverse[u]]) for u in t_group.generating_set())
-    if _escape(lts, B.generators, B.element_set) is not None:
-        raise ConstructionError(
-            "subgroup structure is not stable under its translations"
-        )
-
-
 def induced_input(
     G: FiniteGroup, T: Subgroup, S: Subgroup, A: PermGroup, B: PermGroup
 ) -> InducedInput:
@@ -432,7 +424,10 @@ def induced_input(
     t_group, t_elements = T.as_group()
     if B.base != len(t_elements) or not B.is_regular():
         raise ConstructionError("subgroup structure must be regular on the subgroup")
-    _check_subgroup_stable(t_group, B)
+    if _escape(_left_translations(t_group), B.generators, B.element_set) is not None:
+        raise ConstructionError(
+            "subgroup structure is not stable under its translations"
+        )
     return InducedInput(G, T, S, cs, A, B, t_group, t_elements, tuple(s_of))
 
 

@@ -26,17 +26,10 @@ from .perms import (
     PermGroup,
     _conjugate_all,
     _escape,
+    _left_translations,
     rho_embed,
 )
 from .rho import rho_conjugate
-
-
-def _is_translation_stable(N: RegularSubgroup, members: frozenset, gens) -> bool:
-    """Conjugation by lambda(g) must keep the subgroup inside itself;
-    group generators suffice on both sides."""
-    G = N.group
-    lts = ((G.table[h], G.table[G.inverse[h]]) for h in G.generating_set())
-    return _escape(lts, gens, members) is None
 
 
 def _lambda_orbits(N: RegularSubgroup, table: list) -> list:
@@ -75,7 +68,7 @@ def fixed_subgroup(N: RegularSubgroup, P: PermGroup) -> Subgroup:
     """
     if not P.element_set <= N.perms.element_set:
         raise CorrespondenceError("P is not a subgroup of the structure")
-    if not _is_translation_stable(N, P.element_set, P.generators):
+    if _escape(_left_translations(N.group), P.generators, P.element_set) is not None:
         raise CorrespondenceError("P is not stable under the translation action")
     points = {p.index(0) for p in P.elements}
     U = subgroup_closure(N.group, points)

@@ -44,6 +44,7 @@ from .perms import (
     _conjugate_all,
     _invert,
     _escape,
+    _left_translations,
     _tuple_order,
     lambda_image,
     left_translation,
@@ -174,8 +175,7 @@ def certify(
             raise NotRegular(f"elements {eta[a]} and {p} both send 0 to {a}")
         eta[a] = p
     # eta is filled exactly when the orbit of 0 is everything
-    lgens = [(G.table[g], G.table[G.inverse[g]]) for g in G.generating_set()]
-    escape = _escape(lgens, perms.generators, perms.element_set)
+    escape = _escape(_left_translations(G), perms.generators, perms.element_set)
     if escape is not None:
         q, p = escape
         raise NotStable(
@@ -223,7 +223,7 @@ def structure_group(N: RegularSubgroup) -> FiniteGroup:
 
     Its table is eta itself: eta_a . eta_b = eta_{eta_a[b]}.
     """
-    return FiniteGroup(N.eta, check=False)
+    return FiniteGroup(N.eta, names=N.group.names, check=False)
 
 
 def _catalog_type(M: FiniteGroup) -> Optional[GroupSpec]:

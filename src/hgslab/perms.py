@@ -264,6 +264,12 @@ def lambda_embed(G: FiniteGroup, g: int) -> tuple:
     return G.table[g]
 
 
+def _left_translations(G: FiniteGroup) -> list:
+    """(lambda(g), lambda(g^-1)) for g in G's generating set: the conjugator
+    pairs for _escape that stand for every left translation."""
+    return [(G.table[g], G.table[G.inverse[g]]) for g in G.generating_set()]
+
+
 def _columns(G: FiniteGroup) -> tuple:
     """The columns of G's Cayley table, built once per group."""
     return G._memo("columns", lambda: tuple(zip(*G.table)))

@@ -76,13 +76,10 @@ from .rho import (
     rho_partition,
 )
 
-_INVENTORY_CACHE: dict = {}
 
-
+@functools.cache
 def _inventory(spec: str):
-    if spec not in _INVENTORY_CACHE:
-        _INVENTORY_CACHE[spec] = enumerate_hgs(build_group(spec))
-    return _INVENTORY_CACHE[spec]
+    return enumerate_hgs(build_group(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,29 @@
 import pytest
 
 from hgslab import (
+    abelian_maps,
     brace_automorphisms,
     brace_from_subgroup,
     braces_isomorphic,
     build_group,
     compare_braces,
     enumerate_hgs,
+    hgs_from_abelian_map,
     inner_stabilizer,
     is_two_sided,
     lambda_structure,
     mixed_inverse_identity,
     rho_fix_criteria,
     rho_orbit,
+    rho_partition,
     rho_structure,
     skew_brace_from_tables,
     subgroup_from_brace,
     ybe_map,
 )
+from hgslab import braces
+from hgslab.errors import BraceAxiomError, InvalidSpec
+from hgslab.groups import FiniteGroup
 from hgslab.verify import metacyclic_base_structure
 
 
@@ -77,15 +83,62 @@ def test_brace_rejects_corrupted_star_table(s3):
     B = brace_from_subgroup(rho_structure(s3))
     star = [list(row) for row in B.star]
     star[1][2], star[1][3] = star[1][3], star[1][2]
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidSpec, match="column 2 is not a permutation"):
         skew_brace_from_tables(star, B.circ)
 
 
 def test_brace_rejects_broken_compatibility(s3):
     # two valid group tables that do not satisfy the brace law
     C6 = build_group("cyclic:6")
-    with pytest.raises(Exception):
+    with pytest.raises(BraceAxiomError, match="brace relation fails"):
         skew_brace_from_tables(C6.table, s3.table)
+
+
+def test_brace_rejects_tables_of_different_orders(s3):
+    C8 = build_group("cyclic:8").table
+    with pytest.raises(BraceAxiomError,
+                       match="star table has order 8, circ table has order 6"):
+        skew_brace_from_tables(C8, s3.table)
+    with pytest.raises(BraceAxiomError,
+                       match="star table has order 6, circ table has order 8"):
+        skew_brace_from_tables(s3.table, C8)
+
+
+def _s5_orbit_representatives():
+    G = build_group("sym:5")
+    structures = [hgs_from_abelian_map(am) for am in abelian_maps(G)]
+    return [orbit.members[0] for orbit in rho_partition(structures)]
+
+
+def test_brace_from_subgroup_equals_the_validated_brace(catalog_structures):
+    # the unchecked path against the factory that validates both tables
+    structures = catalog_structures + _s5_orbit_representatives()
+    assert len(structures) == 379
+    for N in structures:
+        B = brace_from_subgroup(N)
+        want = skew_brace_from_tables(N.eta, N.group.table,
+                                      names=N.group.names)
+        assert B == want
+        assert B.star_inverse == want.star_inverse
+        assert B.circ_inverse == want.circ_inverse
+        assert B.star_group.names == want.star_group.names == N.group.names
+        assert B.circ_group is N.group and B.source is N
+
+
+def test_brace_from_subgroup_builds_no_checked_group(catalog_structures,
+                                                      monkeypatch):
+    def refuse(self):
+        raise AssertionError("a group table was validated again")
+
+    checked = []
+    relation = braces._check_brace_relation
+    monkeypatch.setattr(FiniteGroup, "_validate_shape", refuse)
+    monkeypatch.setattr(FiniteGroup, "_validate_associativity", refuse)
+    monkeypatch.setattr(braces, "_check_brace_relation",
+                        lambda B: checked.append(relation(B)))
+    for N in catalog_structures:
+        brace_from_subgroup(N)
+    assert len(checked) == len(catalog_structures) == 376
 
 
 def test_lambda_brace_automorphisms_are_group_automorphisms(s3):

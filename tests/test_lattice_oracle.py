@@ -19,9 +19,8 @@ from hgslab import (
     rho_conjugate,
     rho_structure,
 )
-from hgslab.correspondence import _is_translation_stable
 from hgslab.groups import subgroup_closure
-from hgslab.perms import PermGroup
+from hgslab.perms import PermGroup, _escape, _left_translations
 from test_hol_oracle import perm_group_as_group
 
 
@@ -53,7 +52,7 @@ def _scan_stable_subgroups(N):
         perms = [elems[i] for i in sub.elements]
         members = frozenset(perms)
         gens = [elems[i] for i in sub.generators] or perms
-        if _is_translation_stable(N, members, gens):
+        if _escape(_left_translations(N.group), gens, members) is None:
             out.append(PermGroup(members))
     out.sort(key=lambda P: (P.order, P.canonical_key()))
     return out
