@@ -133,14 +133,15 @@ def subgroup_from_brace(B: SkewBrace) -> RegularSubgroup:
     return certify(B.circ_group, perms)
 
 
-def _right_relation_at(B: SkewBrace, g: int) -> bool:
+def _right_relation_at(B: SkewBrace, g: int, at_star=None) -> bool:
     """(y * z) o g = (y o g) * inv(g) * (z o g) for all y, z.
 
     With col the column z -> z o g, row y compares col gathered at star[y]
-    with the star row of (y o g) * inv(g) gathered at col.
+    with the star row of (y o g) * inv(g) gathered at col.  at_star, the
+    getters of the star rows, can be built once for many g.
     """
     star = B.star
-    at_star = [_row_getter(row) for row in star]
+    at_star = at_star or [_row_getter(row) for row in star]
     gi = B.star_inverse[g]
     col = tuple(row[g] for row in B.circ)
     at_col = _row_getter(col)
@@ -152,7 +153,8 @@ def _right_relation_at(B: SkewBrace, g: int) -> bool:
 
 def is_two_sided(B: SkewBrace) -> bool:
     """Whether the mirrored brace relation holds for every g."""
-    return all(_right_relation_at(B, g) for g in range(B.size))
+    at_star = [_row_getter(row) for row in B.star]
+    return all(_right_relation_at(B, g, at_star) for g in range(B.size))
 
 
 def brace_automorphisms(B: SkewBrace) -> List[GroupHom]:
@@ -270,12 +272,13 @@ def compare_braces(N1: RegularSubgroup, N2: RegularSubgroup) -> BraceComparison:
     of G, plain or star-preserving) are computed independently so tests can
     assert they agree with the table-level answers.  phi^-1 . N1 . phi is
     generated by the conjugates of N1's generators, so it is N2, of the same
-    order, once those lie in N2; no conjugate is built.
+    order, once those lie in N2; no conjugate is built.  The braces are
+    read from the certified eta tables without checking the brace relation.
     """
     if N1.group is not N2.group:
         raise ValueError("structures live on different groups")
-    B1 = brace_from_subgroup(N1)
-    B2 = brace_from_subgroup(N2)
+    B1 = SkewBrace(structure_group(N1), N1.group, source=N1)
+    B2 = SkewBrace(structure_group(N2), N2.group, source=N2)
     probes, target = N1.perms.generators, N2.perms.element_set
 
     def carries(phis) -> bool:
@@ -318,7 +321,8 @@ class YbeMap:
         With (u, v) = r(x, y) the left side is (L[u][L[v][z]],
         R[u][L[v][z]], R[v][z]).  With p, q = L[y][z], R[y][z] and
         e = R[x][p] the right side is (L[x][p], L[e][q], R[e][q]); its last
-        two coordinates gather the flattened tables at e * n + q.
+        two coordinates gather the flattened tables at e * n + q.  ybe_map
+        runs it only on maps _actions_hold rejects, so it decides rejections.
         """
         L = tuple(map(tuple, self.left))
         R = tuple(map(tuple, self.right))
@@ -348,11 +352,32 @@ class YbeMap:
         }
 
 
+def _actions_hold(r: YbeMap, circ_group: FiniteGroup) -> bool:
+    """Whether sigma_x = left[x] and tau_y = column y of right are a left
+    and a right action of circ_group, checked on its generators g:
+    sigma_0 = tau_0 = id, sigma_(y o g) = sigma_y sigma_g and
+    tau_(g o z) = tau_z tau_g.  Every element is a positive word in the
+    generators, so induction on the word gives the laws for all elements."""
+    ident = tuple(range(r.size))
+    circ, L, cols = circ_group.table, r.left, tuple(zip(*r.right))
+    if L[0] != ident or cols[0] != ident:
+        return False
+    for g in circ_group.generating_set():
+        at_sg, at_tg = _row_getter(L[g]), _row_getter(cols[g])
+        if any(L[cy[g]] != at_sg(ly) for cy, ly in zip(circ, L)) or any(
+                cols[gz] != at_tg(tz) for gz, tz in zip(circ[g], cols)):
+            return False
+    return True
+
+
 def ybe_map(B: SkewBrace) -> YbeMap:
     """The Yang-Baxter map r(x,y) = (u, circ_inv(u) o x o y), u = inv(x)*(x o y).
 
     Bijectivity and the braid relation are verified before returning; a
-    failure indicates a corrupted brace.
+    failure indicates a corrupted brace.  r(x,y) = (sigma_x(y), tau_y(x))
+    keeps x o y = sigma_x(y) o tau_y(x), so a left action sigma and a right
+    action tau of the circ group give the braid relation (Lu-Yan-Zhu): it is
+    accepted when _actions_hold, and braid_holds decides the rest.
     """
     n = B.size
     star, circ = B.star, B.circ
@@ -373,6 +398,6 @@ def ybe_map(B: SkewBrace) -> YbeMap:
     out = YbeMap(n, tuple(left), tuple(right))
     if not out.is_bijective():
         raise BraidError("Yang-Baxter map is not a bijection of B x B")
-    if not out.braid_holds():
+    if not (_actions_hold(out, B.circ_group) or out.braid_holds()):
         raise BraidError("braid relation fails")
     return out

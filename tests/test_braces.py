@@ -1,5 +1,7 @@
 """Skew braces from structures: axioms, criteria, comparisons, Yang-Baxter."""
 
+from functools import lru_cache
+
 import pytest
 
 from hgslab import (
@@ -104,6 +106,7 @@ def test_brace_rejects_tables_of_different_orders(s3):
         skew_brace_from_tables(s3.table, C8)
 
 
+@lru_cache(maxsize=None)
 def _s5_orbit_representatives():
     G = build_group("sym:5")
     structures = [hgs_from_abelian_map(am) for am in abelian_maps(G)]
@@ -180,6 +183,31 @@ def test_compare_braces_on_conjugates(d4_inventory):
     assert cmp_res.isomorphic
     assert not cmp_res.equal
     assert cmp_res.consistent
+
+
+def test_compare_braces_checks_no_brace_relation(d4_inventory, monkeypatch):
+    def refuse(B):
+        raise AssertionError("compare_braces checked a brace relation")
+
+    monkeypatch.setattr(braces, "_check_brace_relation", refuse)
+    results = [compare_braces(N, M)
+               for N in d4_inventory for M in d4_inventory]
+    assert len(results) == len(d4_inventory) ** 2 == 900
+    assert all(c.consistent for c in results)
+    assert sum(c.equal for c in results) == 30
+    assert sum(c.isomorphic for c in results) == 80
+
+
+def test_ybe_map_never_calls_braid_holds_on_a_valid_brace(catalog_structures,
+                                                          monkeypatch):
+    def refuse(self):
+        raise AssertionError("braid_holds ran on a valid brace")
+
+    monkeypatch.setattr(braces.YbeMap, "braid_holds", refuse)
+    structures = catalog_structures + _s5_orbit_representatives()
+    assert len(structures) == 379
+    for N in structures:
+        ybe_map(brace_from_subgroup(N))
 
 
 def test_compare_braces_same_structure(s3_inventory):

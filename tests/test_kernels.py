@@ -8,6 +8,7 @@ raises, the same exception with the same (x,y,z) witness.  Orders 1 and 2
 get their own runs, since itemgetter with one index returns a scalar.
 """
 
+import itertools
 import random
 
 import pytest
@@ -24,10 +25,11 @@ from hgslab import (
 from hgslab.braces import (
     SkewBrace,
     YbeMap,
+    _actions_hold,
     _check_brace_relation,
     _right_relation_at,
 )
-from hgslab.errors import BraceAxiomError, InvalidSpec
+from hgslab.errors import BraceAxiomError, BraidError, InvalidSpec
 from hgslab.groups import FiniteGroup, _respects
 from hgslab.perms import (
     _compose,
@@ -330,6 +332,134 @@ def test_braid_holds_matches_loop_on_swapped_catalog_maps(catalog_structures):
             assert YbeMap(r.size, L, R).braid_holds() == braid_loop(L, R)
             checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# The braid relation from the two action laws
+
+
+def right_from_left(left, circ, circ_inverse):
+    """ybe_map's right table: circ_inv(u) o x o y with u = left[x][y]."""
+    n = len(left)
+    return tuple(
+        tuple(circ[circ[circ_inverse[left[x][y]]][x]][y] for y in range(n))
+        for x in range(n)
+    )
+
+
+def ybe_tables(B):
+    """ybe_map's (left, right) on B point by point, without its checks."""
+    n, star, circ = B.size, B.star, B.circ
+    left = tuple(
+        tuple(star[B.star_inverse[x]][circ[x][y]] for y in range(n))
+        for x in range(n)
+    )
+    return left, right_from_left(left, circ, B.circ_inverse)
+
+
+def actions_loop(L, R, circ):
+    """Whether sigma_x = L[x] is a left and tau_y: x -> R[x][y] a right
+    action of the group circ, over all pairs and points."""
+    rng = range(len(L))
+    return all(L[0][z] == z and R[z][0] == z for z in rng) and all(
+        L[circ[a][b]][z] == L[a][L[b][z]] and R[z][circ[a][b]] == R[R[z][a]][b]
+        for a in rng
+        for b in rng
+        for z in rng
+    )
+
+
+def relabelled(table, p):
+    """The table with each index a renamed p[a]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[p[a]][p[b]] = p[ab]
+    return tuple(map(tuple, out))
+
+
+# per group: mutants made (half star-table swaps, half left-row swaps),
+# mutants _actions_hold accepts, star and left swaps that keep the braid
+# relation
+ACTION_MUTANTS = {"cyclic:4": (24, 0, 0, 3), "elemab:2:2": (48, 0, 1, 8),
+                  "dihedral:4": (96, 0, 1, 1), "elemab:2:3": (96, 0, 1, 5),
+                  "metacyclic:7:3:2": (96, 0, 0, 0)}
+
+
+@pytest.mark.parametrize("spec", list(ACTION_MUTANTS))
+def test_actions_hold_matches_all_pairs_loop_on_seeded_swaps(spec):
+    G = build_group(spec)
+    rng = random.Random(f"{SEED}/actions/{spec}")
+    accepted, braided, compared = 0, [0, 0], 0
+    for N in enumerate_hgs(G)[:8]:
+        good = brace_from_subgroup(N)
+        r = ybe_map(good)
+        assert ybe_tables(good) == (r.left, r.right)
+        assert _actions_hold(r, G) and actions_loop(r.left, r.right, G.table)
+        for _ in range(6):
+            star = swap_in_table(good.star, rng)
+            left = swap_in_table(r.left, rng)
+            mutants = (ybe_tables(SkewBrace(RawTable(star), G)),
+                       (left, right_from_left(left, G.table, G.inverse)))
+            for kind, (L, R) in enumerate(mutants):
+                holds = braid_loop(L, R)
+                got = _actions_hold(YbeMap(G.order, L, R), G)
+                assert got == actions_loop(L, R, G.table)
+                assert holds or not got
+                accepted += got
+                braided[kind] += holds
+                compared += 1
+    assert (compared, accepted, *braided) == ACTION_MUTANTS[spec]
+
+
+@pytest.mark.parametrize("spec,accepted", [("cyclic:4", 2), ("elemab:2:2", 4)])
+def test_actions_hold_matches_all_pairs_loop_on_every_left_table(spec,
+                                                                 accepted):
+    # every left table of order 4 with left[0] = id and permutation rows,
+    # right by ybe_map's formula: among them are maps whose sigma is an
+    # action and tau is not, and on elemab:2:2 maps that keep both laws at
+    # the first generator only
+    G = build_group(spec)
+    got = 0
+    for rows in itertools.product(itertools.permutations(range(4)), repeat=3):
+        L = (tuple(range(4)), *rows)
+        R = right_from_left(L, G.table, G.inverse)
+        holds = _actions_hold(YbeMap(4, L, R), G)
+        assert holds == actions_loop(L, R, G.table)
+        assert braid_loop(L, R) or not holds
+        got += holds
+    assert got == accepted
+
+
+def test_ybe_map_falls_back_to_braid_holds_on_relabelled_stars(monkeypatch):
+    # cyclic:6 renamed onto the set of sym:3 by each of the 120 p fixing 0,
+    # p = id among them: star and circ are groups and every map is a
+    # bijection, but 108 maps break the braid relation, each raising
+    # BraidError through braid_holds, and 6 keep it without two actions
+    G, C6 = build_group("sym:3"), build_group("cyclic:6")
+    fallbacks = []
+    braid_holds = YbeMap.braid_holds
+
+    def recorded(r):
+        fallbacks.append(braid_holds(r))
+        return fallbacks[-1]
+
+    monkeypatch.setattr(YbeMap, "braid_holds", recorded)
+    counts = {}
+    for rest in itertools.permutations(range(1, 6)):
+        B = SkewBrace(RawTable(relabelled(C6.table, (0, *rest))), G)
+        L, R = ybe_tables(B)
+        holds, acts = braid_loop(L, R), actions_loop(L, R, G.table)
+        asked = len(fallbacks)
+        try:
+            ybe_map(B)
+            verdict = None
+        except BraidError as exc:
+            verdict = str(exc)
+        assert verdict == (None if holds else "braid relation fails")
+        assert fallbacks[asked:] == ([] if acts else [holds])
+        counts[holds, acts] = counts.get((holds, acts), 0) + 1
+    assert counts == {(False, False): 108, (True, False): 6, (True, True): 6}
 
 
 # ---------------------------------------------------------------------------
