@@ -255,12 +255,9 @@ class AbelianMap:
         if not is_homomorphism(hom.domain, hom.codomain, hom.images):
             raise ConstructionError("the map is not a homomorphism")
         G = hom.domain
-        image = sorted(set(hom.images))
-        for a in image:
-            row = G.table[a]
-            for b in image:
-                if row[b] != G.table[b][a]:
-                    raise ConstructionError("the image is not abelian")
+        image, t = set(hom.images), G.table
+        if any(t[a][b] != t[b][a] for a in image for b in image):
+            raise ConstructionError("the image is not abelian")
         self.hom = hom
 
     @property
@@ -291,23 +288,22 @@ def abelian_maps(G: FiniteGroup) -> list:
     """All endomorphisms of G with abelian image, sorted by image array.
 
     Backtracks over generator images; a generator of order k can only map
-    to an element whose order divides k.
+    to an element whose order divides k.  The image is generated by the
+    generator images, so it is abelian exactly when they commute pairwise.
     """
     gens = G.generating_set()
-    orders = G.element_orders
+    orders, t = G.element_orders, G.table
     candidates = []
     for g in gens:
         o = orders[g]
         candidates.append([x for x in range(G.order) if o % orders[x] == 0])
     out = []
     for combo in itertools.product(*candidates):
+        if any(t[a][b] != t[b][a] for a, b in itertools.combinations(combo, 2)):
+            continue
         images = extend_generator_images(G, combo, G)
-        if images is None:
-            continue
-        try:
+        if images is not None:
             out.append(AbelianMap(GroupHom(G, G, images)))
-        except ConstructionError:
-            continue
     out.sort(key=lambda m: m.hom.images)
     return out
 

@@ -24,9 +24,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ClosureCapExceeded, InvalidSpec, OrderTooLarge
 
-# Exhaustive associativity checking is cubic; cap it at small orders.
-ASSOCIATIVITY_CHECK_LIMIT = 24
-
 # Orders for which catalog_specs() lists every isomorphism type; primes are
 # complete too (see catalog_complete).
 COMPLETE_ORDERS = frozenset(range(1, 16)) | {21}
@@ -170,8 +167,8 @@ class FiniteGroup:
 
     The table is validated on construction: rows and columns must be
     permutations, index 0 must act as a two-sided identity and every element
-    needs a two-sided inverse.  Associativity is checked exhaustively for
-    orders up to ASSOCIATIVITY_CHECK_LIMIT.
+    needs a two-sided inverse.  Associativity is decided at every order by
+    Light's test on generators; a scan only names the witness.
     """
 
     __slots__ = ("order", "table", "inverse", "names", "spec", "_derived")
@@ -197,7 +194,7 @@ class FiniteGroup:
         if check:
             self._validate_shape()
         self.inverse = self._compute_inverses()
-        if check and n <= ASSOCIATIVITY_CHECK_LIMIT:
+        if check:
             self._validate_associativity()
 
     # -- construction checks
@@ -212,15 +209,13 @@ class FiniteGroup:
                 raise InvalidSpec(f"row {a} has wrong length")
             if tuple(sorted(row)) != ident:
                 raise InvalidSpec(f"row {a} is not a permutation")
-        for b in range(n):
-            col = tuple(self.table[a][b] for a in range(n))
+        for b, col in enumerate(zip(*self.table)):
             if tuple(sorted(col)) != ident:
                 raise InvalidSpec(f"column {b} is not a permutation")
         if self.table[0] != ident:
             raise InvalidSpec("index 0 is not a left identity")
-        for a in range(n):
-            if self.table[a][0] != a:
-                raise InvalidSpec("index 0 is not a right identity")
+        if tuple(row[0] for row in self.table) != ident:
+            raise InvalidSpec("index 0 is not a right identity")
 
     def _compute_inverses(self) -> tuple:
         inv = [0] * self.order
@@ -232,8 +227,10 @@ class FiniteGroup:
         return tuple(inv)
 
     def _validate_associativity(self) -> None:
-        """Row (ab) of the table must equal row a gathered at row b."""
+        """When _associative says no, names the first failing (a,b,c)."""
         t = self.table
+        if _associative(t):
+            return
         at_row = [_row_getter(row) for row in t]
         for a, ta in enumerate(t):
             for b, ab in enumerate(ta):
@@ -285,25 +282,14 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        def compute():
-            t = self.table
-            return all(
-                t[a][b] == t[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-
-        return self._memo("abelian", compute)
+        """Whether the table equals its transpose."""
+        return self._memo("abelian", lambda: self.table == tuple(zip(*self.table)))
 
     def center(self) -> tuple:
-        def compute():
-            t = self.table
-            rng = range(self.order)
-            return tuple(
-                a for a in rng if all(t[a][b] == t[b][a] for b in rng)
-            )
-
-        return self._memo("center", compute)
+        """The a whose row equals their column."""
+        t = self.table
+        return self._memo("center", lambda: tuple(
+            a for a, col in enumerate(zip(*t)) if t[a] == col))
 
     def generating_set(self) -> tuple:
         """Greedy small generating set, highest element order first: walk the
@@ -335,6 +321,25 @@ def _row_getter(idx: Sequence[int]) -> Callable:
     if len(idx) <= 1:
         return lambda seq: tuple(seq[i] for i in idx)
     return itemgetter(*idx)
+
+
+def _acts(rows, table: Sequence[Sequence[int]], gens) -> bool:
+    """Whether rows[table[y][g]][z] == rows[y][rows[g][z]] for all y, z and
+    each g in gens.  The g passing it are closed under an associative
+    table's product, so on generators it gives the law at every g."""
+    for g in gens:
+        at_g = _row_getter(rows[g])
+        if any(rows[ty[g]] != at_g(ry) for ty, ry in zip(table, rows)):
+            return False
+    return True
+
+
+def _associative(t: Sequence[Sequence[int]]) -> bool:
+    """Light's test: (y*g)*z = y*(g*z) at g = 0 and at the generators
+    _greedy_join picks.  The g passing it are closed under the product even
+    in a table that is not associative, and every id is 0, a generator or a
+    product of them."""
+    return _acts(t, t, (0, *_greedy_join(t, range(1, len(t)))[0]))
 
 
 def _respects(images: Sequence[int], src_rows, dst_rows) -> bool:

@@ -42,3 +42,14 @@ def catalog_structures():
         for spec in catalog_specs(n)
         for N in enumerate_hgs(build_group(spec))
     ]
+
+
+@pytest.fixture(scope="session")
+def s5_orbit_structures():
+    """The first member of each of the 3 rho-orbits of the 26 abelian-map
+    structures on sym:5."""
+    from hgslab import abelian_maps, hgs_from_abelian_map, rho_partition
+
+    G = build_group("sym:5")
+    structures = [hgs_from_abelian_map(am) for am in abelian_maps(G)]
+    return [orbit.members[0] for orbit in rho_partition(structures)]

@@ -1,25 +1,20 @@
 """Skew braces from structures: axioms, criteria, comparisons, Yang-Baxter."""
 
-from functools import lru_cache
-
 import pytest
 
 from hgslab import (
-    abelian_maps,
     brace_automorphisms,
     brace_from_subgroup,
     braces_isomorphic,
     build_group,
     compare_braces,
     enumerate_hgs,
-    hgs_from_abelian_map,
     inner_stabilizer,
     is_two_sided,
     lambda_structure,
     mixed_inverse_identity,
     rho_fix_criteria,
     rho_orbit,
-    rho_partition,
     rho_structure,
     skew_brace_from_tables,
     subgroup_from_brace,
@@ -106,16 +101,10 @@ def test_brace_rejects_tables_of_different_orders(s3):
         skew_brace_from_tables(s3.table, C8)
 
 
-@lru_cache(maxsize=None)
-def _s5_orbit_representatives():
-    G = build_group("sym:5")
-    structures = [hgs_from_abelian_map(am) for am in abelian_maps(G)]
-    return [orbit.members[0] for orbit in rho_partition(structures)]
-
-
-def test_brace_from_subgroup_equals_the_validated_brace(catalog_structures):
+def test_brace_from_subgroup_equals_the_validated_brace(catalog_structures,
+                                                       s5_orbit_structures):
     # the unchecked path against the factory that validates both tables
-    structures = catalog_structures + _s5_orbit_representatives()
+    structures = catalog_structures + s5_orbit_structures
     assert len(structures) == 379
     for N in structures:
         B = brace_from_subgroup(N)
@@ -199,12 +188,13 @@ def test_compare_braces_checks_no_brace_relation(d4_inventory, monkeypatch):
 
 
 def test_ybe_map_never_calls_braid_holds_on_a_valid_brace(catalog_structures,
+                                                          s5_orbit_structures,
                                                           monkeypatch):
     def refuse(self):
         raise AssertionError("braid_holds ran on a valid brace")
 
     monkeypatch.setattr(braces.YbeMap, "braid_holds", refuse)
-    structures = catalog_structures + _s5_orbit_representatives()
+    structures = catalog_structures + s5_orbit_structures
     assert len(structures) == 379
     for N in structures:
         ybe_map(brace_from_subgroup(N))

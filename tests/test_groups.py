@@ -210,6 +210,18 @@ def test_finite_group_rejects_broken_table():
                      (4, 2, 0, 1, 3)))
 
 
+def test_finite_group_refuses_a_non_associative_table_of_order_26():
+    # cyclic:26 with 2 and 15 exchanged on the intercalate at rows and
+    # columns 1 and 14: still a Latin square with identity 0 and two-sided
+    # inverses, but (1+1)+2 = 17 while 1+(1+2) = 4
+    t = [list(row) for row in build_group("cyclic:26").table]
+    for a, b in ((1, 1), (1, 14), (14, 1), (14, 14)):
+        t[a][b] = {2: 15, 15: 2}[t[a][b]]
+    with pytest.raises(InvalidSpec) as exc:
+        FiniteGroup(t)
+    assert str(exc.value) == "associativity fails at (1,1,2)"
+
+
 def test_generating_set_generates():
     for spec in ["cyclic:12", "dihedral:6", "quaternion:8"]:
         G = build_group(spec)

@@ -15,11 +15,13 @@ import pytest
 
 from hgslab import (
     automorphisms,
+    braces,
     brace_from_subgroup,
     build_group,
     enumerate_hgs,
     inner_automorphism,
     rho_partition,
+    rho_structure,
     ybe_map,
 )
 from hgslab.braces import (
@@ -27,10 +29,12 @@ from hgslab.braces import (
     YbeMap,
     _actions_hold,
     _check_brace_relation,
+    _lambda_rows,
     _right_relation_at,
+    is_two_sided,
 )
 from hgslab.errors import BraceAxiomError, BraidError, InvalidSpec
-from hgslab.groups import FiniteGroup, _respects
+from hgslab.groups import FiniteGroup, _acts, _associative, _respects
 from hgslab.perms import (
     _compose,
     _conjugate_all,
@@ -64,6 +68,12 @@ def respects_loop(images, src, dst):
         for a in range(n)
         for b in range(n)
     )
+
+
+def acts_loop(rows, table, gens):
+    rng = range(len(rows))
+    return all(rows[table[y][g]][z] == rows[y][rows[g][z]]
+               for g in gens for y in rng for z in rng)
 
 
 def associativity_loop(t):
@@ -147,6 +157,14 @@ def swap_in_table(table, rng):
     n = len(table)
     i, j = rng.sample(range(n), 2)
     return swap_row(table, rng.randrange(n), i, j)
+
+
+def order_4_tables():
+    """Every table of order 4 whose row 0 is the identity and whose rows
+    are permutations (13,824)."""
+    ident = tuple(range(4))
+    for rows in itertools.product(itertools.permutations(range(4)), repeat=3):
+        yield (ident, *rows)
 
 
 def swap_mutants(r):
@@ -258,6 +276,69 @@ def test_associativity_witness_on_a_valid_table_is_none():
         assert outcome(G._validate_associativity) is None
 
 
+# per group: seeded mutants compared, mutants _acts accepts (a table swap
+# off the generator columns leaves everything it reads unchanged)
+ACTS_MUTANTS = {"cyclic:2": (120, 50), "sym:3": (120, 11),
+                "dihedral:4": (120, 32), "quaternion:8": (120, 24),
+                "metacyclic:7:3:2": (120, 39), "sym:4": (120, 41)}
+
+
+@pytest.mark.parametrize("spec", list(ACTS_MUTANTS))
+def test_acts_matches_per_point_loop_on_seeded_row_swaps(spec):
+    # the table on itself (associativity), the columns on the columns
+    # (a right action) and the lambda rows of the rho structure's brace on
+    # the table (conjugation), each with its rows or its table swapped,
+    # on the generators and on 0 and the generators
+    G = build_group(spec)
+    gens = G.generating_set()
+    cols = tuple(zip(*G.table))
+    lam = _lambda_rows(brace_from_subgroup(rho_structure(G)))
+    rng = random.Random(f"{SEED}/acts/{spec}")
+    compared = accepted = 0
+    for rows, table in ((G.table, G.table), (cols, cols), (lam, G.table)):
+        assert _acts(rows, table, gens) and acts_loop(rows, table, gens)
+        for _ in range(10):
+            cases = ((swap_in_table(rows, rng), table),
+                     (rows, swap_in_table(table, rng)))
+            for r, t in cases:
+                for on in (gens, (0, *gens)):
+                    got = _acts(r, t, on)
+                    assert got == acts_loop(r, t, on)
+                    accepted += got
+                    compared += 1
+    assert (compared, accepted) == ACTS_MUTANTS[spec]
+
+
+def test_associativity_acceptance_on_every_order_4_table():
+    # an associative table passes Light's test at every g, so on these
+    # tables it accepts exactly the associative ones
+    accepted = 0
+    for t in order_4_tables():
+        got = _associative(t)
+        assert got == (outcome(associativity_loop, t) is None)
+        accepted += got
+    assert accepted == 11
+
+
+# seeded swaps Light's test accepts per group; order 2 has associative ones
+LIGHT_ACCEPTS = {spec: 0 for spec in SMALL_GROUPS + ["sym:4", "cyclic:26"]}
+LIGHT_ACCEPTS["cyclic:2"] = 12
+
+
+@pytest.mark.parametrize("spec", list(LIGHT_ACCEPTS))
+def test_associativity_acceptance_is_sound_on_seeded_swaps(spec):
+    table = build_group(spec).table
+    assert _associative(table)
+    rng = random.Random(f"{SEED}/light/{spec}")
+    accepted = 0
+    for _ in range(25):
+        t = swap_in_table(table, rng)
+        if _associative(t):
+            assert outcome(associativity_loop, t) is None
+            accepted += 1
+    assert accepted == LIGHT_ACCEPTS[spec]
+
+
 class RawTable:
     """What SkewBrace reads of a group, for a table that need not be one:
     inverse[a] is the first b with a*b = 0, a right inverse."""
@@ -294,6 +375,75 @@ def test_brace_relation_errors_match_on_corrupted_tables(spec):
                 assert _right_relation_at(B, g) == right_relation_loop(B, g)
     assert compared == BRACE_MUTANTS[spec]
     assert failures > 0
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The braces that _brace_relation_scan runs on, recorded as it runs."""
+    out, scan = [], braces._brace_relation_scan
+    monkeypatch.setattr(braces, "_brace_relation_scan",
+                        lambda B: out.append(B) or scan(B))
+    return out
+
+
+# per circ group: order-4 stars compared, those that satisfy the brace
+# relation, and those of them accepted on generators (the others are not
+# groups with identity 0)
+ORDER_4_STARS = {"cyclic:4": (13872, 25, 10), "elemab:2:2": (13872, 47, 16)}
+
+
+@pytest.mark.parametrize("spec", list(ORDER_4_STARS))
+def test_brace_relation_on_every_order_4_star(spec, scanned):
+    # every table with identity row 0 and permutation rows, and the two
+    # groups of order 4 renamed by each of the 24 p, most of which move
+    # their identity off 0
+    G = build_group(spec)
+    renamed = (relabelled(build_group(h).table, p)
+               for h in ORDER_4_STARS
+               for p in itertools.permutations(range(4)))
+    compared = holds = 0
+    for t in itertools.chain(order_4_tables(), renamed):
+        B = SkewBrace(RawTable(t), G)
+        want = outcome(brace_relation_loop, B.star, B.circ, B.star_inverse)
+        assert outcome(_check_brace_relation, B) == want
+        holds += want is None
+        compared += 1
+    fast = compared - len(scanned)
+    assert (compared, holds, fast) == ORDER_4_STARS[spec]
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "cyclic:6"])
+def test_brace_relation_on_relabelled_group_stars(spec, scanned):
+    # cyclic:6 and sym:3 renamed by each of the 120 p fixing 0 as the star
+    # of spec: on group stars the generator check alone decides, so the
+    # scan runs only to raise
+    G = build_group(spec)
+    holds = 0
+    for H in (build_group("cyclic:6"), build_group("sym:3")):
+        for rest in itertools.permutations(range(1, 6)):
+            B = SkewBrace(RawTable(relabelled(H.table, (0, *rest))), G)
+            want = outcome(brace_relation_loop, B.star, B.circ, B.star_inverse)
+            asked = len(scanned)
+            assert outcome(_check_brace_relation, B) == want
+            assert (len(scanned) == asked) == (want is None)
+            holds += want is None
+    assert holds == {"sym:3": 18, "cyclic:6": 14}[spec]
+
+
+def test_valid_braces_are_accepted_and_two_sided_on_generators(
+        catalog_structures, s5_orbit_structures, monkeypatch):
+    def refuse(B):
+        raise AssertionError("the brace relation was scanned")
+
+    monkeypatch.setattr(braces, "_brace_relation_scan", refuse)
+    structures = catalog_structures + s5_orbit_structures
+    two_sided = 0
+    for N in structures:
+        B = brace_from_subgroup(N)
+        want = all(right_relation_loop(B, g) for g in range(B.size))
+        assert is_two_sided(B) == want
+        two_sided += want
+    assert (len(structures), two_sided) == (379, 255)
 
 
 # ---------------------------------------------------------------------------
