@@ -60,7 +60,9 @@ class RegularSubgroup:
     rows of eta are N's Cayley table.
     """
 
-    __slots__ = ("group", "perms", "eta", "_type_label", "_lattice", "__weakref__")
+    __slots__ = (
+        "group", "perms", "eta", "_type_label", "_lattice", "_orbit", "__weakref__"
+    )
 
     def __init__(self, group: FiniteGroup, perms: PermGroup, eta, type_label=None):
         self.group = group
@@ -68,6 +70,7 @@ class RegularSubgroup:
         self.eta = tuple(eta)
         self._type_label = type_label
         self._lattice = None  # memo of correspondence.realizable_lattice
+        self._orbit = None  # orbit record left by rho._orbit_search
 
     @property
     def order(self) -> int:
@@ -184,11 +187,17 @@ def certify(
     return RegularSubgroup(G, perms, eta, type_label=type_label)
 
 
+def _live(G: FiniteGroup) -> weakref.WeakValueDictionary:
+    """{element set: structure} for the structures on G that _structure
+    certified and a caller still holds."""
+    return G._memo("structures", weakref.WeakValueDictionary)
+
+
 def _structure(G: FiniteGroup, key: frozenset, type_label=None) -> RegularSubgroup:
     """The structure on G with element set key: the live one if its label
     still equals type_label (type_of may have filled it in), else a fresh
     certified one, which replaces it in the memo."""
-    live = G._memo("structures", weakref.WeakValueDictionary)
+    live = _live(G)
     N = live.get(key)
     if N is None or N._type_label != type_label:
         N = live[key] = certify(G, PermGroup(key), type_label=type_label)

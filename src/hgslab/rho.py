@@ -11,6 +11,19 @@ skipping the cosets already met gives each member once, carried by the least
 element of its coset.  Members and conjugates come from hgs._structure, so
 a set that a live structure already holds, such as an inventory member, is
 that same object rather than a fresh certified copy.
+
+One search serves the whole orbit.  Since (N_t)_g = N_{gt}, every member of
+an orbit has the same members, so the search leaves on each member M = N_t
+a record (keys, member_of, t): the members' element sets in canonical order,
+and member_of[x], the index of N_x, filled coset by coset from the carriers
+and the stabilizer.  rho_orbit and rho_partition read M's orbit off it in
+O(|G|) steps without touching a permutation: M_g = N_{gt} is member
+member_of[g t], and M's stabilizer is the set of g with
+member_of[g t] = member_of[t], which is t . Stab . t^-1.
+The record is read only when it gives what a fresh search would: every
+member is still the live structure of its element set, M among them, and
+every member carries M's type label (type_of may have filled one in since).
+Otherwise the search runs again.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from typing import Optional
 
 from .errors import InvariantError
 from .groups import Subgroup, subgroup_closure
-from .hgs import HgsInventory, RegularSubgroup, _structure, opposite
+from .hgs import HgsInventory, RegularSubgroup, _live, _structure, opposite
 from .perms import _conjugate_all, _escape, rho_embed
 
 
@@ -27,6 +40,22 @@ def _conjugate_key(elements, q: tuple, qinv: tuple) -> frozenset:
     """Element set of q . N . q^-1 from raw image tuples; for q = rho(g)
     the inverse qinv is rho(g^-1), so q is never inverted."""
     return frozenset(_conjugate_all(elements, q, qinv))
+
+
+def _recorded(N: RegularSubgroup) -> Optional[tuple]:
+    """(members, member_of, t) from N's orbit record, or None when there is
+    none or it would not give what a fresh search gives."""
+    if N._orbit is None:
+        return None
+    keys, member_of, t = N._orbit
+    live = _live(N.group)
+    members = [live.get(key) for key in keys]
+    label = N._type_label
+    if members[member_of[t]] is not N or any(
+        M is None or M._type_label != label for M in members
+    ):
+        return None
+    return members, member_of, t
 
 
 def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
@@ -95,21 +124,27 @@ class RhoOrbit:
         }
 
 
+def _stabilizer(G, fixing: list) -> Subgroup:
+    stabilizer = subgroup_closure(G, fixing)
+    if stabilizer.order != len(fixing):
+        raise InvariantError("the elements fixing the structure do not close")
+    return stabilizer
+
+
 def _orbit_search(N: RegularSubgroup) -> tuple:
     """(transversal, stabilizer) of N: the stabilizer holds the h for which
     rho(h) normalizes N, and transversal maps each member's element set M to
     the least g with N_g = M, the least element of the coset g . Stab."""
     G = N.group
     table, inverse = G.table, G.inverse
-    fixing = [h for h in range(G.order) if _is_conjugate(N, h, N)]
-    stabilizer = subgroup_closure(G, fixing)
-    if stabilizer.order != len(fixing):
-        raise InvariantError("the elements fixing the structure do not close")
+    stabilizer = _stabilizer(
+        G, [h for h in range(G.order) if _is_conjugate(N, h, N)]
+    )
     transversal, covered = {}, set()
     for g in range(G.order):
         if g in covered:
             continue
-        covered.update(table[g][h] for h in fixing)
+        covered.update(table[g][h] for h in stabilizer.elements)
         key = _conjugate_key(
             N.perms.elements, rho_embed(G, g), rho_embed(G, inverse[g])
         )
@@ -124,6 +159,7 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
 def _build_orbit(
     N: RegularSubgroup, transversal: dict, stabilizer: Subgroup
 ) -> RhoOrbit:
+    """N's orbit from a search, whose record is left on every member."""
     G = N.group
     built = []
     for key, t in transversal.items():
@@ -132,11 +168,38 @@ def _build_orbit(
     built.sort(key=lambda b: b[0])
     members = [m for _, m, _ in built]
     carrier = [g for _, _, g in built]
+    member_of = [0] * G.order
+    for i, c in enumerate(carrier):
+        for h in stabilizer.elements:
+            member_of[G.table[c][h]] = i
+    # the members' own sets, so the record keeps no conjugate alive
+    keys = tuple(m.perms.element_set for m in members)
+    member_of = tuple(member_of)
+    for member, c in zip(members, carrier):
+        member._orbit = (keys, member_of, c)
     return RhoOrbit(G, N, members, carrier, stabilizer)
 
 
+def _read_orbit(N: RegularSubgroup, members: list, member_of: tuple, t: int):
+    """N's orbit off its record: N_g is member member_of[g t], carried by
+    the least such g, and the stabilizer holds the g with
+    member_of[g t] = member_of[t]."""
+    G = N.group
+    at = [member_of[row[t]] for row in G.table]
+    first: dict = {}
+    for g, i in enumerate(at):
+        first.setdefault(i, g)
+    carrier = [first[i] for i in range(len(members))]
+    fixing = [g for g, i in enumerate(at) if i == at[0]]
+    return RhoOrbit(G, N, members, carrier, _stabilizer(G, fixing))
+
+
 def rho_orbit(N: RegularSubgroup) -> RhoOrbit:
-    """Orbit of N under conjugation by all right translations."""
+    """Orbit of N under conjugation by all right translations: read off N's
+    record, or searched when N has no valid one."""
+    record = _recorded(N)
+    if record is not None:
+        return _read_orbit(N, *record)
     return _build_orbit(N, *_orbit_search(N))
 
 
@@ -144,7 +207,8 @@ def rho_partition(inventory: HgsInventory) -> list:
     """Split an inventory into right-translation orbits.
 
     Every conjugate of an inventory member must again be in the inventory;
-    a miss means the inventory was filtered or incomplete.
+    a miss means the inventory was filtered or incomplete.  It is checked
+    before any member of the orbit is certified.
     """
     keys = {s.perms.element_set for s in inventory}
     consumed: set = set()
@@ -152,13 +216,21 @@ def rho_partition(inventory: HgsInventory) -> list:
     for s in inventory:
         if s.perms.element_set in consumed:
             continue
-        transversal, stabilizer = _orbit_search(s)
-        if not keys.issuperset(transversal):
+        record = _recorded(s)
+        if record is None:
+            transversal, stabilizer = _orbit_search(s)
+            found = transversal.keys()
+        else:
+            found = [m.perms.element_set for m in record[0]]
+        if not keys.issuperset(found):
             raise ValueError(
                 "a conjugate left the inventory; pass a complete inventory"
             )
-        consumed.update(transversal)
-        orbits.append(_build_orbit(s, transversal, stabilizer))
+        consumed.update(found)
+        if record is None:
+            orbits.append(_build_orbit(s, transversal, stabilizer))
+        else:
+            orbits.append(_read_orbit(s, *record))
     return orbits
 
 

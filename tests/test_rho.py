@@ -3,6 +3,7 @@
 import pytest
 
 from hgslab import (
+    FiniteGroup,
     build_group,
     enumerate_hgs,
     lambda_structure,
@@ -14,6 +15,7 @@ from hgslab import (
     rho_structure,
     same_conjugate,
 )
+from hgslab import rho
 from hgslab.verify import metacyclic_base_structure
 
 
@@ -78,6 +80,25 @@ def test_partition_rejects_unclosed_collection(s3_inventory):
     moving = [N for N in s3_inventory if rho_orbit(N).size > 1]
     with pytest.raises(ValueError):
         rho_partition(moving[:1])
+
+
+def test_partition_refuses_before_certifying_outside_conjugates(
+    s3_inventory, monkeypatch
+):
+    # the first call reads the member's orbit record, the second searches a
+    # fresh copy of S3 that has no records yet
+    sizes = [rho_orbit(N).size for N in s3_inventory]
+    fresh = enumerate_hgs(FiniteGroup(s3_inventory[0].group.table))
+    certified = []
+    structure = rho._structure
+    monkeypatch.setattr(
+        rho, "_structure", lambda *a: certified.append(a) or structure(*a)
+    )
+    for inv in (s3_inventory, fresh):
+        moving = next(N for N, size in zip(inv, sizes) if size > 1)
+        with pytest.raises(ValueError):
+            rho_partition([moving])
+    assert certified == []
 
 
 def test_metacyclic_partition_frozen(m733):

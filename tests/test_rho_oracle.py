@@ -6,9 +6,10 @@ coset's least element.  The oracle here is the direct route: conjugate the
 structure by every right translation, take the first element that reaches
 each member as its carrier, and collect the elements that fix it as the
 stabilizer.  Both must give the same `to_json()`, member for member and
-carrier for carrier.  The paper's theorem gives a second oracle for the
-stabilizer alone: it is the inner stabilizer of the structure's skew brace,
-element for element.
+carrier for carrier, whether the orbit came from a search or was read off
+the record a search left on the members.  The paper's theorem gives a
+second oracle for the stabilizer alone: it is the inner stabilizer of the
+structure's skew brace, element for element.
 
 `_is_conjugate` and the two subgroup criteria of `compare_braces` decide
 conjugacy on the generators of the conjugated structure alone; the oracle
@@ -22,6 +23,7 @@ import random
 
 from hgslab import (
     ClosureCapExceeded,
+    FiniteGroup,
     abelian_maps,
     automorphisms,
     brace_automorphisms,
@@ -48,23 +50,29 @@ from hgslab.perms import (
     _invert,
     rho_embed,
 )
+from hgslab import rho
 from hgslab.rho import RhoOrbit, _conjugate_key, _is_conjugate
 from hgslab.verify import metacyclic_base_structure
 
 CATALOG = [str(g) for n in list(range(1, 16)) + [21] for g in catalog_specs(n)]
 
 
-def _scan_orbit(N):
+def _scan_conjugates(N):
+    """N_g as an element set for every g, from the whole conjugate."""
+    G = N.group
+    return [
+        _conjugate_key(N.perms.elements, rho_embed(G, g), rho_embed(G, G.inverse[g]))
+        for g in range(G.order)
+    ]
+
+
+def _scan_orbit(N, conjugates=None):
     """The orbit of N by conjugating with every right translation."""
     G = N.group
     base_key = N.perms.element_set
-    base_elems = N.perms.elements
     first_g = {}
     stab = []
-    for g in range(G.order):
-        key = _conjugate_key(
-            base_elems, rho_embed(G, g), rho_embed(G, G.inverse[g])
-        )
+    for g, key in enumerate(conjugates or _scan_conjugates(N)):
         if key == base_key:
             stab.append(g)
         first_g.setdefault(key, g)
@@ -82,16 +90,6 @@ def _scan_orbit(N):
                     stabilizer)
 
 
-def _scan_partition(structures):
-    consumed, orbits = set(), []
-    for s in structures:
-        if s.perms.element_set not in consumed:
-            orbit = _scan_orbit(s)
-            consumed.update(m.perms.element_set for m in orbit.members)
-            orbits.append(orbit)
-    return orbits
-
-
 def _scan_same_conjugate(N1, N2):
     G = N1.group
     elems = N1.perms.elements
@@ -104,11 +102,46 @@ def _scan_same_conjugate(N1, N2):
     return None
 
 
-def _check_orbits(structures):
-    for N in structures:
-        assert rho_orbit(N).to_json() == _scan_orbit(N).to_json()
-    fast = [o.to_json() for o in rho_partition(structures)]
-    assert fast == [o.to_json() for o in _scan_partition(structures)]
+def _check_orbits(structures, seed):
+    """rho_orbit on every structure, in a seeded order before rho_partition
+    and in another after it, equals the scan: the first member of an orbit
+    to be asked searches, the others read the record it left.  The
+    partition equals the scanned one; same_conjugate(N, M) equals the scan
+    of _scan_same_conjugate, the first g with N_g = M; and rho_conjugate(N,
+    g) is N when g fixes N, else N_g with the to_json() of a fresh
+    certification."""
+    rng = random.Random(seed)
+    conjugates = [_scan_conjugates(N) for N in structures]
+    want = [_scan_orbit(N, c).to_json() for N, c in zip(structures, conjugates)]
+    consumed, partition = set(), []
+    for N, keys, orbit in zip(structures, conjugates, want):
+        if N.perms.element_set not in consumed:
+            consumed.update(keys)
+            partition.append(orbit)
+    order = list(range(len(structures)))
+    rng.shuffle(order)
+    for k in order:
+        assert rho_orbit(structures[k]).to_json() == want[k]
+    assert [o.to_json() for o in rho_partition(structures)] == partition
+    rng.shuffle(order)
+    for k in order:
+        assert rho_orbit(structures[k]).to_json() == want[k]
+    reached = {}
+    for N, keys in zip(structures, conjugates):
+        first = {}
+        for g, key in enumerate(keys):
+            first.setdefault(key, g)
+            M = rho_conjugate(N, g)
+            if key == N.perms.element_set:
+                assert M is N
+            else:
+                assert M.perms.element_set == key
+                reached[id(M), N.type_label] = M
+        for M in structures:
+            assert same_conjugate(N, M) == first.get(M.perms.element_set)
+    for (_, label), M in reached.items():
+        fresh = certify(M.group, PermGroup(M.perms.element_set), label)
+        assert M.to_json() == fresh.to_json()
 
 
 def _s5_structures():
@@ -119,7 +152,7 @@ def test_rho_orbit_equals_scan_on_catalog():
     total = 0
     for spec in CATALOG:
         inv = enumerate_hgs(build_group(spec))
-        _check_orbits(list(inv))
+        _check_orbits(list(inv), spec)
         total += len(inv)
     assert total == 376
 
@@ -127,7 +160,34 @@ def test_rho_orbit_equals_scan_on_catalog():
 def test_rho_orbit_equals_scan_on_s5_abelian_maps():
     structures = _s5_structures()
     assert len(structures) == 26
-    _check_orbits(structures)
+    _check_orbits(structures, "sym:5")
+
+
+def test_rho_orbit_equals_scan_with_caller_generators(m733):
+    # the base is certified from generators of its own, so it is not the
+    # live structure of its set: a sibling's orbit holds that live twin, and
+    # the base's own orbit holds the base, never one in place of the other
+    base = metacyclic_base_structure(m733)
+    siblings = [M for M in rho_orbit(base).members if M is not base]
+    assert len(siblings) == 6
+    twin = rho_conjugate(siblings[0], same_conjugate(siblings[0], base))
+    assert twin.perms.element_set == base.perms.element_set
+    assert twin.to_json() != base.to_json()
+    _check_orbits([base] + siblings, "metacyclic:7:3:2")
+
+
+def test_one_orbit_search_per_orbit_on_s5_abelian_maps(monkeypatch):
+    # a group of its own, so no other test has left records on its structures
+    G = FiniteGroup(build_group("sym:5").table)
+    structures = [hgs_from_abelian_map(am) for am in abelian_maps(G)]
+    searched = []
+    search = rho._orbit_search
+    monkeypatch.setattr(
+        rho, "_orbit_search", lambda N: searched.append(N) or search(N)
+    )
+    for N in structures:
+        rho_orbit(N)
+    assert len(rho_partition(structures)) == len(searched) == 3
 
 
 def _stabilizer_is_inner_stabilizer(N):

@@ -6,7 +6,9 @@ instead of certifying it again, and `rho_conjugate`, the rho-orbits,
 not be visible in any result: every conjugate has the `to_json()` of a
 freshly certified copy, a structure whose label `type_of` has filled in is
 never handed to a caller asking for no label, and the memo holds nothing
-once its structures are dropped.
+once its structures are dropped.  The orbit records that `rho_orbit` leaves
+on the members are read only while every member is the live structure of
+its set, so the same holds for orbits read off a record.
 
 `rho_embed(G, g)` reads column g^-1 of the memoized column table; the
 oracle is its definition x -> x * g^-1, read from the table row by row.
@@ -88,6 +90,17 @@ def test_labelled_structure_is_not_handed_to_an_unlabelled_lookup():
     assert hgs_from_abelian_map(maps[k]) is labelled
     type_of(labelled)
     assert labelled.type_label is not None
+    # the orbit record left by the search above holds unlabelled siblings;
+    # the labelled member's orbit and its siblings' conjugates must not
+    # come from it
+    orbit = rho_orbit(labelled)
+    assert orbit.size == 3 and labelled in orbit.members
+    assert {M.perms.element_set for M in orbit.members} == {
+        _conjugate_set(labelled, g) for g in range(G.order)
+    }
+    for M in orbit.members:
+        fresh = certify(G, PermGroup(M.perms.element_set), labelled.type_label)
+        assert M.to_json() == fresh.to_json()
     # its orbit siblings reach it by conjugation, and must not see the label
     reached = 0
     for N in structures:
@@ -95,8 +108,10 @@ def test_labelled_structure_is_not_handed_to_an_unlabelled_lookup():
             continue
         for g in range(G.order):
             M = rho_conjugate(N, g)
-            reached += M.perms.element_set == labelled.perms.element_set
-            assert M.type_label is None
+            key = _conjugate_set(N, g)
+            reached += key == labelled.perms.element_set
+            fresh = N if key == N.perms.element_set else certify(G, PermGroup(key))
+            assert M.to_json() == fresh.to_json()
         assert all(M.type_label is None for M in rho_orbit(N).members)
     assert reached > 0
     again = hgs_from_abelian_map(maps[k])
