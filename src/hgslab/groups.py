@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import ClosureCapExceeded, InvalidSpec, OrderTooLarge
+from .errors import ClosureCapExceeded, InvalidSpec, OrderTooLarge, UnsupportedOrder
 
 # Orders for which catalog_specs() lists every isomorphism type; primes are
 # complete too (see catalog_complete).
@@ -39,6 +39,11 @@ GROUP_ORDER_LIMIT = 1024
 # exit 2): the rho structure of elemab:2:6 has 2,825 stable subgroups, that of
 # elemab:2:7 has 29,212; no group of order 64 or less has more than 2,825.
 LATTICE_LIMIT = 4096
+
+# automorphisms refuses a backtrack over more choices of generator images
+# than this (UnsupportedOrder, exit 2): the tests, verify and the benchmark
+# need at most 65,536 (C2^3 x C4), C2^5 needs 28,629,151 and C3^4 40,960,000.
+AUTOMORPHISM_SEARCH_LIMIT = 10**6
 
 # all_subgroups refuses larger groups.
 ALL_SUBGROUPS_ORDER_LIMIT = 64
@@ -639,12 +644,14 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup):
     """Every isomorphism G -> H as an image tuple.
 
     Backtracks over generator images filtered by order and class size, in
-    itertools.product order.
+    itertools.product order, skipping the choices that repeat an image.
     """
     if G.order != H.order or G.order_profile() != H.order_profile():
         return
     cand = [_iso_candidates(G, H, g) for g in G.generating_set()]
     for combo in itertools.product(*cand):
+        if len(set(combo)) < len(combo):
+            continue
         img = extend_generator_images(G, combo, H)
         if img is not None and len(set(img)) == G.order:
             yield img
@@ -656,12 +663,23 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     return None if img is None else GroupHom(G, H, img)
 
 
+def _automorphisms(G: FiniteGroup) -> list:
+    choices = 1
+    for g in G.generating_set():
+        choices *= len(_iso_candidates(G, G, g))
+    if choices > AUTOMORPHISM_SEARCH_LIMIT:
+        raise UnsupportedOrder(
+            f"the automorphism search would range over {choices} choices of "
+            f"generator images, above the limit of {AUTOMORPHISM_SEARCH_LIMIT}"
+        )
+    return [GroupHom(G, G, img) for img in sorted(_isomorphisms(G, G))]
+
+
 def automorphisms(G: FiniteGroup) -> list:
-    """All automorphisms of G, sorted by image array."""
-    return G._memo(
-        "automorphisms",
-        lambda: [GroupHom(G, G, img) for img in sorted(_isomorphisms(G, G))],
-    )
+    """All automorphisms of G, sorted by image array; refused before the
+    backtrack when it would range over more than AUTOMORPHISM_SEARCH_LIMIT
+    choices of generator images."""
+    return G._memo("automorphisms", lambda: _automorphisms(G))
 
 
 def inner_automorphism(G: FiniteGroup, g: int) -> GroupHom:

@@ -70,7 +70,7 @@ class RegularSubgroup:
         self.eta = tuple(eta)
         self._type_label = type_label
         self._lattice = None  # memo of correspondence.realizable_lattice
-        self._orbit = None  # orbit record left by rho._orbit_search
+        self._orbit = None  # orbit record left by rho._stamp
 
     @property
     def order(self) -> int:
@@ -171,13 +171,11 @@ def certify(
         raise NotRegular(f"base {perms.base} does not match group order {n}")
     if perms.order != n:
         raise NotRegular(f"order {perms.order}, expected {n}")
-    eta: list = [None] * n
-    for p in perms.elements:
-        a = p[0]
-        if eta[a] is not None:
-            raise NotRegular(f"elements {eta[a]} and {p} both send 0 to {a}")
-        eta[a] = p
-    # eta is filled exactly when the orbit of 0 is everything
+    # n sorted permutations with distinct images of 0 are already in eta order
+    eta = perms.elements
+    for p, q in zip(eta, eta[1:]):
+        if p[0] == q[0]:
+            raise NotRegular(f"elements {p} and {q} both send 0 to {p[0]}")
     escape = _escape(_left_translations(G), perms.generators, perms.element_set)
     if escape is not None:
         q, p = escape
@@ -278,16 +276,20 @@ def _hol_pools(M: FiniteGroup, auts: Sequence[tuple], wanted) -> dict:
     return pools
 
 
-def _orbit_representatives(pool: Sequence[tuple], auts: Sequence[tuple]) -> list:
-    """One member of each orbit of pool under conjugation by the group auts,
-    given as (a, a^-1) pairs."""
+def _orbit_representatives(pool: Sequence[tuple], auts: Sequence[tuple]):
+    """One member p of each orbit of pool under conjugation by the group
+    auts, given as (a, a^-1) pairs, with the pairs that fix p; both come
+    from the one pass that takes p's orbit out of the pool."""
     left = set(pool)
-    reps = []
     for p in pool:
         if p in left:
-            reps.append(p)
-            left.difference_update(_conjugate(p, a, ai) for a, ai in auts)
-    return reps
+            fixing = []
+            for a, ai in auts:
+                q = _conjugate(p, a, ai)
+                left.discard(q)
+                if q == p:
+                    fixing.append((a, ai))
+            yield p, fixing
 
 
 def _close_along_cayley_graph(
@@ -341,7 +343,9 @@ def _regular_embeddings(cs: CosetSpace, M: FiniteGroup):
     by the automorphisms of M that fix the earlier images (the first one up
     to Aut(M)-conjugacy).  Such a conjugation moves the next image to its
     representative without moving the earlier ones, so every class is
-    reached, and two representatives never share a class.
+    reached, and two representatives never share a class.  Each
+    representative comes with the automorphisms that fix it, read off the
+    conjugations that took its class out of the pool.
     """
     gens = cs.group.generating_set()
     points = range(cs.degree)
@@ -355,11 +359,10 @@ def _regular_embeddings(cs: CosetSpace, M: FiniteGroup):
         if i == len(gens):
             yield beta
             return
-        for c in _orbit_representatives(pools.get(shapes[i], ()), auts):
+        for c, fixing in _orbit_representatives(pools.get(shapes[i], ()), auts):
             chosen = images + [c]
             closed = _close_along_cayley_graph(cs, gens[: i + 1], chosen)
             if closed is not None:
-                fixing = [(a, ai) for a, ai in auts if _conjugate(c, a, ai) == c]
                 yield from search(closed, chosen, fixing)
 
     yield from search([tuple(points)], [], auts)

@@ -85,7 +85,7 @@ def _escape(conjugators: Iterable[tuple], probes, members) -> Optional[tuple]:
 class PermGroup:
     """A finite set of permutations closed under composition."""
 
-    __slots__ = ("base", "elements", "generators", "element_set")
+    __slots__ = ("base", "elements", "generators", "element_set", "_hash")
 
     def __init__(self, elements: Iterable[tuple], generators=()):
         elems = tuple(sorted(elements))
@@ -94,6 +94,7 @@ class PermGroup:
         self.base = len(elems[0])
         self.elements = elems
         self.element_set = frozenset(elems)
+        self._hash = None  # memo of canonical_hash
         self.generators = (
             tuple(generators) if generators
             else _greedy_generators(elems, self.element_set)
@@ -126,8 +127,10 @@ class PermGroup:
         return self.elements
 
     def canonical_hash(self) -> str:
-        blob = repr(self.canonical_key()).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        if self._hash is None:
+            blob = repr(self.canonical_key()).encode()
+            self._hash = hashlib.sha256(blob).hexdigest()[:16]
+        return self._hash
 
     def orbit(self, x: int) -> tuple:
         return tuple(sorted({p[x] for p in self.elements}))

@@ -13,13 +13,14 @@ a set that a live structure already holds, such as an inventory member, is
 that same object rather than a fresh certified copy.
 
 One search serves the whole orbit.  Since (N_t)_g = N_{gt}, every member of
-an orbit has the same members, so the search leaves on each member M = N_t
-a record (keys, member_of, t): the members' element sets in canonical order,
-and member_of[x], the index of N_x, filled coset by coset from the carriers
-and the stabilizer.  rho_orbit and rho_partition read M's orbit off it in
-O(|G|) steps without touching a permutation: M_g = N_{gt} is member
-member_of[g t], and M's stabilizer is the set of g with
-member_of[g t] = member_of[t], which is t . Stab . t^-1.
+an orbit has the same members, so the search only writes a record: the
+conjugates' element sets and member_of[x], the index of N_x, filled coset by
+coset as it walks G.  _stamp sorts the members canonically and leaves
+(keys, member_of, t) on each member M = N_t, and _read_orbit, the one place
+an orbit is built, reads M's orbit off that record in O(|G|) steps without
+touching a permutation: M_g = N_{gt} is member member_of[g t], and M's
+stabilizer is the set of g with member_of[g t] = member_of[t], which is
+t . Stab . t^-1.
 The record is read only when it gives what a fresh search would: every
 member is still the live structure of its element set, M among them, and
 every member carries M's type label (type_of may have filled one in since).
@@ -132,52 +133,44 @@ def _stabilizer(G, fixing: list) -> Subgroup:
 
 
 def _orbit_search(N: RegularSubgroup) -> tuple:
-    """(transversal, stabilizer) of N: the stabilizer holds the h for which
-    rho(h) normalizes N, and transversal maps each member's element set M to
-    the least g with N_g = M, the least element of the coset g . Stab."""
+    """(keys, member_of) of N's orbit: the element sets of the conjugates in
+    the order met, and member_of[x], the index in keys of N_x.  G is walked
+    in order; each element not yet placed is the least of its coset g . Stab,
+    where Stab holds the h for which rho(h) normalizes N, and carries the
+    next conjugate to the whole coset."""
     G = N.group
     table, inverse = G.table, G.inverse
-    stabilizer = _stabilizer(
-        G, [h for h in range(G.order) if _is_conjugate(N, h, N)]
-    )
-    transversal, covered = {}, set()
+    fixing = [h for h in range(G.order) if _is_conjugate(N, h, N)]
+    keys, member_of = [], [None] * G.order
     for g in range(G.order):
-        if g in covered:
-            continue
-        covered.update(table[g][h] for h in stabilizer.elements)
-        key = _conjugate_key(
-            N.perms.elements, rho_embed(G, g), rho_embed(G, inverse[g])
-        )
-        if key in transversal:
-            raise InvariantError(
-                f"the cosets of {transversal[key]} and {g} give one conjugate"
-            )
-        transversal[key] = g
-    return transversal, stabilizer
+        if member_of[g] is None:
+            for h in fixing:
+                member_of[table[g][h]] = len(keys)
+            keys.append(_conjugate_key(
+                N.perms.elements, rho_embed(G, g), rho_embed(G, inverse[g])
+            ))
+    if len(set(keys)) != len(keys):
+        raise InvariantError("two cosets of the stabilizer give one conjugate")
+    return keys, member_of
 
 
-def _build_orbit(
-    N: RegularSubgroup, transversal: dict, stabilizer: Subgroup
-) -> RhoOrbit:
-    """N's orbit from a search, whose record is left on every member."""
+def _stamp(N: RegularSubgroup, keys: list, member_of: list) -> tuple:
+    """Sort a search's members, certified or live, canonically and leave
+    (keys, member_of, t) on each member N_t; returns N's record, t = 0."""
     G = N.group
-    built = []
-    for key, t in transversal.items():
-        member = N if key == N.perms.element_set else _structure(G, key, N._type_label)
-        built.append((member.canonical_key(), member, t))
-    built.sort(key=lambda b: b[0])
-    members = [m for _, m, _ in built]
-    carrier = [g for _, _, g in built]
-    member_of = [0] * G.order
-    for i, c in enumerate(carrier):
-        for h in stabilizer.elements:
-            member_of[G.table[c][h]] = i
+    found = [
+        N if key == N.perms.element_set else _structure(G, key, N._type_label)
+        for key in keys
+    ]
+    order = sorted(range(len(found)), key=lambda i: found[i].canonical_key())
+    members = [found[i] for i in order]
+    rank = {i: r for r, i in enumerate(order)}
+    member_of = tuple(rank[i] for i in member_of)
     # the members' own sets, so the record keeps no conjugate alive
     keys = tuple(m.perms.element_set for m in members)
-    member_of = tuple(member_of)
-    for member, c in zip(members, carrier):
-        member._orbit = (keys, member_of, c)
-    return RhoOrbit(G, N, members, carrier, stabilizer)
+    for i, member in enumerate(members):
+        member._orbit = (keys, member_of, member_of.index(i))
+    return members, member_of, 0
 
 
 def _read_orbit(N: RegularSubgroup, members: list, member_of: tuple, t: int):
@@ -196,11 +189,8 @@ def _read_orbit(N: RegularSubgroup, members: list, member_of: tuple, t: int):
 
 def rho_orbit(N: RegularSubgroup) -> RhoOrbit:
     """Orbit of N under conjugation by all right translations: read off N's
-    record, or searched when N has no valid one."""
-    record = _recorded(N)
-    if record is not None:
-        return _read_orbit(N, *record)
-    return _build_orbit(N, *_orbit_search(N))
+    record, or off the one a fresh search leaves when N has no valid one."""
+    return _read_orbit(N, *(_recorded(N) or _stamp(N, *_orbit_search(N))))
 
 
 def rho_partition(inventory: HgsInventory) -> list:
@@ -217,20 +207,13 @@ def rho_partition(inventory: HgsInventory) -> list:
         if s.perms.element_set in consumed:
             continue
         record = _recorded(s)
-        if record is None:
-            transversal, stabilizer = _orbit_search(s)
-            found = transversal.keys()
-        else:
-            found = [m.perms.element_set for m in record[0]]
+        found, member_of = (s._orbit[0], None) if record else _orbit_search(s)
         if not keys.issuperset(found):
             raise ValueError(
                 "a conjugate left the inventory; pass a complete inventory"
             )
         consumed.update(found)
-        if record is None:
-            orbits.append(_build_orbit(s, transversal, stabilizer))
-        else:
-            orbits.append(_read_orbit(s, *record))
+        orbits.append(_read_orbit(s, *(record or _stamp(s, found, member_of))))
     return orbits
 
 

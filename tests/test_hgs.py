@@ -1,5 +1,6 @@
 """Certification, enumeration, opposites, and type identification."""
 
+import hashlib
 import time
 
 import pytest
@@ -109,6 +110,26 @@ def test_certify_rejects_unstable_regular(d4):
         "conjugate of (1, 4, 3, 5, 6, 7, 0, 2) by translation of g=2 "
         "leaves the set"
     )
+
+
+def test_certify_names_the_first_two_elements_sharing_an_image_of_0():
+    klein = PermGroup([(0, 1, 2, 3), (0, 2, 1, 3), (3, 1, 2, 0), (3, 2, 1, 0)])
+    with pytest.raises(NotRegular) as caught:
+        certify(build_group("cyclic:4"), klein)
+    assert str(caught.value) == (
+        "elements (0, 1, 2, 3) and (0, 2, 1, 3) both send 0 to 0"
+    )
+
+
+def test_canonical_hash_is_computed_once_per_group(monkeypatch, s3):
+    sha256, calls = hashlib.sha256, []
+    monkeypatch.setattr(
+        hashlib, "sha256", lambda blob: calls.append(blob) or sha256(blob)
+    )
+    # a group of its own, so no other test has hashed it
+    N = certify(s3, PermGroup(lambda_image(s3).elements))
+    assert N.to_json() == N.to_json()
+    assert len(calls) == 1
 
 
 def test_lambda_rho_structures(d4, s3):

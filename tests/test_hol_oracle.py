@@ -21,14 +21,24 @@ from hgslab import (
     enumerate_hgs,
     parse_spec,
 )
-from hgslab.hgs import _structure_from_embedding
-from hgslab.perms import PermGroup, _compose
+from hgslab.groups import subgroup_closure
+from hgslab.hgs import _regular_embeddings, _structure_from_embedding
+from hgslab.perms import CosetSpace, PermGroup, _compose
 
 CATALOG_PAIRS = [
     (str(g), str(m))
     for n in list(range(1, 16)) + [21]
     for g in catalog_specs(n)
     for m in catalog_specs(n)
+]
+# the type-filtered pairs of the benchmark's filtered-16-24 workload
+FILTERED_16_24 = [
+    ("sym:4", "sym:4"),
+    ("dihedral:8", "dihedral:8"),
+    ("product:cyclic:2,cyclic:8", "product:cyclic:2,cyclic:8"),
+    ("alt:4", "alt:4"),
+    ("cyclic:24", "cyclic:24"),
+    ("dihedral:8", "cyclic:16"),
 ]
 EXTRA_PAIRS = [
     ("alt:4", "alt:4"),
@@ -192,3 +202,23 @@ def test_enumeration_equals_holomorph_oracle_on_catalog():
 @pytest.mark.parametrize("g_spec,m_spec", EXTRA_PAIRS)
 def test_enumeration_equals_holomorph_oracle_beyond_catalog(g_spec, m_spec):
     assert _check_pair(g_spec, m_spec) > 0
+
+
+def test_one_embedding_per_structure():
+    """_regular_embeddings gives one embedding per Aut(M)-class, and so one
+    per structure.  Each generator image is taken up to the automorphisms
+    that fix the earlier ones; if that group came out too small, two
+    embeddings of one class would both be yielded and give the same set,
+    which the structure-set oracles cannot see."""
+    embeddings, structures = 0, 0
+    for g_spec, m_spec in CATALOG_PAIRS + FILTERED_16_24:
+        G, M = build_group(g_spec), build_group(m_spec)
+        cs = CosetSpace(G, subgroup_closure(G, ()))
+        keys = [
+            _structure_from_embedding(cs.representatives, M, beta)
+            for beta in _regular_embeddings(cs, M)
+        ]
+        assert len(keys) == len(set(keys)), (g_spec, m_spec)
+        embeddings += len(keys)
+        structures += len(set(keys))
+    assert embeddings == structures == 436

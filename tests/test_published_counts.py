@@ -13,9 +13,10 @@ The enumeration is checked against theorems, not against another search:
   metacyclic G has 2 + 2p(q-2) of metacyclic type and p of cyclic type.
 
 The catalog is incomplete at these orders, so each count is taken with a
-type filter.  The zero counts of the other types are left out: those of the
-elementary abelian types cost about 1 s each at orders 16 and 27, and the
-automorphism group of C3^4 alone was not found in two minutes.
+type filter.  At orders 16 and 27 every other catalog type gives 0.  At
+orders 32 and 81 the elementary abelian types are out of reach: the
+automorphism search of C2^5 or C3^4 would range over tens of millions of
+generator images, and is refused before it starts.
 
 Guarnieri and Vendramin, Math. Comp. 86 (2017), list the skew braces of
 small order.  Aut(G) acts on the inventory of G by conjugation, and its
@@ -28,7 +29,10 @@ says the number of rho-conjugates of N is fixed by its brace B: it is
 
 import time
 
+import pytest
+
 from hgslab import (
+    UnsupportedOrder,
     automorphisms,
     brace_from_subgroup,
     build_group,
@@ -38,6 +42,7 @@ from hgslab import (
     parse_spec,
     rho_orbit,
 )
+from hgslab.cli import main
 from hgslab.perms import _conjugate_all, _invert
 
 # (G, type, structures of that type)
@@ -60,6 +65,12 @@ PUBLISHED = [
     ("cyclic:39", "cyclic:39", 1),
 ]
 
+# (G, type) whose automorphism search is refused
+OVERSIZED = [
+    ("cyclic:81", "product:cyclic:3,cyclic:3,cyclic:3,cyclic:3"),
+    ("cyclic:32", "product:cyclic:2,cyclic:2,cyclic:2,cyclic:2,cyclic:2"),
+]
+
 # order: (skew braces, of which braces), Guarnieri-Vendramin's table
 SKEW_BRACES = {
     1: (1, 1), 2: (1, 1), 3: (1, 1), 4: (4, 4), 5: (1, 1), 6: (6, 2),
@@ -76,6 +87,36 @@ def test_published_counts_of_cyclic_and_order_pq_extensions():
         assert len(inv) == want, (g_spec, m_spec)
         assert {N.type_label for N in inv} == {M}
     assert time.perf_counter() - start < 20
+
+
+def test_other_catalog_types_give_no_structures_at_orders_16_and_27():
+    start = time.perf_counter()
+    for g_spec in ("cyclic:16", "cyclic:27"):
+        G = build_group(g_spec)
+        published = {parse_spec(m) for g, m, _ in PUBLISHED if g == g_spec}
+        others = [M for M in catalog_specs(G.order) if M not in published]
+        assert len(others) == {16: 4, 27: 2}[G.order]
+        for M in others:
+            assert len(enumerate_hgs(G, M)) == 0, (g_spec, str(M))
+    assert time.perf_counter() - start < 20
+
+
+@pytest.mark.parametrize("g_spec,m_spec", OVERSIZED)
+def test_oversized_automorphism_search_is_refused_early(g_spec, m_spec):
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedOrder, match="above the limit of 1000000"):
+        enumerate_hgs(build_group(g_spec), parse_spec(m_spec))
+    assert time.perf_counter() - start < 2
+
+
+def test_cli_refuses_an_oversized_automorphism_search(capsys):
+    g_spec, m_spec = OVERSIZED[0]
+    code = main(["hgs", "enumerate", "--group", g_spec, "--type", m_spec])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "automorphism search" in err
 
 
 def _aut_classes(inv, auts) -> list:
