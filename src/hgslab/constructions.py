@@ -170,9 +170,7 @@ def to_hol_embedding(
         raise ConstructionError("iota is not a bijection")
     if not _respects(iota, target.table, star.table):
         raise ConstructionError("iota is not an isomorphism onto the structure")
-    inv = [0] * n
-    for mu, a in enumerate(iota):
-        inv[a] = mu
+    inv = _invert(iota)
     tg = G.table
     beta = [tuple(inv[tg[g][a]] for a in iota) for g in range(n)]
     return hol_embedding(G, target, beta)

@@ -1,10 +1,9 @@
 """Stable subgroups of a structure and the subgroups of G they fix.
 
 A subgroup P of a structure N is stable when conjugation by every left
-translation maps P into itself.  Each stable P pins down a subgroup U of G
-generated by the points its members pull back to the identity; the pairs
-(P, U) form a lattice whose behaviour under rho-conjugation is checked
-here as well.
+translation maps P into itself.  Each stable P pins down a subgroup U of G,
+its orbit of 0; the pairs (P, U) form a lattice whose behaviour under
+rho-conjugation is checked here as well.
 
 The stable subgroups are found in N's own Cayley table: a member is named
 by its image of 0, and eta[a] . eta[b] = eta[eta[a][b]], so the rows of eta
@@ -13,14 +12,17 @@ subgroup is stable exactly when it is a union of lambda(G)-orbits.  So the
 lattice is made of the joins of orbit closures (groups._join_closures),
 built breadth first from the trivial subgroup and capped at
 groups.LATTICE_LIMIT entries; the subgroups of N are never all listed.
+Each P keeps the members the join carried as its generators, and its U is
+its index set, closed in G only to confirm that it is a subgroup
+(_fixed).  Only a P from outside is checked to be stable (fixed_subgroup).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from .errors import CorrespondenceError
-from .groups import Subgroup, _join_closures, subgroup_closure
+from .groups import FiniteGroup, Subgroup, _join_closures, _orbits, subgroup_closure
 from .hgs import RegularSubgroup
 from .perms import (
     PermGroup,
@@ -32,51 +34,58 @@ from .perms import (
 from .rho import rho_conjugate
 
 
-def _lambda_orbits(N: RegularSubgroup, table: list) -> list:
+def _lambda_orbits(N: RegularSubgroup) -> list:
     """Orbits of conjugation by lambda(G) on N's indices other than 0; the
     conjugate of eta[a] by lambda(h) sends 0 to h * eta[a][h^-1]."""
     G = N.group
-    moves = [[G.table[h][row[G.inverse[h]]] for row in table]
+    moves = [[G.table[h][row[G.inverse[h]]] for row in N.eta]
              for h in G.generating_set()]
-    orbits, seen = [], {0}
-    for a in range(1, len(table)):
-        if a not in seen:
-            seen.add(a)
-            orbit = [a]
-            for x in orbit:
-                for y in {move[x] for move in moves} - seen:
-                    seen.add(y)
-                    orbit.append(y)
-            orbits.append(tuple(orbit))
-    return orbits
+    return _orbits(moves, len(N.eta))[1:]
 
 
 def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
     """All subgroups of N stable under the translation action, sorted by
-    order and element list: the joins of closures of lambda(G)-orbits."""
-    found = _join_closures(N.eta, _lambda_orbits(N, N.eta))
-    out = [PermGroup(N.eta[a] for a in key) for key in found]
+    order and element list: the joins of closures of lambda(G)-orbits, each
+    generated by the members the join carried."""
+    eta = N.eta
+    out = [
+        PermGroup((eta[a] for a in key), generators=[eta[a] for a in gens])
+        for key, gens in _join_closures(eta, _lambda_orbits(N)).items()
+    ]
     out.sort(key=lambda P: (P.order, P.canonical_key()))
     return out
 
 
-def fixed_subgroup(N: RegularSubgroup, P: PermGroup) -> Subgroup:
-    """The subgroup of G generated by the preimages of 0 under P's members.
+def _fixed(G: FiniteGroup, P: PermGroup) -> Subgroup:
+    """The subgroup of G that a stable P fixes: the closure of P's orbit of
+    0, refused unless its order is |P|.
 
-    The order must come out equal to |P|; anything else means P was not a
-    stable subgroup of the structure.
+    Once |U| = |P|, U is exactly the orbit {p(0)}.  The structure is
+    regular, so a member is named by its image of 0, and P -> U is
+    injective, keeps inclusions and sends {id} to {0} and the structure to
+    G: the lattice needs no further check.
     """
-    if not P.element_set <= N.perms.element_set:
-        raise CorrespondenceError("P is not a subgroup of the structure")
-    if _escape(_left_translations(N.group), P.generators, P.element_set) is not None:
-        raise CorrespondenceError("P is not stable under the translation action")
-    points = {p.index(0) for p in P.elements}
-    U = subgroup_closure(N.group, points)
+    U = subgroup_closure(G, P.orbit(0))
     if len(U.elements) != P.order:
         raise CorrespondenceError(
             f"fixed subgroup has order {len(U.elements)}, expected {P.order}"
         )
     return U
+
+
+def fixed_subgroup(N: RegularSubgroup, P: PermGroup) -> Subgroup:
+    """The subgroup of G generated by the orbit of 0 under P, which for a
+    group is the set of preimages of 0 under P's members.
+
+    P comes from outside, so it is checked to be a subgroup of the
+    structure that the translations normalize; the order must come out
+    equal to |P|.
+    """
+    if not P.element_set <= N.perms.element_set:
+        raise CorrespondenceError("P is not a subgroup of the structure")
+    if _escape(_left_translations(N.group), P.generators, P.element_set) is not None:
+        raise CorrespondenceError("P is not stable under the translation action")
+    return _fixed(N.group, P)
 
 
 class RealizableLattice:
@@ -110,36 +119,17 @@ class RealizableLattice:
 
 
 def realizable_lattice(N: RegularSubgroup) -> RealizableLattice:
-    """All (P, U) pairs, with the structural sanity checks applied.
-
-    The map P -> U must be injective and preserve inclusions, the trivial
-    pair and the full pair must both appear.  The result is kept on N.
-    """
+    """All (P, U) pairs, each U read off P by _fixed.  The result is kept
+    on N."""
     if N._lattice is None:
         N._lattice = _build_lattice(N)
     return N._lattice
 
 
 def _build_lattice(N: RegularSubgroup) -> RealizableLattice:
-    entries: List[Tuple[PermGroup, Subgroup]] = []
-    for P in g_stable_subgroups(N):
-        entries.append((P, fixed_subgroup(N, P)))
-    seen = {}
-    for P, U in entries:
-        if U.elements in seen:
-            raise CorrespondenceError("two stable subgroups fix the same subgroup")
-        seen[U.elements] = P
-    n = N.group.order
-    orders = sorted(len(u.elements) for _, u in entries)
-    if orders[0] != 1 or orders[-1] != n:
-        raise CorrespondenceError("lattice misses the trivial or the full pair")
-    for P1, U1 in entries:
-        for P2, U2 in entries:
-            if P1.element_set <= P2.element_set and not (
-                U1.element_set <= U2.element_set
-            ):
-                raise CorrespondenceError("the correspondence broke an inclusion")
-    return RealizableLattice(N, entries)
+    return RealizableLattice(
+        N, [(P, _fixed(N.group, P)) for P in g_stable_subgroups(N)]
+    )
 
 
 def _transport_matches(G, lat1: RealizableLattice,

@@ -509,20 +509,33 @@ def all_subgroups(G: FiniteGroup) -> list:
     )
 
 
+def _orbits(moves, n: int) -> list:
+    """Orbits on 0..n-1 of the group that the permutations moves generate,
+    ordered by smallest point; each is a tuple in the order it was walked
+    from that point."""
+    orbits, seen = [], [False] * n
+    for a in range(n):
+        if not seen[a]:
+            seen[a] = True
+            orbit = [a]
+            for x in orbit:
+                for move in moves:
+                    y = move[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+            orbits.append(tuple(orbit))
+    return orbits
+
+
 def conjugacy_classes(G: FiniteGroup) -> list:
-    """Conjugacy classes as sorted tuples, ordered by smallest member."""
+    """Conjugacy classes as sorted tuples, ordered by smallest member: the
+    orbits of conjugation by the generators."""
 
     def compute():
-        seen = [False] * G.order
-        classes = []
-        for a in range(G.order):
-            if seen[a]:
-                continue
-            cls = {G.conj(a, g) for g in range(G.order)}
-            for x in cls:
-                seen[x] = True
-            classes.append(tuple(sorted(cls)))
-        return sorted(classes, key=lambda c: c[0])
+        moves = [[G.conj(a, g) for a in range(G.order)]
+                 for g in G.generating_set()]
+        return [tuple(sorted(c)) for c in _orbits(moves, G.order)]
 
     return G._memo("classes", compute)
 
@@ -563,6 +576,8 @@ class GroupHom:
         self.images = tuple(images)
         if len(self.images) != domain.order:
             raise InvalidSpec("image array length does not match domain order")
+        if not 0 <= min(self.images) <= max(self.images) < codomain.order:
+            raise InvalidSpec(f"image ids must lie in 0..{codomain.order - 1}")
 
     def __call__(self, a: int) -> int:
         return self.images[a]
@@ -595,7 +610,11 @@ class GroupHom:
 def is_homomorphism(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bool:
     """Exhaustive check that images respects the two multiplication tables."""
     img = tuple(images)
-    return img[0] == 0 and _respects(img, G.table, H.table)
+    return (
+        0 <= min(img) <= max(img) < H.order
+        and img[0] == 0
+        and _respects(img, G.table, H.table)
+    )
 
 
 def extend_generator_images(

@@ -381,9 +381,7 @@ def _structure_from_embedding(
     d = len(b)
     if len(set(b)) != d:
         raise NotRegular("embedding image is not regular at the base point")
-    a = [0] * d
-    for i, m in enumerate(b):
-        a[m] = i
+    a = _invert(b)
     return frozenset(tuple(a[row[bx]] for bx in b) for row in M.table)
 
 

@@ -36,11 +36,7 @@ from .constructions import (
     coset_stable_regular_subgroups,
     to_hol_embedding,
 )
-from .correspondence import (
-    _transport_matches,
-    lattice_transport_check,
-    realizable_lattice,
-)
+from .correspondence import lattice_transport_check, realizable_lattice
 from .errors import HgsError
 from .groups import (
     FiniteGroup,
@@ -436,17 +432,9 @@ def check_correspondence_lattices() -> Tuple[bool, str]:
     count = 0
     for order in range(1, 13):
         for spec in catalog_specs(order):
-            G = build_group(spec)
-            inv = _inventory(str(spec))
-            lattices = {
-                S.perms.element_set: realizable_lattice(S) for S in inv.structures
-            }
-            for S in inv.structures:
-                lat1 = lattices[S.perms.element_set]
-                for g in range(G.order):
-                    Ng = rho_conjugate(S, g)
-                    lat2 = lattices[Ng.perms.element_set]
-                    if not _transport_matches(G, lat1, lat2, g):
+            for S in _inventory(str(spec)).structures:
+                for g in range(S.group.order):
+                    if not lattice_transport_check(S, g):
                         return False, f"{spec}: lattice transport failed at g={g}"
                 count += 1
     # the metacyclic family: 4 entries each, order-3 parts distinct, covering

@@ -194,6 +194,10 @@ def test_structure_references_enumerate_each_group_once(capsys, monkeypatch,
     (("correspondence", "--group", "dihedral:6", "--structure", "lambda",
       "--transport", "99"), 1),
     (("hgs", "show", "--group", "cyclic:16", "--structure", "index:0"), 2),
+    (("construct", "fpf", "--group", "sym:3", "--f1", "0,1,2,3,4,99",
+      "--f2", "0,0,0,0,0,0"), 2),
+    (("construct", "fpf", "--group", "sym:3", "--f1", "0,1,2,3,4,5",
+      "--f2", "0,1,2,3,4,-7"), 2),
 ])
 def test_bad_structure_references_fail_on_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)

@@ -22,7 +22,7 @@ from hgslab import (
     parse_spec,
     subgroup_closure,
 )
-from hgslab.groups import extend_generator_images
+from hgslab.groups import conjugacy_classes, extend_generator_images
 
 # number of isomorphism classes of groups of each order 1..15
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1]
@@ -198,6 +198,18 @@ def test_hom_compose_and_call():
     assert f(1) == 2
 
 
+@pytest.mark.parametrize("images", [
+    (0, 1, 2, 3, 4, 99),
+    (0, 1, 2, 3, 4, -7),
+    (0, 1, 2, 3, 4, -1),
+])
+def test_hom_images_must_be_element_ids(images):
+    S3 = build_group("sym:3")
+    with pytest.raises(InvalidSpec, match="image ids"):
+        GroupHom(S3, S3, images)
+    assert not is_homomorphism(S3, S3, images)
+
+
 def test_finite_group_rejects_broken_table():
     with pytest.raises(InvalidSpec):
         FiniteGroup(((0, 1), (1, 1)))  # not a Latin square
@@ -301,3 +313,22 @@ def test_semidirect_tables_names_and_inverses_are_unchanged(family):
     specs, want = SEMIDIRECT_FAMILIES[family]
     blob = json.dumps([[G.table, G.names, G.inverse] for G in map(build_group, specs)])
     assert hashlib.sha256(blob.encode()).hexdigest()[:20] == want
+
+
+def _classes_by_scanning_all_of_g(G):
+    """Each class as the conjugates of one element by every g in G."""
+    seen, classes = set(), []
+    for a in range(G.order):
+        if a not in seen:
+            cls = {G.conj(a, g) for g in range(G.order)}
+            seen |= cls
+            classes.append(tuple(sorted(cls)))
+    return classes
+
+
+def test_conjugacy_classes_equal_the_scan_over_all_of_g():
+    specs = [str(g) for n in range(1, 25) for g in catalog_specs(n)]
+    specs += ["sym:5", "metacyclic:31:5:2", "elemab:2:6"]
+    for spec in specs:
+        G = build_group(spec)
+        assert conjugacy_classes(G) == _classes_by_scanning_all_of_g(G), spec

@@ -4,11 +4,18 @@
 on N's member indices.  The oracle here is the direct route: build N's
 Cayley table on its sorted elements, list every subgroup by closing one
 added element at a time, and keep the ones that conjugation by the left
-translations maps into themselves.  Both must give the same subgroups, as
-`to_json()`, in the same order.  `all_subgroups` and `normal_subgroups`
+translations maps into themselves.  Both must give the same subgroups, of
+the same orders and element lists, in the same order, and the generators
+each P carries must close to P.  `all_subgroups` and `normal_subgroups`
 join closures of single elements and of conjugacy classes through the same
 routine; the one-element-at-a-time loop is their oracle too.
+
+`realizable_lattice` pairs each P with its orbit of 0 and checks nothing
+else; the oracle for the pairs is the closure in G of the preimages of 0
+under P's members, with the lattice laws checked entry by entry.
 """
+
+import sys
 
 from hgslab import (
     all_subgroups,
@@ -16,11 +23,12 @@ from hgslab import (
     catalog_specs,
     g_stable_subgroups,
     normal_subgroups,
+    realizable_lattice,
     rho_conjugate,
     rho_structure,
 )
 from hgslab.groups import subgroup_closure
-from hgslab.perms import PermGroup, _escape, _left_translations
+from hgslab.perms import PermGroup, _escape, _greedy_close, _left_translations
 from test_hol_oracle import perm_group_as_group
 
 
@@ -59,9 +67,11 @@ def _scan_stable_subgroups(N):
 
 
 def _same(N):
-    want = [P.to_json() for P in _scan_stable_subgroups(N)]
-    got = [P.to_json() for P in g_stable_subgroups(N)]
-    assert got == want, N
+    want = [(P.order, P.elements) for P in _scan_stable_subgroups(N)]
+    got = g_stable_subgroups(N)
+    assert [(P.order, P.elements) for P in got] == want, N
+    for P in got:
+        assert _greedy_close(P.generators, P.order)[1] == P.element_set, N
     return len(got)
 
 
@@ -84,6 +94,49 @@ def test_stable_subgroups_match_the_scan_on_rho_conjugates(catalog_structures):
 def test_stable_subgroups_match_the_scan_on_elemab_2_5_rho():
     # lambda(G) and rho(G) commute, so every subgroup of rho(G) is stable
     assert _same(rho_structure(build_group("elemab:2:5"))) == 374
+
+
+def _lattice_holds(N):
+    """Each U is the closure of the preimages of 0 under P's members; P -> U
+    is injective, keeps inclusions and has the trivial and full pairs."""
+    G = N.group
+    entries = list(realizable_lattice(N))
+    for P, U in entries:
+        want = subgroup_closure(G, {p.index(0) for p in P.elements})
+        assert U.elements == want.elements, N
+    assert len({U.elements for _, U in entries}) == len(entries), N
+    for P1, U1 in entries:
+        for P2, U2 in entries:
+            if P1.element_set <= P2.element_set:
+                assert U1.element_set <= U2.element_set, N
+    pairs = {(P.order, U.elements) for P, U in entries}
+    assert (1, (0,)) in pairs and (G.order, tuple(range(G.order))) in pairs, N
+    return len(entries)
+
+
+def test_lattices_match_the_preimage_closure(catalog_structures):
+    for N in catalog_structures:
+        _lattice_holds(N)
+        for g in N.group.generating_set():
+            _lattice_holds(rho_conjugate(N, g))
+    assert _lattice_holds(rho_structure(build_group("elemab:2:5"))) == 374
+
+
+def test_lattice_closes_no_permutations(catalog_structures, monkeypatch):
+    # the join carries each P's generators and its index set is U, so
+    # nothing is closed or probed for stability as permutations
+    def refuse(*args):
+        raise AssertionError("the lattice closed or probed permutations")
+
+    structures = [*catalog_structures, rho_structure(build_group("elemab:2:5"))]
+    for key, module in list(sys.modules.items()):
+        if key.startswith("hgslab."):
+            for name in ("_greedy_close", "_escape"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    for N in structures:
+        monkeypatch.setattr(N, "_lattice", None)
+        realizable_lattice(N)
 
 
 def test_all_and_normal_subgroups_match_the_scan():
