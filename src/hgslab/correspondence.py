@@ -5,15 +5,15 @@ translation maps P into itself.  Each stable P pins down a subgroup U of G,
 its orbit of 0; the pairs (P, U) form a lattice whose behaviour under
 rho-conjugation is checked here as well.
 
-The stable subgroups are found in N's own Cayley table: a member is named
-by its image of 0, and eta[a] . eta[b] = eta[eta[a][b]], so the rows of eta
-are that table.  Conjugation by lambda(h) permutes these indices, and a
-subgroup is stable exactly when it is a union of lambda(G)-orbits.  So the
-lattice is made of the joins of orbit closures (groups._join_closures),
-built breadth first from the trivial subgroup and capped at
-groups.LATTICE_LIMIT entries; the subgroups of N are never all listed.
-Each P keeps the members the join carried as its generators, and its U is
-its index set, closed in G only to confirm that it is a subgroup
+The stable subgroups are found in N's own Cayley table: a member is named by
+its image of 0, and eta[a] . eta[b] = eta[eta[a][b]], so the rows of eta are
+that table.  Conjugation by lambda(h) permutes these indices, and a subgroup
+is stable exactly when it is a union of lambda(G)-orbits.  So the lattice is
+made of the joins of orbit closures (groups._join_closures), capped at
+groups.LATTICE_LIMIT; N's subgroups are never all listed.  Each P is built
+once, from its greedy walk over the orbits (a join that reaches an earlier
+orbit stops, as that walk picks it first), keeps its picks as generators and
+has its index set as U, closed in G only to confirm that it is a subgroup
 (_fixed).  Only a P from outside is checked to be stable (fixed_subgroup).
 """
 
@@ -46,7 +46,7 @@ def _lambda_orbits(N: RegularSubgroup) -> list:
 def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
     """All subgroups of N stable under the translation action, sorted by
     order and element list: the joins of closures of lambda(G)-orbits, each
-    generated by the members the join carried."""
+    generated by its picked members."""
     eta = N.eta
     out = [
         PermGroup((eta[a] for a in key), generators=[eta[a] for a in gens])

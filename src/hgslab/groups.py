@@ -10,9 +10,12 @@ with the ids that generate it, by a piece of further ids.  Old elements are
 multiplied by the piece only and new ones by every generator, so
 subgroup_closure and generating_set (through _greedy_join, one id at a
 time, skipping ids already reached) and the subgroup lattices of
-_join_closures (breadth first over the pieces) share it.  Permutations
-have their own kernel, perms._greedy_close; ids are never closed through
-their lambda rows, which would turn table lookups into tuple products.
+_join_closures share it.  The lattice builds each subgroup once, from its
+greedy walk over the pieces (join each piece not reached yet): _join stops
+a join that reaches an earlier piece, which that walk would pick first.
+Permutations have their own kernel, perms._greedy_close; ids are never
+closed through their lambda rows, which would turn table lookups into
+tuple products.
 """
 
 from __future__ import annotations
@@ -360,9 +363,9 @@ def _respects(images: Sequence[int], src_rows, dst_rows) -> bool:
     return True
 
 
-def _join(table: Sequence[Sequence[int]], have, gens, piece) -> set:
+def _join(table: Sequence[Sequence[int]], have, gens, piece, rank=None, bound=0):
     """Closure of have and piece in a Cayley table, have being the subgroup
-    that the ids gens generate.
+    that the ids gens generate; None once a new id y has rank[y] < bound.
 
     Old elements are multiplied by the piece only, new ones by gens and the
     piece: an element of the join is a word in gens and the piece, and have
@@ -373,9 +376,11 @@ def _join(table: Sequence[Sequence[int]], have, gens, piece) -> set:
         for x in xs:
             row = table[x]
             for g in by:
-                if row[g] not in out:
-                    out.add(row[g])
-                    fresh.append(row[g])
+                if (y := row[g]) not in out:
+                    if bound and rank[y] < bound:
+                        return None
+                    out.add(y)
+                    fresh.append(y)
     return out
 
 
@@ -463,31 +468,26 @@ def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def _join_closures(table: Sequence[Sequence[int]], pieces) -> dict:
-    """Every subgroup generated by a union of pieces: {element set: gens}.
-
-    Breadth first from the trivial subgroup, each subgroup S is joined
-    (_join) with every piece outside it (a piece lies inside or outside S as
-    a whole); the generators carried along are the values.  Raises
-    ClosureCapExceeded as soon as more than LATTICE_LIMIT are found.
-    """
-    trivial = frozenset((0,))
-    found = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for have in frontier:
-            for piece in pieces:
-                if piece[0] in have:
-                    continue
-                key = frozenset(_join(table, have, found[have], piece))
-                if key not in found:
-                    found[key] = found[have] + piece
-                    if len(found) > LATTICE_LIMIT:
-                        raise ClosureCapExceeded(
-                            f"more than {LATTICE_LIMIT} subgroups in the lattice"
-                        )
-                    nxt.append(key)
-        frontier = nxt
+    """Every subgroup generated by a union of pieces, {element set: picks},
+    each built once (orderly generation, Read 1978): breadth first, S is
+    joined only with the pieces after its last pick, and _join stops at a
+    new id in an earlier piece, which the join's own greedy walk picks
+    first, so another parent builds it.  Raises ClosureCapExceeded past
+    LATTICE_LIMIT subgroups."""
+    rank = {x: i for i, piece in enumerate(pieces) for x in piece}
+    queue = [(frozenset((0,)), 0)]
+    found = {queue[0][0]: ()}
+    for have, first in queue:
+        for i, piece in enumerate(pieces[first:], first):
+            if piece[0] not in have and (
+                    joined := _join(table, have, found[have], piece, rank, i)):
+                key = frozenset(joined)
+                found[key] = found[have] + piece
+                if len(found) > LATTICE_LIMIT:
+                    raise ClosureCapExceeded(
+                        f"more than {LATTICE_LIMIT} subgroups in the lattice"
+                    )
+                queue.append((key, i + 1))
     return found
 
 
@@ -611,7 +611,7 @@ def is_homomorphism(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bo
     """Exhaustive check that images respects the two multiplication tables."""
     img = tuple(images)
     return (
-        0 <= min(img) <= max(img) < H.order
+        len(img) == G.order and 0 <= min(img) <= max(img) < H.order
         and img[0] == 0
         and _respects(img, G.table, H.table)
     )

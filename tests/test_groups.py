@@ -210,6 +210,12 @@ def test_hom_images_must_be_element_ids(images):
     assert not is_homomorphism(S3, S3, images)
 
 
+@pytest.mark.parametrize("images", [(0, 1, 2), ()])
+def test_is_homomorphism_refuses_a_short_image_array(images):
+    S3 = build_group("sym:3")
+    assert not is_homomorphism(S3, S3, images)
+
+
 def test_finite_group_rejects_broken_table():
     with pytest.raises(InvalidSpec):
         FiniteGroup(((0, 1), (1, 1)))  # not a Latin square

@@ -8,13 +8,20 @@ translations maps into themselves.  Both must give the same subgroups, of
 the same orders and element lists, in the same order, and the generators
 each P carries must close to P.  `all_subgroups` and `normal_subgroups`
 join closures of single elements and of conjugacy classes through the same
-routine; the one-element-at-a-time loop is their oracle too.
+routine; the one-element-at-a-time loop is their oracle too, and each
+subgroup of `all_subgroups` carries exactly its greedy picks in id order.
+
+`groups._join_closures` builds each subgroup once, from its greedy picks
+over the pieces, and drops every join that would reach a subgroup twice.
+The breadth-first walk it replaced, which joins every subgroup found with
+every piece outside it and keeps the joins not seen before, is kept here
+as its reference: both must find the same element sets, and every join the
+new walk completes must be a new subgroup.
 
 `realizable_lattice` pairs each P with its orbit of 0 and checks nothing
 else; the oracle for the pairs is the closure in G of the preimages of 0
 under P's members, with the lattice laws checked entry by entry.
 """
-
 import sys
 
 from hgslab import (
@@ -27,7 +34,9 @@ from hgslab import (
     rho_conjugate,
     rho_structure,
 )
-from hgslab.groups import subgroup_closure
+from hgslab import groups
+from hgslab.correspondence import _lambda_orbits
+from hgslab.groups import _join, _join_closures, conjugacy_classes, subgroup_closure
 from hgslab.perms import PermGroup, _escape, _greedy_close, _left_translations
 from test_hol_oracle import perm_group_as_group
 
@@ -139,14 +148,99 @@ def test_lattice_closes_no_permutations(catalog_structures, monkeypatch):
         realizable_lattice(N)
 
 
+def _greedy_picks(G, elements):
+    """The ids of elements, in order, that the closure of the earlier picks
+    does not reach."""
+    picks = []
+    for x in elements:
+        if x not in subgroup_closure(G, picks):
+            picks.append(x)
+    return tuple(picks)
+
+
 def test_all_and_normal_subgroups_match_the_scan():
     specs = [str(g) for n in list(range(1, 16)) + [21] for g in catalog_specs(n)]
     specs += ["sym:4", "dihedral:8", "elemab:2:5"]
     for spec in specs:
         G = build_group(spec)
         scan = _every_subgroup(G)
-        want = [(s.elements, s.generators) for s in scan]
+        want = [(s.elements, _greedy_picks(G, s.elements)) for s in scan]
         got = [(s.elements, s.generators) for s in all_subgroups(G)]
         assert got == want, spec
         want = [s.elements for s in scan if s.is_normal()]
         assert [s.elements for s in normal_subgroups(G)] == want, spec
+
+
+def _breadth_first_joins(table, pieces):
+    """The former walk: join every subgroup found with every piece outside
+    it, keeping the joins not seen before."""
+    trivial = frozenset((0,))
+    found = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for have in frontier:
+            for piece in pieces:
+                if piece[0] not in have:
+                    key = frozenset(_join(table, have, found[have], piece))
+                    if key not in found:
+                        found[key] = found[have] + piece
+                        nxt.append(key)
+        frontier = nxt
+    return found
+
+
+def _closure(table, gens):
+    """The ids reached from 0 by right multiplication with gens."""
+    out = {0}
+    while True:
+        more = out | {table[a][g] for a in out for g in gens}
+        if more == out:
+            return out
+        out = more
+
+
+def _rho_lattice_input(spec):
+    N = rho_structure(build_group(spec))
+    return N.eta, _lambda_orbits(N)
+
+
+def _completed_joins(monkeypatch, table, pieces):
+    """(found, number of _join calls that returned a subgroup) for one
+    _join_closures walk."""
+    completed = []
+
+    def counting(*args):
+        out = _join(*args)
+        completed.append(out is not None)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_join", counting)
+        found = _join_closures(table, pieces)
+    return found, sum(completed)
+
+
+def test_join_closures_match_the_breadth_first_walk():
+    for spec, count in (("sym:5", 156), ("metacyclic:31:5:2", 34)):
+        table, pieces = _rho_lattice_input(spec)
+        found = _join_closures(table, pieces)
+        want = _breadth_first_joins(table, pieces)
+        assert len(found) == len(want) == count, spec
+        assert set(found) == set(want), spec
+        for key, gens in found.items():
+            assert _closure(table, gens) == key, spec
+
+
+def test_every_completed_join_is_a_new_subgroup(monkeypatch):
+    inputs = [_rho_lattice_input("sym:5")]
+    for spec in ("sym:4", "dihedral:8"):
+        G = build_group(spec)
+        inputs.append((G.table, [(x,) for x in range(1, G.order)]))
+        inputs.append((G.table, conjugacy_classes(G)[1:]))
+    counts = []
+    for table, pieces in inputs:
+        found, completed = _completed_joins(monkeypatch, table, pieces)
+        assert completed == len(found) - 1
+        counts.append(completed)
+    assert counts[0] == 155
