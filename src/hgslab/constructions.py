@@ -19,6 +19,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _refuse_large_search,
     _respects,
     are_isomorphic,
     catalog_complete,
@@ -288,6 +289,8 @@ def abelian_maps(G: FiniteGroup) -> list:
     Backtracks over generator images; a generator of order k can only map
     to an element whose order divides k.  The image is generated by the
     generator images, so it is abelian exactly when they commute pairwise.
+    Refused before the backtrack when it would range over more than
+    AUTOMORPHISM_SEARCH_LIMIT choices of generator images.
     """
     gens = G.generating_set()
     orders, t = G.element_orders, G.table
@@ -295,6 +298,7 @@ def abelian_maps(G: FiniteGroup) -> list:
     for g in gens:
         o = orders[g]
         candidates.append([x for x in range(G.order) if o % orders[x] == 0])
+    _refuse_large_search("abelian map", candidates)
     out = []
     for combo in itertools.product(*candidates):
         if any(t[a][b] != t[b][a] for a, b in itertools.combinations(combo, 2)):

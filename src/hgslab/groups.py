@@ -13,9 +13,11 @@ time, skipping ids already reached) and the subgroup lattices of
 _join_closures share it.  The lattice builds each subgroup once, from its
 greedy walk over the pieces (join each piece not reached yet): _join stops
 a join that reaches an earlier piece, which that walk would pick first.
-Permutations have their own kernel, perms._greedy_close; ids are never
-closed through their lambda rows, which would turn table lookups into
-tuple products.
+A regular permutation set is its own Cayley table, so _greedy_join and
+_acts close it too (perms._greedy_generators); perms._greedy_close, which
+composes tuples, is kept for permutation sets without such a table.  Ids
+are never closed through their lambda rows, which would turn table lookups
+into tuple products.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ GROUP_ORDER_LIMIT = 1024
 # elemab:2:7 has 29,212; no group of order 64 or less has more than 2,825.
 LATTICE_LIMIT = 4096
 
-# automorphisms refuses a backtrack over more choices of generator images
-# than this (UnsupportedOrder, exit 2): the tests, verify and the benchmark
-# need at most 65,536 (C2^3 x C4), C2^5 needs 28,629,151 and C3^4 40,960,000.
+# automorphisms and constructions.abelian_maps refuse a backtrack over more
+# choices of generator images than this (UnsupportedOrder, exit 2): the
+# tests, verify and the benchmark need at most 65,536 (C2^3 x C4, and the
+# abelian maps of C2^4); C2^5 needs 28,629,151 and C3^4 40,960,000
+# automorphism choices, and 33,554,432 and 43,046,721 abelian-map choices.
 AUTOMORPHISM_SEARCH_LIMIT = 10**6
 
 # all_subgroups refuses larger groups.
@@ -682,15 +686,24 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     return None if img is None else GroupHom(G, H, img)
 
 
-def _automorphisms(G: FiniteGroup) -> list:
+def _refuse_large_search(what: str, candidates: Sequence[Sequence[int]]) -> None:
+    """Raise UnsupportedOrder when a backtrack over generator images, one
+    candidate list per generator, would range over more choices than
+    AUTOMORPHISM_SEARCH_LIMIT."""
     choices = 1
-    for g in G.generating_set():
-        choices *= len(_iso_candidates(G, G, g))
+    for c in candidates:
+        choices *= len(c)
     if choices > AUTOMORPHISM_SEARCH_LIMIT:
         raise UnsupportedOrder(
-            f"the automorphism search would range over {choices} choices of "
+            f"the {what} search would range over {choices} choices of "
             f"generator images, above the limit of {AUTOMORPHISM_SEARCH_LIMIT}"
         )
+
+
+def _automorphisms(G: FiniteGroup) -> list:
+    _refuse_large_search(
+        "automorphism", [_iso_candidates(G, G, g) for g in G.generating_set()]
+    )
     return [GroupHom(G, G, img) for img in sorted(_isomorphisms(G, G))]
 
 

@@ -377,12 +377,10 @@ def _structure_from_embedding(
     representatives (all of G when T = {e}), must be a bijection G/T -> M,
     and the structure is b^-1 . lambda_M(mu) . b over all mu.
     """
-    b = [beta[r][0] for r in representatives]
-    d = len(b)
-    if len(set(b)) != d:
+    b = tuple(beta[r][0] for r in representatives)
+    if len(set(b)) != len(b):
         raise NotRegular("embedding image is not regular at the base point")
-    a = _invert(b)
-    return frozenset(tuple(a[row[bx]] for bx in b) for row in M.table)
+    return frozenset(_conjugate_all(M.table, _invert(b), b))
 
 
 def _embedding_sets(cs: CosetSpace, specs: Sequence[GroupSpec]) -> dict:

@@ -15,12 +15,13 @@ of length 0 or 1 take a plain generator instead.  A conjugation is two
 gathers, q . p . q^-1 = q . (p . q^-1), with the gather by q^-1 built once
 per conjugator (_conjugate_all).
 
-Permutations have one closure kernel, _greedy_close: PermGroup uses it to
-check that a set is closed under composition, generated_perm_group to
-close a generator list under the fixed cap of 10 * b^2 elements.  They have
-one stability check, _escape: the first conjugate q . p . q^-1 that leaves
-a set, which certify reports and every other caller reads as a verdict.
-Element ids in a Cayley table are closed by groups._join instead.
+A regular set of permutations is closed as its own Cayley table, by the
+id kernels groups._greedy_join and groups._acts (_greedy_generators).
+_greedy_close composes permutations; it is kept for sets without such a
+table and for generated_perm_group, under the cap of 10 * b^2 elements.
+The one stability check is _escape: the first conjugate q . p . q^-1 that
+leaves a set, which certify reports and every other caller reads as a
+verdict.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureCapExceeded, InvalidSpec
-from .groups import FiniteGroup, Subgroup, _respects
+from .groups import FiniteGroup, Subgroup, _acts, _greedy_join, _respects
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -95,10 +96,8 @@ class PermGroup:
         self.elements = elems
         self.element_set = frozenset(elems)
         self._hash = None  # memo of canonical_hash
-        self.generators = (
-            tuple(generators) if generators
-            else _greedy_generators(elems, self.element_set)
-        )
+        gens = tuple(generators)
+        self.generators = gens or _greedy_generators(elems, self.element_set)
 
     @property
     def order(self) -> int:
@@ -159,27 +158,35 @@ class PermGroup:
 
 
 def _greedy_generators(elems: Sequence[tuple], members: frozenset) -> tuple:
-    """Small generating sequence for a closed permutation set.
+    """Generators of a closed permutation set: the candidates by decreasing
+    order, each one not reached yet.
 
-    Candidates are tried by decreasing order.  For n permutations of n
-    points with distinct images of 0 the order is read as the length of the
-    cycle through 0: if the set is a group it is regular, so every element
-    is semiregular and that cycle length is its order; if it is not a group,
-    the closure differs from it whatever the candidate order.
+    n sorted permutations of n points with elems[a][0] == a are, if closed,
+    regular with Cayley table a*b = elems[a][b], and the order of elems[a]
+    is its cycle length at 0.  They are closed exactly when elems[0] is the
+    identity, the picks reach every id in that table and _acts holds at the
+    picks: the g passing _acts (elems[y] . elems[g] == elems[y*g] for all y)
+    hold 0 and are closed under the table's product (read the law at 0),
+    and every id is a product of picks.  _greedy_close closes other sets.
     """
     if len(elems) == 1:
         return elems
     n = len(elems[0])
-    regular = len(elems) == n and len({p[0] for p in elems}) == n
-    order = _cycle_at_0 if regular else _tuple_order
-    candidates = sorted(elems, key=lambda q: (-order(q), q))
-    try:
-        gens, reached = _greedy_close(candidates, len(members))
-    except ClosureCapExceeded:
-        reached = None
-    if reached != members:
-        raise InvalidSpec("set is not closed under composition")
-    return tuple(gens)
+    if len(elems) == n and all(p[0] == a for a, p in enumerate(elems)):
+        ids = sorted(range(n), key=lambda a: (-_cycle_at_0(elems[a]), a))
+        gens, reached = _greedy_join(elems, ids)
+        if (elems[0] == tuple(range(n)) and len(reached) == n
+                and _acts(elems, elems, gens)):
+            return tuple(elems[g] for g in gens)
+    else:
+        candidates = sorted(elems, key=lambda q: (-_tuple_order(q), q))
+        try:
+            gens, reached = _greedy_close(candidates, len(members))
+        except ClosureCapExceeded:
+            reached = None
+        if reached == members:
+            return tuple(gens)
+    raise InvalidSpec("set is not closed under composition")
 
 
 def _greedy_close(candidates: Sequence[tuple], limit: int) -> tuple:
@@ -187,12 +194,11 @@ def _greedy_close(candidates: Sequence[tuple], limit: int) -> tuple:
     greedily from them in order.
 
     Each candidate not reached yet becomes a generator, and the reached set
-    is extended to its closure under right multiplication by the generators:
-    old elements only need the new generator, new elements need all of
-    them.  A set of candidates is closed under composition exactly when it
-    is the reached set.  Raises ClosureCapExceeded once more than limit
-    elements are reached.  Costs O(r k) products for r reached elements
-    and k picks.
+    is closed under right multiplication by the generators: old elements
+    need only the new one, new elements all of them.  Candidates are closed
+    under composition exactly when they are the reached set.  Raises
+    ClosureCapExceeded past limit elements; O(r k) products for r reached
+    elements and k picks.
     """
     have = {tuple(range(len(candidates[0])))}
     gens: list = []
@@ -307,16 +313,12 @@ class CosetSpace:
             raise InvalidSpec("subgroup belongs to a different group")
         self.group = group
         self.subgroup = subgroup
-        seen = {}
-        cosets = []
-        for g in range(group.order):
-            elems = tuple(sorted(group.table[g][t] for t in subgroup.elements))
-            if elems not in seen:
-                seen[elems] = len(cosets)
-                cosets.append(elems)
-        # identity coset first, the rest ordered by smallest member
-        cosets.sort(key=lambda c: (0 not in c, c[0]))
-        self.cosets = tuple(cosets)
+        cosets = {
+            tuple(sorted(group.table[g][t] for t in subgroup.elements))
+            for g in range(group.order)
+        }
+        # by smallest member, so the identity coset, which holds 0, first
+        self.cosets = tuple(sorted(cosets))
         coset_of = [0] * group.order
         for i, c in enumerate(self.cosets):
             for e in c:
@@ -331,10 +333,8 @@ class CosetSpace:
 
 def left_translation(space: CosetSpace, h: int) -> tuple:
     """The permutation of cosets induced by left multiplication with h."""
-    G = space.group
-    return tuple(
-        space.coset_of[G.table[h][rep]] for rep in space.representatives
-    )
+    row, coset_of = space.group.table[h], space.coset_of
+    return tuple(coset_of[row[rep]] for rep in space.representatives)
 
 
 def left_translation_image(space: CosetSpace) -> PermGroup:

@@ -198,6 +198,21 @@ def test_structure_references_enumerate_each_group_once(capsys, monkeypatch,
       "--f2", "0,0,0,0,0,0"), 2),
     (("construct", "fpf", "--group", "sym:3", "--f1", "0,1,2,3,4,5",
       "--f2", "0,1,2,3,4,-7"), 2),
+    (("group", "sym:0"), 2),
+    (("group", "elemab:4:2"), 2),
+    (("group", "metacyclic:7:3:3"), 2),
+    (("group", "dicyclic:3"), 2),
+    (("group", "product:cyclic:2"), 2),
+    (("group", "product:(cyclic:2"), 2),
+    (("hgs", "enumerate", "--group", "cyclic:4", "--type", "cyclic:8"), 2),
+    # a group of order 2, not regular on 4 points
+    (("hgs", "show", "--group", "cyclic:4", "--structure", "gens:1,0,3,2"), 2),
+    (("construct", "induced", "--group", "sym:3", "--t-gens", "1",
+      "--s-gens", "9"), 2),
+    (("construct", "induced", "--group", "sym:3", "--t-gens", "1",
+      "--s-gens", "1"), 2),
+    # 32^5 choices of generator images, refused before the backtrack
+    (("construct", "abelian-maps", "--group", "elemab:2:5"), 2),
 ])
 def test_bad_structure_references_fail_on_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)

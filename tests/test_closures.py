@@ -2,11 +2,18 @@
 
 groups._join closes element ids in a Cayley table for subgroup_closure,
 generating_set and the subgroup lattices; perms._greedy_close closes
-permutations for PermGroup's closure check and generated_perm_group.  The
-digests below were recorded from the former separate closures
-(_closure_set, and a full re-closure after every generator pick):
-for each group, its generating set and subgroup_closure of every single
-element and of 16 seeded pairs and triples must stay as they were.
+permutations for generated_perm_group and for PermGroup's check of a set
+that is not regular.  The digests below were recorded from the former
+separate closures (_closure_set, and a full re-closure after every
+generator pick): for each group, its generating set and subgroup_closure of
+every single element and of 16 seeded pairs and triples must stay as they
+were.
+
+A regular set is closed as its own Cayley table instead.  On every
+structure of the catalog orders and of the sym:5 abelian maps, their
+opposites and metacyclic:31:5:2 of its own type, that table path must pick
+what _greedy_close picks, and on seeded rows with two images swapped it
+must reject what _greedy_close rejects.
 """
 
 import hashlib
@@ -14,8 +21,19 @@ import random
 
 import pytest
 
-from hgslab import ClosureCapExceeded, build_group, catalog_specs, subgroup_closure
-from hgslab.perms import _greedy_close
+from hgslab import (
+    ClosureCapExceeded,
+    InvalidSpec,
+    abelian_maps,
+    build_group,
+    catalog_specs,
+    enumerate_hgs,
+    hgs_from_abelian_map,
+    opposite,
+    subgroup_closure,
+)
+from hgslab import perms
+from hgslab.perms import PermGroup, _compose, _greedy_close, _tuple_order
 
 RECORDED = {
     'cyclic:1': 'b9ca58bbd236207a',
@@ -121,3 +139,86 @@ def test_greedy_close_picks_only_candidates_not_reached():
     picked, reached = _greedy_close([cycle, square, (0, 1, 2, 3)], 4)
     assert picked == [cycle]
     assert reached == {(0, 1, 2, 3), cycle, square, (3, 0, 1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# Regular sets: the table path against the composition path
+
+NOT_CLOSED = "set is not closed under composition"
+
+
+@pytest.fixture(scope="module")
+def regular_sets(catalog_structures):
+    """Element sets of 992 structures: the 376 of the catalog orders and the
+    26 sym:5 abelian-map structures, the opposites of both, and the 188 of
+    metacyclic:31:5:2 of its own type."""
+    s5 = [hgs_from_abelian_map(am) for am in abelian_maps(build_group("sym:5"))]
+    M = build_group("metacyclic:31:5:2")
+    structures = [*catalog_structures, *s5]
+    structures += [*map(opposite, structures), *enumerate_hgs(M, type_filter=M.spec)]
+    return [N.perms.elements for N in structures]
+
+
+def _table_outcome(elems):
+    try:
+        return PermGroup(elems).generators
+    except InvalidSpec as exc:
+        return str(exc)
+
+
+def _composition_outcome(elems):
+    """What _greedy_close picks over the candidates by decreasing order, or
+    PermGroup's message when they do not close to the set.  A one-element
+    set is its own generator sequence, as PermGroup has it."""
+    if len(elems) == 1:
+        return tuple(elems)
+    candidates = sorted(elems, key=lambda q: (-_tuple_order(q), q))
+    try:
+        gens, reached = _greedy_close(candidates, len(elems))
+    except ClosureCapExceeded:
+        reached = None
+    return tuple(gens) if reached == set(elems) else NOT_CLOSED
+
+
+def _swapped_row(elems, rng):
+    """elems with two images other than that of 0 swapped in one row; the
+    set still looks regular."""
+    out = list(elems)
+    a = rng.randrange(len(out))
+    i, j = rng.sample(range(1, len(out)), 2)
+    row = list(out[a])
+    row[i], row[j] = row[j], row[i]
+    out[a] = tuple(row)
+    return out
+
+
+def test_table_path_picks_what_greedy_close_picks(regular_sets):
+    assert len(regular_sets) == 992
+    for elems in regular_sets:
+        assert _table_outcome(elems) == _composition_outcome(elems), elems
+
+
+def test_table_path_rejects_what_greedy_close_rejects(regular_sets):
+    rng = random.Random(20261019)
+    mutants = [_swapped_row(elems, rng)
+               for elems in rng.sample(regular_sets, 300) if len(elems) > 2]
+    for elems in mutants:
+        eset = set(elems)
+        closed = all(_compose(p, q) in eset for p in elems for q in elems)
+        assert not closed
+        assert _table_outcome(elems) == _composition_outcome(elems) == NOT_CLOSED
+    assert len(mutants) > 250
+
+
+def test_regular_sets_close_without_composing(regular_sets, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a regular set was closed by composing tuples")
+
+    monkeypatch.setattr(perms, "_greedy_close", refuse)
+    monkeypatch.setattr(perms, "_compose", refuse)
+    rng = random.Random(20261019)
+    for elems in regular_sets:
+        PermGroup(elems)
+        if len(elems) > 2:
+            with pytest.raises(InvalidSpec, match=NOT_CLOSED):
+                PermGroup(_swapped_row(elems, rng))

@@ -37,6 +37,7 @@ from hgslab import (
     structure_group,
     subgroup_closure,
     to_hol_embedding,
+    UnsupportedOrder,
 )
 from hgslab.hgs import stable_regular_subgroups
 from hgslab.verify import (
@@ -120,6 +121,15 @@ def test_fpf_reproduces_dihedral_family(d4):
 def test_abelian_map_counts_frozen():
     for spec, want in ABELIAN_MAP_COUNTS.items():
         assert len(abelian_maps(build_group(spec))) == want, spec
+
+
+def test_abelian_maps_refuse_a_search_past_the_limit():
+    # 32^5 choices of generator images; before the refusal the backtrack
+    # ran for longer than 30 s
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedOrder, match="33554432 choices"):
+        abelian_maps(build_group("elemab:2:5"))
+    assert time.perf_counter() - start < 2
 
 
 def test_abelian_map_rejects_nonabelian_image(s3):
