@@ -273,17 +273,8 @@ class FiniteGroup:
 
     @property
     def element_orders(self) -> tuple:
-        def compute():
-            out = []
-            for a in range(self.order):
-                k, x = 1, a
-                while x != 0:
-                    x = self.table[x][a]
-                    k += 1
-                out.append(k)
-            return tuple(out)
-
-        return self._memo("orders", compute)
+        """Row g is lambda(g), whose cycle through 0 is 0, g, g^2, ..."""
+        return self._memo("orders", lambda: tuple(map(_cycle_at_0, self.table)))
 
     def element_order(self, a: int) -> int:
         return self.element_orders[a]
@@ -911,50 +902,45 @@ def _word_name(parts: list) -> str:
     return " ".join(bits) if bits else "e"
 
 
-def _cycle_name(p: tuple) -> str:
+def _cycle_at_0(row: Sequence[int]) -> int:
+    """Length of the cycle of row through 0, or 0 if the walk from 0 does
+    not come back within len(row) steps (row is not a permutation)."""
+    length, x = 1, row[0]
+    while x != 0:
+        if length == len(row):
+            return 0
+        x = row[x]
+        length += 1
+    return length
+
+
+def _cycles(p: Sequence[int]) -> list:
+    """The cycles of the permutation p, fixed points included, each from its
+    least point and in the order of those points."""
     seen = [False] * len(p)
     cycles = []
     for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
-            cyc.append(x)
+        cycle, x = [], start
+        while not seen[x]:
             seen[x] = True
+            cycle.append(x)
             x = p[x]
-        cycles.append("(" + " ".join(str(v) for v in cyc) + ")")
-    return "".join(cycles) if cycles else "e"
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _cycle_name(p: tuple) -> str:
+    cycles = [c for c in _cycles(p) if len(c) > 1]
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "e"
 
 
 def _perm_sign(p: tuple) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return -1 if (len(p) - len(_cycles(p))) % 2 else 1
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+    return _factorize(n) == [(n, 1)]
 
 
 def _mult_order(d: int, p: int) -> int:

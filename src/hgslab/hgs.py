@@ -5,11 +5,12 @@ with group G, so we call a certified one a structure.  Enumeration follows
 Byott's translation, which also covers the separable case: the regular
 subgroups of Perm(G/T) of type M normalized by G correspond to the
 homomorphisms beta: G -> Hol(M) for which xT -> beta(x)(0) is a bijection,
-up to conjugation by Aut(M).  An element of Hol(M) is the image tuple
-lambda(m) . a with a in Aut(M).  The search backtracks over the images of
-G's generating set, spreads each partial choice along G's Cayley graph, and
-rejects it as soon as a relation of G fails or two cosets send the base
-point to the same place.  enumerate_hgs is the case T = {e}.
+up to conjugation by Aut(M).  An element lambda(m) . a of Hol(M), a in
+Aut(M), is searched as the pair (m, a) and formed only as a chosen image.
+The search backtracks over the images of G's generating set, spreads each
+partial choice along G's Cayley graph, and rejects it as soon as a relation
+of G fails or two cosets send the base point to the same place.
+enumerate_hgs is the case T = {e}.
 
 _structure certifies each element set once per group while a caller holds
 the result (a weak per-group memo), so inventories, rho-orbits and abelian
@@ -256,40 +257,55 @@ def type_of(N: RegularSubgroup) -> GroupSpec:
 # Enumeration by generator images into Hol(M)
 
 
-def _hol_pools(M: FiniteGroup, auts: Sequence[tuple], wanted) -> dict:
-    """Elements lambda(m) . a of Hol(M) keyed by (order, fixed points), for
-    the automorphisms a in auts and the fixed-point counts in wanted.
+def _hol_pools(M: FiniteGroup, auts: Sequence[tuple], shapes) -> dict:
+    """{shape: {a: ms}}: the pairs (m, a), a in auts, for which lambda(m) . a
+    has (order, fixed points) in shapes; no element of Hol(M) is formed.
 
     lambda(m) . a fixes x exactly when m = x . a(x)^-1, so one pass over the
-    points counts the fixed points of all n elements sharing an a, and only
-    the elements with a wanted count are formed.
+    points counts the fixed points of all n pairs with one a.  Its k-th
+    power, k the order of a, is lambda(c) for c = m . a(m) ... a^(k-1)(m),
+    its image of 0, so its order is k times that of c.
     """
-    table, inverse = M.table, M.inverse
+    table, inverse, orders = M.table, M.inverse, M.element_orders
     pools: dict = {}
     for a in auts:
+        k = _tuple_order(a)
+        if all(order % k for order, _ in shapes):
+            continue
         fixed = Counter(map(getitem, table, map(inverse.__getitem__, a)))
-        for m, row in enumerate(table):
-            f = fixed.get(m, 0)
-            if f in wanted:
-                p = _compose(row, a)
-                pools.setdefault((_tuple_order(p), f), []).append(p)
+        walk = range(len(a))  # lambda(m) . a sends walk[m] to m . a(walk[m])
+        for _ in range(k - 1):
+            walk = tuple(map(getitem, table, map(a.__getitem__, walk)))
+        for m, c in enumerate(walk):
+            shape = (k * orders[c], fixed.get(m, 0))
+            if shape in shapes:
+                pools.setdefault(shape, {}).setdefault(a, []).append(m)
     return pools
 
 
-def _orbit_representatives(pool: Sequence[tuple], auts: Sequence[tuple]):
-    """One member p of each orbit of pool under conjugation by the group
-    auts, given as (a, a^-1) pairs, with the pairs that fix p; both come
-    from the one pass that takes p's orbit out of the pool."""
+def _orbit_representatives(M: FiniteGroup, pool: dict, auts: Sequence[tuple]):
+    """One element of each orbit of the pool {a: ms} under conjugation by the
+    group auts, given as (b, b^-1) pairs, with the pairs that fix it.
+
+    b sends lambda(m) . a to lambda(b(m)) . (b a b^-1), so one pass over auts
+    takes the class of a out of the pool and leaves its centralizer C, and
+    the orbits of C on the ms are walked by point lookups.
+    """
     left = set(pool)
-    for p in pool:
-        if p in left:
-            fixing = []
-            for a, ai in auts:
-                q = _conjugate(p, a, ai)
-                left.discard(q)
-                if q == p:
-                    fixing.append((a, ai))
-            yield p, fixing
+    for a, ms in pool.items():
+        if a in left:
+            centralizer = []
+            for b, bi in auts:
+                c = _conjugate(a, b, bi)
+                left.discard(c)
+                if c == a:
+                    centralizer.append((b, bi))
+            rest = set(ms)
+            for m in ms:
+                if m in rest:
+                    rest.difference_update(b[m] for b, _ in centralizer)
+                    fixing = [(b, bi) for b, bi in centralizer if b[m] == m]
+                    yield _compose(M.table[m], a), fixing
 
 
 def _close_along_cayley_graph(
@@ -338,28 +354,28 @@ def _regular_embeddings(cs: CosetSpace, M: FiniteGroup):
     xT -> beta(x)(0) is a bijection G/T -> M, one per Aut(M)-class.
 
     beta(g) is conjugate to the translation of g on G/T, so its order and
-    number of fixed points pick its pool.  Conjugate embeddings give the
-    same subgroup, so each generator image is taken only up to conjugation
-    by the automorphisms of M that fix the earlier images (the first one up
-    to Aut(M)-conjugacy).  Such a conjugation moves the next image to its
-    representative without moving the earlier ones, so every class is
-    reached, and two representatives never share a class.  Each
-    representative comes with the automorphisms that fix it, read off the
-    conjugations that took its class out of the pool.
+    number of fixed points pick the pairs (m, a) it may be.  Conjugate
+    embeddings give the same subgroup, so each generator image is taken only
+    up to conjugation by the automorphisms of M that fix the earlier images
+    (the first one up to Aut(M)-conjugacy).  Such a conjugation moves the
+    next image to its representative without moving the earlier ones, so
+    every class is reached, and two representatives never share a class.
+    Each representative comes with the automorphisms that fix it, read off
+    the orbit walk that chose it.
     """
     gens = cs.group.generating_set()
     points = range(cs.degree)
     lts = [left_translation(cs, g) for g in gens]
     shapes = [(_tuple_order(lt), sum(map(eq, lt, points))) for lt in lts]
     auts = [(a.images, _invert(a.images)) for a in automorphisms(M)]
-    pools = _hol_pools(M, [a for a, _ in auts], {f for _, f in shapes})
+    pools = _hol_pools(M, [a for a, _ in auts], set(shapes))
 
     def search(beta, images, auts):
         i = len(images)
         if i == len(gens):
             yield beta
             return
-        for c, fixing in _orbit_representatives(pools.get(shapes[i], ()), auts):
+        for c, fixing in _orbit_representatives(M, pools.get(shapes[i], {}), auts):
             chosen = images + [c]
             closed = _close_along_cayley_graph(cs, gens[: i + 1], chosen)
             if closed is not None:

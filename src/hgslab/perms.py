@@ -32,7 +32,15 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureCapExceeded, InvalidSpec
-from .groups import FiniteGroup, Subgroup, _acts, _greedy_join, _respects
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    _acts,
+    _cycle_at_0,
+    _cycles,
+    _greedy_join,
+    _respects,
+)
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -167,17 +175,21 @@ def _greedy_generators(elems: Sequence[tuple], members: frozenset) -> tuple:
     identity, the picks reach every id in that table and _acts holds at the
     picks: the g passing _acts (elems[y] . elems[g] == elems[y*g] for all y)
     hold 0 and are closed under the table's product (read the law at 0),
-    and every id is a product of picks.  _greedy_close closes other sets.
+    and every id is a product of picks.  The members are then permutations
+    if each walk from 0 comes back (_cycle_at_0 is not 0): p^k fixes 0 for
+    k that length, and the identity is the only member fixing 0.
+    _greedy_close closes other sets.
     """
     if len(elems) == 1:
         return elems
     n = len(elems[0])
     if len(elems) == n and all(p[0] == a for a, p in enumerate(elems)):
-        ids = sorted(range(n), key=lambda a: (-_cycle_at_0(elems[a]), a))
-        gens, reached = _greedy_join(elems, ids)
-        if (elems[0] == tuple(range(n)) and len(reached) == n
-                and _acts(elems, elems, gens)):
-            return tuple(elems[g] for g in gens)
+        orders = list(map(_cycle_at_0, elems))
+        if elems[0] == tuple(range(n)) and all(orders):
+            ids = sorted(range(n), key=lambda a: (-orders[a], a))
+            gens, reached = _greedy_join(elems, ids)
+            if len(reached) == n and _acts(elems, elems, gens):
+                return tuple(elems[g] for g in gens)
     else:
         candidates = sorted(elems, key=lambda q: (-_tuple_order(q), q))
         try:
@@ -221,29 +233,9 @@ def _greedy_close(candidates: Sequence[tuple], limit: int) -> tuple:
     return gens, have
 
 
-def _cycle_at_0(images: tuple) -> int:
-    """Length of the cycle through 0."""
-    length, x = 1, images[0]
-    while x != 0:
-        x = images[x]
-        length += 1
-    return length
-
-
 def _tuple_order(images: tuple) -> int:
     """Order of a permutation: the lcm of its cycle lengths."""
-    seen = [False] * len(images)
-    order = 1
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            length += 1
-        order = lcm(order, length)
-    return order
+    return lcm(*map(len, _cycles(images)))
 
 
 def generated_perm_group(gens: Sequence[Sequence[int]]) -> PermGroup:

@@ -13,14 +13,20 @@ A regular set is closed as its own Cayley table instead.  On every
 structure of the catalog orders and of the sym:5 abelian maps, their
 opposites and metacyclic:31:5:2 of its own type, that table path must pick
 what _greedy_close picks, and on seeded rows with two images swapped it
-must reject what _greedy_close rejects.
+must reject what _greedy_close rejects.  Closed sets of maps that look
+regular but are not permutations are refused, not walked forever.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hgslab
 from hgslab import (
     ClosureCapExceeded,
     InvalidSpec,
@@ -222,3 +228,27 @@ def test_regular_sets_close_without_composing(regular_sets, monkeypatch):
         if len(elems) > 2:
             with pytest.raises(InvalidSpec, match=NOT_CLOSED):
                 PermGroup(_swapped_row(elems, rng))
+
+
+@pytest.mark.parametrize("elements", [
+    [(0, 1), (1, 1)],
+    [(0, 1, 2), (1, 1, 1), (2, 2, 2)],
+])
+def test_maps_that_are_not_permutations_are_refused(elements):
+    """These sets look regular (p[0] is the index) and are closed under
+    composition, but their rows are not permutations: the walk from 0 does
+    not come back, which once looped forever.  A subprocess with a timeout
+    turns a hang into a failure."""
+    script = (
+        "from hgslab.errors import InvalidSpec\n"
+        "from hgslab.perms import PermGroup\n"
+        "try:\n"
+        f"    PermGroup({elements!r})\n"
+        "except InvalidSpec as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hgslab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == NOT_CLOSED + "\n"

@@ -7,8 +7,14 @@ isomorphism search, and pushes every isomorphism G -> Q (one per automorphism
 of G) through the embedding-to-structure map.  `enumerate_hgs` must give the
 same structure sets.  The same subgroups also check Byott's counting
 identity e(G, M) |Aut M| = |Aut G| e'(G, M), where e'(G, M) counts the
-regular subgroups of Hol(M) isomorphic to G.
+regular subgroups of Hol(M) isomorphic to G.  The candidate pools are
+checked against every element of Hol(M) formed, and the four heavy
+type-filtered enumerations against structure sets recorded before the
+search moved to (m, a) pairs.
 """
+
+import hashlib
+from operator import eq
 
 import pytest
 
@@ -22,8 +28,9 @@ from hgslab import (
     parse_spec,
 )
 from hgslab.groups import subgroup_closure
-from hgslab.hgs import _regular_embeddings, _structure_from_embedding
-from hgslab.perms import CosetSpace, PermGroup, _compose
+from hgslab import hgs
+from hgslab.hgs import _hol_pools, _regular_embeddings, _structure_from_embedding
+from hgslab.perms import CosetSpace, PermGroup, _compose, _tuple_order
 
 CATALOG_PAIRS = [
     (str(g), str(m))
@@ -44,6 +51,15 @@ EXTRA_PAIRS = [
     ("alt:4", "alt:4"),
     ("cyclic:24", "cyclic:24"),
     ("dihedral:8", "cyclic:16"),
+]
+# (G, type, structures, sha256 of the sorted element lists): the heavy
+# type-filtered enumerations, recorded before the Hol(M) search moved to
+# (m, a) pairs
+HEAVY = [
+    ("elemab:2:4", "elemab:2:4", 106, "97c32e5015a9"),
+    ("elemab:3:3", "elemab:3:3", 339, "245fb3661a0a"),
+    ("cyclic:155", "metacyclic:31:5:2", 8, "21f34f0a29a2"),
+    ("metacyclic:31:5:2", "metacyclic:31:5:2", 188, "6ffec411fe29"),
 ]
 
 
@@ -222,3 +238,59 @@ def test_one_embedding_per_structure():
         embeddings += len(keys)
         structures += len(set(keys))
     assert embeddings == structures == 436
+
+
+@pytest.mark.parametrize("g_spec,m_spec,count,digest", HEAVY)
+def test_heavy_structure_sets_are_pinned(g_spec, m_spec, count, digest, monkeypatch):
+    """The same structures, one embedding each, and no permutation order
+    taken in the pools: _tuple_order runs once per automorphism of M and
+    once per generator of G."""
+    embeddings, orders = [], []
+
+    def recording(cs, M):
+        for beta in _regular_embeddings(cs, M):
+            embeddings.append(beta)
+            yield beta
+
+    def counting(p):
+        orders.append(p)
+        return _tuple_order(p)
+
+    monkeypatch.setattr(hgs, "_regular_embeddings", recording)
+    monkeypatch.setattr(hgs, "_tuple_order", counting)
+    G, M = build_group(g_spec), build_group(m_spec)
+    inv = enumerate_hgs(G, parse_spec(m_spec))
+    assert len(inv) == len(embeddings) == count
+    blob = repr(sorted(s.perms.elements for s in inv)).encode()
+    assert hashlib.sha256(blob).hexdigest()[:12] == digest
+    assert len(orders) <= len(automorphisms(M)) + len(G.generating_set())
+
+
+@pytest.mark.parametrize("spec", [
+    *(str(m) for n in list(range(1, 16)) + [21] for m in catalog_specs(n)),
+    "sym:4",
+    "metacyclic:13:3:3",
+])
+def test_hol_pools_hold_the_pairs_of_each_shape(spec, monkeypatch):
+    """_hol_pools against every lambda(m) . a formed and walked: the same
+    pairs of each (order, fixed points) shape in the same order, for all
+    shapes and for those of the largest order, with no element formed."""
+    M = build_group(spec)
+    auts = [a.images for a in automorphisms(M)]
+    points = range(M.order)
+    want: dict = {}
+    for a in auts:
+        for m, row in enumerate(M.table):
+            p = _compose(row, a)
+            shape = (_tuple_order(p), sum(map(eq, p, points)))
+            want.setdefault(shape, {}).setdefault(a, []).append(m)
+
+    def refuse(*args):
+        raise AssertionError("a pool formed an element of Hol(M)")
+
+    monkeypatch.setattr(hgs, "_compose", refuse)
+    top = max(order for order, _ in want)
+    for shapes in (set(want), {s for s in want if s[0] == top}):
+        pools = _hol_pools(M, auts, shapes)
+        assert {s: list(pools[s].items()) for s in pools} == \
+            {s: list(want[s].items()) for s in shapes}

@@ -6,8 +6,11 @@ versions those kernels replaced, kept as test-only oracles: on true and on
 seeded corrupted inputs both must give the same answer, and where a check
 raises, the same exception with the same (x,y,z) witness.  Orders 1 and 2
 get their own runs, since itemgetter with one index returns a scalar.
+The one cycle walk behind permutation orders, signs and cycle names is
+checked against brute force and against names recorded before the merge.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -34,14 +37,15 @@ from hgslab.braces import (
     is_two_sided,
 )
 from hgslab.errors import BraceAxiomError, BraidError, InvalidSpec
-from hgslab.groups import FiniteGroup, _acts, _associative, _respects
-from hgslab.perms import (
-    _compose,
-    _conjugate_all,
+from hgslab.groups import (
+    FiniteGroup,
+    _acts,
+    _associative,
     _cycle_at_0,
-    _invert,
-    _tuple_order,
+    _perm_sign,
+    _respects,
 )
+from hgslab.perms import _compose, _conjugate_all, _invert, _tuple_order
 
 SEED = 20261018
 
@@ -621,6 +625,44 @@ def test_cycle_at_0_is_the_order_on_catalog_structures(catalog_structures):
     for N in catalog_structures:
         for p in N.perms.elements:
             assert _cycle_at_0(p) == _tuple_order(p)
+
+
+def test_cycle_at_0_stops_on_a_row_that_is_not_a_permutation():
+    assert _cycle_at_0((1, 1)) == 0
+    assert _cycle_at_0((1, 2, 1)) == 0
+    assert _cycle_at_0((1, 2, 0)) == 3
+
+
+def test_order_and_sign_equal_brute_force_on_six_points():
+    identity = tuple(range(6))
+    for p in itertools.permutations(identity):
+        order, q = 1, p
+        while q != identity:
+            order, q = order + 1, compose_loop(p, q)
+        inversions = sum(p[i] > p[j] for i, j in itertools.combinations(identity, 2))
+        assert _tuple_order(p) == order, p
+        assert _perm_sign(p) == (-1) ** inversions, p
+
+
+# sha256 of repr(tuple(build_group(spec).names)), recorded before the cycle
+# names and signs were read off one cycle walk
+NAME_DIGESTS = {
+    "sym:3": "f38d7f9cfec3",
+    "sym:4": "3b46a7316eb8",
+    "sym:5": "d412ef314bc2",
+    "alt:3": "b625a5c1f1c2",
+    "alt:4": "212434117c8e",
+    "alt:5": "adee2f465a17",
+}
+
+
+def test_cycle_names_of_sym_and_alt_are_unchanged():
+    assert build_group("sym:3").names == (
+        "e", "(1 2)", "(0 1)", "(0 1 2)", "(0 2 1)", "(0 2)"
+    )
+    for spec, digest in NAME_DIGESTS.items():
+        blob = repr(tuple(build_group(spec).names)).encode()
+        assert hashlib.sha256(blob).hexdigest()[:12] == digest, spec
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ PUBLISHED = [
     ("metacyclic:13:3:3", "cyclic:39", 13),
     ("cyclic:39", "metacyclic:13:3:3", 4),
     ("cyclic:39", "cyclic:39", 1),
+    ("cyclic:155", "metacyclic:31:5:2", 8),
 ]
 
 # (G, type) whose automorphism search is refused
