@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import add
+from operator import add, getitem
 from typing import List, Optional
 
 from .errors import BraceAxiomError, BraidError
@@ -28,6 +28,7 @@ from .groups import (
     Subgroup,
     _acts,
     _associative,
+    _columns,
     _respects,
     _row_getter,
     automorphisms,
@@ -38,7 +39,6 @@ from .groups import (
 from .hgs import RegularSubgroup, certify, structure_group
 from .perms import (
     PermGroup,
-    _columns,
     _compose,
     _escape,
     _invert,
@@ -183,7 +183,7 @@ def brace_automorphisms(B: SkewBrace) -> List[GroupHom]:
     return [
         phi
         for phi in automorphisms(B.circ_group)
-        if _respects(phi.images, B.star, B.star)
+        if _respects(phi.images, B.star_group, B.star_group)
     ]
 
 
@@ -197,7 +197,7 @@ def inner_stabilizer(B: SkewBrace) -> Subgroup:
     members = [
         g
         for g in range(B.size)
-        if _respects(inner_automorphism(G, g).images, B.star, B.star)
+        if _respects(inner_automorphism(G, g).images, B.star_group, B.star_group)
     ]
     sub = subgroup_closure(G, members)
     if sub.order != len(members):
@@ -218,7 +218,7 @@ def rho_fix_criteria(B: SkewBrace, g: int) -> tuple:
     phi = inner_automorphism(G, g).images
     inn = (phi, inner_automorphism(G, G.inverse[g]).images)
     normalizes = _escape([inn], N.perms.generators, N.perms.element_set) is None
-    preserves = _respects(phi, B.star, B.star)
+    preserves = _respects(phi, B.star_group, B.star_group)
     relation = _right_relation_at(B, g)
     return normalizes, preserves, relation
 
@@ -252,7 +252,7 @@ def braces_isomorphic(B1: SkewBrace, B2: SkewBrace) -> Optional[GroupHom]:
             return None
     for aut in automorphisms(G1):
         images = _compose(base.images, aut.images)
-        if _respects(images, B1.star, B2.star):
+        if _respects(images, B1.star_group, B2.star_group):
             return GroupHom(G1, G2, images)
     return None
 
@@ -327,8 +327,12 @@ class YbeMap:
         return self.left[x][y], self.right[x][y]
 
     def is_bijective(self) -> bool:
-        pairs = set(zip(chain(*self.left), chain(*self.right)))
-        return len(pairs) == self.size ** 2
+        """Whether the n^2 pairs r(x, y) are distinct, read as codes
+        u*n + v, the u*n gathered from one tuple of row starts."""
+        n = self.size
+        row_starts = tuple(range(0, n * n, n))
+        u_n = _row_getter(tuple(chain(*self.left)))(row_starts)
+        return len(set(map(add, u_n, chain(*self.right)))) == n * n
 
     def braid_holds(self) -> bool:
         """(r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on all triples.
@@ -387,12 +391,17 @@ def ybe_map(B: SkewBrace) -> YbeMap:
     keeps x o y = sigma_x(y) o tau_y(x), so a left action sigma and a right
     action tau of the circ group give the braid relation (Lu-Yan-Zhu): it is
     accepted when _actions_hold, and braid_holds decides the rest.
+
+    Row x of right reads circ_inv(u) o (x o y) over y, u = left[x][y]: the
+    circ rows of the circ inverses, gathered at left[x], each read at its
+    entry of row x of circ.
     """
-    circ, cinv = B.circ, B.circ_inverse
+    circ = B.circ
     left = _lambda_rows(B)
+    inverse_rows = _row_getter(B.circ_inverse)(circ)
     right = tuple(
-        tuple(circ[circ[cinv[u]][x]][y] for y, u in enumerate(lx))
-        for x, lx in enumerate(left)
+        tuple(map(getitem, _row_getter(lx)(inverse_rows), cx))
+        for lx, cx in zip(left, circ)
     )
     out = YbeMap(B.size, left, right)
     if not out.is_bijective():

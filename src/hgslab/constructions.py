@@ -19,6 +19,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _columns,
     _refuse_large_search,
     _respects,
     are_isomorphic,
@@ -39,7 +40,6 @@ from .hgs import (
 from .perms import (
     CosetSpace,
     PermGroup,
-    _columns,
     _compose,
     _conjugate_all,
     _invert,
@@ -169,7 +169,7 @@ def to_hol_embedding(
     iota = tuple(iota)
     if sorted(iota) != list(range(n)):
         raise ConstructionError("iota is not a bijection")
-    if not _respects(iota, target.table, star.table):
+    if not _respects(iota, target, star):
         raise ConstructionError("iota is not an isomorphism onto the structure")
     inv = _invert(iota)
     tg = G.table

@@ -298,12 +298,8 @@ class FiniteGroup:
         """Greedy small generating set, highest element order first: walk the
         ids by (-order, id) and join each one not reached yet."""
 
-        def compute():
-            orders = self.element_orders
-            ids = sorted(range(self.order), key=lambda x: (-orders[x], x))
-            return _greedy_join(self.table, ids)[0]
-
-        return self._memo("gens", compute)
+        return self._memo(
+            "gens", lambda: _order_walk(self.table, self.element_orders)[0])
 
     def to_json(self) -> dict:
         return {
@@ -345,17 +341,29 @@ def _associative(t: Sequence[Sequence[int]]) -> bool:
     return _acts(t, t, (0, *_greedy_join(t, range(1, len(t)))[0]))
 
 
-def _respects(images: Sequence[int], src_rows, dst_rows) -> bool:
-    """Whether images[src[a][b]] == dst[images[a]][images[b]] for all a, b.
+def _columns(G: FiniteGroup) -> tuple:
+    """The columns of G's Cayley table, built once per group."""
+    return G._memo("columns", lambda: tuple(zip(*G.table)))
 
-    Row a is compared whole: images gathered at src[a] against
-    dst[images[a]] gathered at images.
+
+def _respects(images: Sequence[int], src: FiniteGroup, dst: FiniteGroup) -> bool:
+    """Whether images[a*b] == images[a]*images[b] for all a, b in src.
+
+    Decided at b = g in src.generating_set() (at 0 in the trivial group),
+    one column pair per g: images gathered at src's column g against dst's
+    column images[g] gathered at images.  The b where it holds for every a
+    are closed under the product, dst being associative:
+    images[a*b*c] = images[a*b]*images[c] = images[a]*images[b]*images[c]
+    = images[a]*images[b*c].  Every b is a word in the generators, so by
+    induction on its length it holds at every b, as in
+    extend_generator_images.
     """
     at_images = _row_getter(images)
-    for a, row in enumerate(src_rows):
-        if _row_getter(row)(images) != at_images(dst_rows[images[a]]):
-            return False
-    return True
+    src_cols, dst_cols = _columns(src), _columns(dst)
+    return all(
+        _row_getter(src_cols[g])(images) == at_images(dst_cols[images[g]])
+        for g in src.generating_set() or (0,)
+    )
 
 
 def _join(table: Sequence[Sequence[int]], have, gens, piece, rank=None, bound=0):
@@ -388,6 +396,13 @@ def _greedy_join(table: Sequence[Sequence[int]], ids) -> tuple:
             reached = _join(table, reached, gens, (x,))
             gens.append(x)
     return tuple(gens), reached
+
+
+def _order_walk(table: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple:
+    """_greedy_join over the ids by decreasing order, then id: the
+    (gens, reached) of generating_set and of a regular permutation set."""
+    ids = sorted(range(len(table)), key=lambda x: (-orders[x], x))
+    return _greedy_join(table, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +618,13 @@ class GroupHom:
 
 
 def is_homomorphism(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bool:
-    """Exhaustive check that images respects the two multiplication tables."""
+    """Whether images, one id of H per element of G, respects the two
+    multiplication tables; _respects decides it on G's generators (and
+    so sends 0 to 0)."""
     img = tuple(images)
     return (
         len(img) == G.order and 0 <= min(img) <= max(img) < H.order
-        and img[0] == 0
-        and _respects(img, G.table, H.table)
+        and _respects(img, G, H)
     )
 
 

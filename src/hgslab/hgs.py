@@ -30,6 +30,8 @@ from .errors import InvalidSpec, NotRegular, NotStable, UnknownType, Unsupported
 from .groups import (
     FiniteGroup,
     GroupSpec,
+    _cycle_at_0,
+    _order_walk,
     automorphisms,
     are_isomorphic,
     build_group,
@@ -206,12 +208,19 @@ def _structure(G: FiniteGroup, key: frozenset, type_label=None) -> RegularSubgro
 def opposite(N: RegularSubgroup) -> RegularSubgroup:
     """The centralizer of N in Perm(G), certified as a structure.
 
-    It is made of the columns of N's table eta: the map x -> eta[x][m]
+    It is made of the columns of N's table eta: the map c_m: x -> eta[x][m]
     commutes with every eta[a], for eta[a][eta[x][m]] = eta[eta[a][x]][m],
     and the n columns are distinct, so they are the whole centralizer of
-    the regular N.
+    the regular N, a group, and no closure pass runs.  c_m[0] = m and
+    c_m . c_k = c_{eta[k][m]}, so the columns come sorted, each c_m has the
+    order of m, and their table is eta transposed, whose subgroups are
+    eta's: the walk of PermGroup's table path picks the same ids on eta.
+    certify still checks order, regularity and stability.
     """
-    return certify(N.group, PermGroup(zip(*N.eta)))
+    eta = N.eta
+    cols = tuple(zip(*eta))
+    gens, _ = _order_walk(eta, list(map(_cycle_at_0, eta)))
+    return certify(N.group, PermGroup(cols, generators=[cols[g] for g in gens]))
 
 
 def lambda_structure(G: FiniteGroup) -> RegularSubgroup:

@@ -16,7 +16,7 @@ gathers, q . p . q^-1 = q . (p . q^-1), with the gather by q^-1 built once
 per conjugator (_conjugate_all).
 
 A regular set of permutations is closed as its own Cayley table, by the
-id kernels groups._greedy_join and groups._acts (_greedy_generators).
+id kernels groups._order_walk and groups._acts (_greedy_generators).
 _greedy_close composes permutations; it is kept for sets without such a
 table and for generated_perm_group, under the cap of 10 * b^2 elements.
 The one stability check is _escape: the first conjugate q . p . q^-1 that
@@ -36,9 +36,10 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _acts,
+    _columns,
     _cycle_at_0,
     _cycles,
-    _greedy_join,
+    _order_walk,
     _respects,
 )
 
@@ -100,6 +101,8 @@ class PermGroup:
         elems = tuple(sorted(elements))
         if not elems:
             raise InvalidSpec("a permutation group needs elements")
+        if len(set(map(len, elems))) > 1:
+            raise InvalidSpec("the permutations have different lengths")
         self.base = len(elems[0])
         self.elements = elems
         self.element_set = frozenset(elems)
@@ -186,8 +189,7 @@ def _greedy_generators(elems: Sequence[tuple], members: frozenset) -> tuple:
     if len(elems) == n and all(p[0] == a for a, p in enumerate(elems)):
         orders = list(map(_cycle_at_0, elems))
         if elems[0] == tuple(range(n)) and all(orders):
-            ids = sorted(range(n), key=lambda a: (-orders[a], a))
-            gens, reached = _greedy_join(elems, ids)
+            gens, reached = _order_walk(elems, orders)
             if len(reached) == n and _acts(elems, elems, gens):
                 return tuple(elems[g] for g in gens)
     else:
@@ -271,11 +273,6 @@ def _left_translations(G: FiniteGroup) -> list:
     return [(G.table[g], G.table[G.inverse[g]]) for g in G.generating_set()]
 
 
-def _columns(G: FiniteGroup) -> tuple:
-    """The columns of G's Cayley table, built once per group."""
-    return G._memo("columns", lambda: tuple(zip(*G.table)))
-
-
 def rho_embed(G: FiniteGroup, g: int) -> tuple:
     """Right translation x -> x*g^-1; this is column g^-1 of the table."""
     return _columns(G)[G.inverse[g]]
@@ -346,4 +343,4 @@ def in_holomorph(M: FiniteGroup, p: tuple) -> bool:
     """
     m = p[0]
     a = _compose(M.table[M.inverse[m]], p)
-    return _respects(a, M.table, M.table)
+    return _respects(a, M, M)

@@ -20,7 +20,7 @@ coset as it walks G.  _stamp sorts the members canonically and leaves
 an orbit is built, reads M's orbit off that record in O(|G|) steps without
 touching a permutation: M_g = N_{gt} is member member_of[g t], and M's
 stabilizer is the set of g with member_of[g t] = member_of[t], which is
-t . Stab . t^-1.
+t . Stab . t^-1.  rho_conjugate and same_conjugate read M_g off it too.
 The record is read only when it gives what a fresh search would: every
 member is still the live structure of its element set, M among them, and
 every member carries M's type label (type_of may have filled one in since).
@@ -60,8 +60,16 @@ def _recorded(N: RegularSubgroup) -> Optional[tuple]:
 
 
 def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
-    """The structure rho(g) . N . rho(g)^-1, certified (or the live one)."""
+    """The structure rho(g) . N . rho(g)^-1, certified (or the live one).
+
+    With a valid orbit record, N = N'_t for its search base N', it is
+    member member_of[g t]; otherwise N's elements are conjugated.
+    """
     G = N.group
+    record = _recorded(N)
+    if record:
+        members, member_of, t = record
+        return members[member_of[G.table[g][t]]]
     key = _conjugate_key(
         N.perms.elements, rho_embed(G, g), rho_embed(G, G.inverse[g])
     )
@@ -220,12 +228,23 @@ def rho_partition(inventory: HgsInventory) -> list:
 def same_conjugate(N1: RegularSubgroup, N2: RegularSubgroup) -> Optional[int]:
     """Smallest g with rho(g) . N1 . rho(g)^-1 == N2, or None.
 
-    The elements of G are tried in order, each decided on N1's generators
-    by _is_conjugate; no conjugate and no orbit is built.
+    With a valid orbit record on N1 = N_t, it is the least g with
+    member_of[g t] the index of N2, and None when N2 is not a member.
+    Otherwise the elements of G are tried in order, each decided on N1's
+    generators by _is_conjugate; no conjugate and no orbit is built.
     """
-    if N1.group is not N2.group:
+    G = N1.group
+    if G is not N2.group:
         raise ValueError("structures live on different groups")
-    hits = (g for g in range(N1.group.order) if _is_conjugate(N1, g, N2))
+    record = _recorded(N1)
+    if record:
+        members, member_of, t = record
+        if N2 not in members:
+            return None
+        i = members.index(N2)
+        hits = (g for g, row in enumerate(G.table) if member_of[row[t]] == i)
+    else:
+        hits = (g for g in range(G.order) if _is_conjugate(N1, g, N2))
     return next(hits, None)
 
 

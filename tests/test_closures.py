@@ -15,6 +15,10 @@ opposites and metacyclic:31:5:2 of its own type, that table path must pick
 what _greedy_close picks, and on seeded rows with two images swapped it
 must reject what _greedy_close rejects.  Closed sets of maps that look
 regular but are not permutations are refused, not walked forever.
+
+opposite(N) closes nothing: it takes the ids that the same walk picks on
+N's table eta, and must carry what certifying the closed columns of eta
+gives.
 """
 
 import hashlib
@@ -33,9 +37,12 @@ from hgslab import (
     abelian_maps,
     build_group,
     catalog_specs,
+    certify,
     enumerate_hgs,
     hgs_from_abelian_map,
+    lambda_structure,
     opposite,
+    rho_structure,
     subgroup_closure,
 )
 from hgslab import perms
@@ -154,15 +161,21 @@ NOT_CLOSED = "set is not closed under composition"
 
 
 @pytest.fixture(scope="module")
-def regular_sets(catalog_structures):
-    """Element sets of 992 structures: the 376 of the catalog orders and the
-    26 sym:5 abelian-map structures, the opposites of both, and the 188 of
-    metacyclic:31:5:2 of its own type."""
+def structures(catalog_structures):
+    """The 376 structures of the catalog orders and the 26 sym:5
+    abelian-map structures."""
     s5 = [hgs_from_abelian_map(am) for am in abelian_maps(build_group("sym:5"))]
+    return [*catalog_structures, *s5]
+
+
+@pytest.fixture(scope="module")
+def regular_sets(structures):
+    """Element sets of 992 structures: the 402 of the structures fixture,
+    their opposites, and the 188 of metacyclic:31:5:2 of its own type."""
     M = build_group("metacyclic:31:5:2")
-    structures = [*catalog_structures, *s5]
-    structures += [*map(opposite, structures), *enumerate_hgs(M, type_filter=M.spec)]
-    return [N.perms.elements for N in structures]
+    found = [*structures, *map(opposite, structures),
+             *enumerate_hgs(M, type_filter=M.spec)]
+    return [N.perms.elements for N in found]
 
 
 def _table_outcome(elems):
@@ -228,6 +241,29 @@ def test_regular_sets_close_without_composing(regular_sets, monkeypatch):
         if len(elems) > 2:
             with pytest.raises(InvalidSpec, match=NOT_CLOSED):
                 PermGroup(_swapped_row(elems, rng))
+
+
+def test_opposite_carries_the_picks_of_the_closed_columns(structures,
+                                                         monkeypatch):
+    """opposite takes its generators from the walk on N.eta and closes
+    nothing; on the structures, and on lambda and rho of the 30 catalog
+    groups, it must be what certifying the closed columns of eta gives."""
+    groups = [build_group(s) for n in (*range(1, 16), 21) for s in catalog_specs(n)]
+    assert len(groups) == 30
+    cases = [*structures, *map(lambda_structure, groups),
+             *map(rho_structure, groups)]
+    want = [certify(N.group, PermGroup(zip(*N.eta))).perms for N in cases]
+
+    def refuse(elems, members):
+        # a one-element set is its own generator sequence, and picks none
+        assert len(elems) == 1, "opposite closed a set"
+        return elems
+
+    monkeypatch.setattr(perms, "_greedy_generators", refuse)
+    for N, W in zip(cases, want):
+        got = opposite(N).perms
+        assert got.element_set == W.element_set
+        assert got.generators == W.generators
 
 
 @pytest.mark.parametrize("elements", [

@@ -1,7 +1,8 @@
 """Row-gather kernels against the per-point loops they replaced.
 
 Permutation products, conjugations and the table-law checks read whole rows
-with `operator.itemgetter` gathers.  The loops below are the per-point
+with `operator.itemgetter` gathers; the homomorphism law (`_respects`) reads
+one column pair per generator of its source group.  The loops below are the per-point
 versions those kernels replaced, kept as test-only oracles: on true and on
 seeded corrupted inputs both must give the same answer, and where a check
 raises, the same exception with the same (x,y,z) witness.  Orders 1 and 2
@@ -21,6 +22,7 @@ from hgslab import (
     braces,
     brace_from_subgroup,
     build_group,
+    catalog_specs,
     enumerate_hgs,
     inner_automorphism,
     rho_partition,
@@ -44,6 +46,8 @@ from hgslab.groups import (
     _cycle_at_0,
     _perm_sign,
     _respects,
+    extend_generator_images,
+    subgroup_closure,
 )
 from hgslab.perms import _compose, _conjugate_all, _invert, _tuple_order
 
@@ -224,36 +228,87 @@ def test_respects_on_automorphisms_and_swapped_images(spec):
     homs += [inner_automorphism(G, g).images for g in range(min(G.order, 6))]
     homs.append((0,) * G.order)  # the trivial endomorphism
     for images in homs:
-        assert _respects(images, G.table, G.table)
+        assert _respects(images, G, G)
         assert respects_loop(images, G.table, G.table)
         if G.order < 2:
             continue
         i, j = rng.sample(range(G.order), 2)
         bad = swapped(images, i, j)
-        assert _respects(bad, G.table, G.table) == respects_loop(
-            bad, G.table, G.table
-        )
+        assert _respects(bad, G, G) == respects_loop(bad, G.table, G.table)
 
 
 def test_respects_on_every_corrupted_source_row():
+    # _respects takes its source as a FiniteGroup, and each of these tables
+    # (a row with two entries swapped) is refused as one
     G = build_group("dihedral:4")
     identity = tuple(range(G.order))
     for a in range(G.order):
         src = swap_row(G.table, a, 1, 2)
-        assert not _respects(identity, src, G.table)
+        with pytest.raises(InvalidSpec):
+            FiniteGroup(src)
         assert not respects_loop(identity, src, G.table)
 
 
 def test_respects_between_different_tables():
     C6, C3 = build_group("cyclic:6"), build_group("cyclic:3")
     reduce_mod_3 = tuple(a % 3 for a in range(6))
-    assert _respects(reduce_mod_3, C6.table, C3.table)
+    assert _respects(reduce_mod_3, C6, C3)
     for i in range(6):
         for j in range(i + 1, 6):
             bad = swapped(reduce_mod_3, i, j)
-            assert _respects(bad, C6.table, C3.table) == respects_loop(
+            assert _respects(bad, C6, C3) == respects_loop(
                 bad, C6.table, C3.table
             )
+
+
+RESPECTS_GROUPS = [str(s) for n in range(1, 16) for s in catalog_specs(n)]
+RESPECTS_TARGETS = ["cyclic:2", "cyclic:3", "sym:3"]
+
+
+def twisted(G, H, images, skip, rng):
+    """images times a seeded z that is 0 on the subgroup K generated by
+    every generator but gens[skip] and constant on each coset aK; for an
+    abelian H it still respects every generator but gens[skip]."""
+    gens = G.generating_set()
+    K = subgroup_closure(G, gens[:skip] + gens[skip + 1:]).elements
+    z = {}
+    for a in range(G.order):
+        coset = frozenset(G.table[a][k] for k in K)
+        z.setdefault(coset, 0 if 0 in coset else rng.randrange(H.order))
+    return tuple(H.table[images[a]][z[frozenset(G.table[a][k] for k in K)]]
+                 for a in range(G.order))
+
+
+@pytest.mark.parametrize("spec", RESPECTS_GROUPS + ["sym:5"])
+def test_generator_verdict_equals_the_full_scan(spec):
+    # maps into G itself and into three small groups: homomorphisms spread
+    # from seeded generator images, each with two images swapped and, into
+    # an abelian group, twisted to break one generator only; and seeded
+    # image arrays.  The verdict on generators must be the scan's.
+    G = build_group(spec)
+    rng = random.Random(f"{SEED}/respects/{spec}")
+    k = len(G.generating_set())
+    verdicts = set()
+    for H in (G, *map(build_group, RESPECTS_TARGETS)):
+        homs = [(0,) * G.order]
+        for _ in range(6):
+            combo = [rng.randrange(H.order) for _ in range(k)]
+            images = extend_generator_images(G, combo, H)
+            if images is not None:
+                homs.append(images)
+        cases = [tuple(rng.randrange(H.order) for _ in range(G.order))
+                 for _ in range(4)]
+        for images in homs:
+            cases.append(images)
+            if G.order > 1:
+                cases.append(swapped(images, *rng.sample(range(G.order), 2)))
+            if H.is_abelian:
+                cases += [twisted(G, H, images, i, rng) for i in range(k)]
+        for images in cases:
+            got = _respects(images, G, H)
+            assert got == respects_loop(images, G.table, H.table), (H, images)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,15 @@ def test_generated_perm_group_checks_every_generator():
     assert generated_perm_group([[1, 0, 2], (0, 2, 1)]).order == 6
 
 
+@pytest.mark.parametrize("elements", [
+    [(0, 1), (1, 0, 2)],   # looks regular on the length of the first
+    [(0, 1, 2), (1, 2)],   # not regular, closed by composing
+])
+def test_perm_group_refuses_elements_of_different_lengths(elements):
+    with pytest.raises(InvalidSpec, match="different lengths"):
+        PermGroup(elements)
+
+
 def test_compose_and_invert():
     p = (1, 2, 0)
     q = (0, 2, 1)

@@ -7,7 +7,9 @@ structure by every right translation, take the first element that reaches
 each member as its carrier, and collect the elements that fix it as the
 stabilizer.  Both must give the same `to_json()`, member for member and
 carrier for carrier, whether the orbit came from a search or was read off
-the record a search left on the members.  The paper's theorem gives a
+the record a search left on the members; rho_conjugate and same_conjugate
+read that record too, and must give what the whole conjugates give for
+every g.  The paper's theorem gives a
 second oracle for the stabilizer alone: it is the inner stabilizer of the
 structure's skew brace, element for element.
 
@@ -163,6 +165,53 @@ def test_rho_orbit_equals_scan_on_s5_abelian_maps():
     _check_orbits(structures, "sym:5")
 
 
+def _check_record_reads(structures, monkeypatch):
+    """After rho_partition every structure carries a valid orbit record, and
+    off it rho_conjugate(N, g) is the structure of the whole conjugate N_g
+    (N itself, else the live one of its set) and same_conjugate(N, M) is
+    the first g with N_g = M, or None when M is not a member; neither
+    conjugates a tuple or probes a conjugate."""
+    rho_partition(structures)
+    conjugates = [_scan_conjugates(N) for N in structures]
+
+    def refuse(*args):
+        raise AssertionError("a conjugate was built or probed")
+
+    hits = misses = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(rho, "_conjugate_key", refuse)
+        patch.setattr(rho, "_is_conjugate", refuse)
+        for N, keys in zip(structures, conjugates):
+            assert rho._recorded(N) is not None
+            live = rho._live(N.group)
+            first = {}
+            for g, key in enumerate(keys):
+                first.setdefault(key, g)
+                want = N if key == N.perms.element_set else live[key]
+                assert rho_conjugate(N, g) is want
+            for M in structures:
+                got = same_conjugate(N, M)
+                assert got == first.get(M.perms.element_set)
+                hits += got is not None
+                misses += got is None
+    return hits, misses
+
+
+def test_conjugates_read_off_the_record_equal_the_conjugation_path(
+        monkeypatch):
+    # groups of their own, so every structure is the live one of its set
+    # and no other test has relabelled one
+    fresh = [FiniteGroup(build_group(spec).table) for spec in CATALOG]
+    counts = [_check_record_reads(list(enumerate_hgs(G)), monkeypatch)
+              for G in fresh]
+    G = FiniteGroup(build_group("sym:5").table)
+    s5 = [hgs_from_abelian_map(am) for am in abelian_maps(G)]
+    counts.append(_check_record_reads(s5, monkeypatch))
+    hits, misses = map(sum, zip(*counts))
+    assert counts[-1] == (1 + 10 * 10 + 15 * 15, 26 * 26 - 326)
+    assert hits > 376 and misses > 0
+
+
 def test_rho_orbit_equals_scan_with_caller_generators(m733):
     # the base is certified from generators of its own, so it is not the
     # live structure of its set: a sibling's orbit holds that live twin, and
@@ -231,8 +280,7 @@ def test_is_conjugate_equals_full_conjugation_on_catalog():
         inv = enumerate_hgs(build_group(spec))
         for N in inv:
             targets = (N, inv[0], inv[len(inv) // 2], inv[-1])
-            for g in range(N.group.order):
-                key = rho_conjugate(N, g).perms.element_set
+            for g, key in enumerate(_scan_conjugates(N)):
                 for M in targets:
                     full = key == M.perms.element_set
                     assert _is_conjugate(N, g, M) == full
