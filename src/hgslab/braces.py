@@ -6,12 +6,13 @@ identity 0 and satisfying the left brace relation
     x o (y * z) = (x o y) * inv(x) * (x o z)
 
 with inv the star inverse.  A structure N on G yields the brace with
-circ = G and star the group whose table is the eta index, which certify
-already made a group table: only tables from outside (skew_brace_from_tables)
-are validated as groups.  Conversely the star rows are themselves a
-structure on the circ group.  The table laws (brace relation, two-sidedness,
-Yang-Baxter actions) are decided on the circ generators, and a full scan
-runs only to name the witness of a rejection.
+circ = G and star the group whose table is the eta index, taken as it
+stands: the gate of the brace relation confirms it is a group table, and
+only tables from outside (skew_brace_from_tables) build checked groups.
+Conversely the star rows are themselves a structure on the circ group.
+The table laws (brace relation, two-sidedness, Yang-Baxter actions) are
+decided on the circ generators, and a full scan runs only to name the
+witness of a rejection.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ def skew_brace_from_tables(star, circ, names=None) -> SkewBrace:
 def brace_from_subgroup(N: RegularSubgroup) -> SkewBrace:
     """The brace on G with star[a][b] = (eta_a . eta_b)[0] = eta_a[b].
 
-    certify already made eta a group table, so only the brace relation
-    is checked.
+    eta builds no checked group; the gate of the brace relation confirms
+    that it is a group table.
     """
     B = SkewBrace(structure_group(N), N.group, source=N)
     _check_brace_relation(B)

@@ -108,8 +108,11 @@ def hol_embedding(G: FiniteGroup, M: FiniteGroup, beta) -> HolEmbedding:
     """Validate and wrap an embedding given by its image permutations.
 
     Checks, in order: shape, the homomorphism property, injectivity,
-    regularity at the base point, and holomorph membership of every image
-    (each beta(g) must factor as translation followed by automorphism).
+    regularity at the base point, and holomorph membership (beta(g) must
+    factor as translation followed by automorphism).  As in _respects, the
+    law is checked at h in G.generating_set(), naming the first failing
+    (g, h) by g; each beta(g) is then a product of the generators' images,
+    and only those are tested for membership, Hol(M) being a group.
     """
     n = G.order
     if M.order != n:
@@ -120,10 +123,9 @@ def hol_embedding(G: FiniteGroup, M: FiniteGroup, beta) -> HolEmbedding:
     for row in rows:
         if len(row) != n or set(row) != set(range(n)):
             raise ConstructionError("beta images must be permutations of M")
-    tg = G.table
-    for g in range(n):
-        bg = rows[g]
-        for h in range(n):
+    tg, gens = G.table, G.generating_set() or (0,)
+    for g, bg in enumerate(rows):
+        for h in gens:
             if rows[tg[g][h]] != _compose(bg, rows[h]):
                 raise ConstructionError(
                     f"beta is not a homomorphism at ({g}, {h})"
@@ -133,8 +135,8 @@ def hol_embedding(G: FiniteGroup, M: FiniteGroup, beta) -> HolEmbedding:
     base = [row[0] for row in rows]
     if len(set(base)) != n:
         raise ConstructionError("embedding image is not regular at the base point")
-    for g, row in enumerate(rows):
-        if not in_holomorph(M, row):
+    for g in gens:
+        if not in_holomorph(M, rows[g]):
             raise ConstructionError(
                 f"beta({g}) does not factor as translation times automorphism"
             )
@@ -171,9 +173,7 @@ def to_hol_embedding(
         raise ConstructionError("iota is not a bijection")
     if not _respects(iota, target, star):
         raise ConstructionError("iota is not an isomorphism onto the structure")
-    inv = _invert(iota)
-    tg = G.table
-    beta = [tuple(inv[tg[g][a]] for a in iota) for g in range(n)]
+    beta = _conjugate_all(G.table, _invert(iota), iota)
     return hol_embedding(G, target, beta)
 
 
@@ -216,14 +216,12 @@ def fpf_embedding(f1: GroupHom, f2: GroupHom) -> HolEmbedding:
             raise ConstructionError("both factors must be homomorphisms")
     if not fpf_check(f1, f2):
         raise ConstructionError("the pair is not fixed point free")
-    G, M = f1.domain, f1.codomain
-    tm, inv = M.table, M.inverse
-    beta = []
-    for h in range(G.order):
-        row = tm[f1.images[h]]
-        bi = inv[f2.images[h]]
-        beta.append(tuple(row[tm[m][bi]] for m in range(M.order)))
-    return hol_embedding(G, M, beta)
+    M = f1.codomain
+    tm, inv, columns = M.table, M.inverse, _columns(M)
+    # rho(f2(h)) sends m to m . f2(h)^-1, column f2(h)^-1 of the table
+    beta = [_compose(tm[a], columns[inv[b]])
+            for a, b in zip(f1.images, f2.images)]
+    return hol_embedding(f1.domain, M, beta)
 
 
 def hgs_from_fpf(f1: GroupHom, f2: GroupHom) -> RegularSubgroup:
@@ -254,8 +252,7 @@ class AbelianMap:
         if not is_homomorphism(hom.domain, hom.codomain, hom.images):
             raise ConstructionError("the map is not a homomorphism")
         G = hom.domain
-        image, t = set(hom.images), G.table
-        if any(t[a][b] != t[b][a] for a in image for b in image):
+        if not _commute(G, [hom.images[g] for g in G.generating_set()]):
             raise ConstructionError("the image is not abelian")
         self.hom = hom
 
@@ -283,6 +280,11 @@ class AbelianMap:
         return {"schema": "hgslab.abelian_map/1", "images": list(self.hom.images)}
 
 
+def _commute(G: FiniteGroup, xs) -> bool:
+    """Whether the ids xs commute pairwise in G."""
+    return all(G.table[a][b] == G.table[b][a] for a, b in itertools.combinations(xs, 2))
+
+
 def abelian_maps(G: FiniteGroup) -> list:
     """All endomorphisms of G with abelian image, sorted by image array.
 
@@ -293,7 +295,7 @@ def abelian_maps(G: FiniteGroup) -> list:
     AUTOMORPHISM_SEARCH_LIMIT choices of generator images.
     """
     gens = G.generating_set()
-    orders, t = G.element_orders, G.table
+    orders = G.element_orders
     candidates = []
     for g in gens:
         o = orders[g]
@@ -301,7 +303,7 @@ def abelian_maps(G: FiniteGroup) -> list:
     _refuse_large_search("abelian map", candidates)
     out = []
     for combo in itertools.product(*candidates):
-        if any(t[a][b] != t[b][a] for a, b in itertools.combinations(combo, 2)):
+        if not _commute(G, combo):
             continue
         images = extend_generator_images(G, combo, G)
         if images is not None:

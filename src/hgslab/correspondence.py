@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import List
 
 from .errors import CorrespondenceError
-from .groups import FiniteGroup, Subgroup, _join_closures, _orbits, subgroup_closure
+from .groups import (FiniteGroup, Subgroup, _join_closures, _orbits,
+                     inner_automorphism, subgroup_closure)
 from .hgs import RegularSubgroup
 from .perms import (
     PermGroup,
@@ -49,7 +50,7 @@ def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
     generated by its picked members."""
     eta = N.eta
     out = [
-        PermGroup((eta[a] for a in key), generators=[eta[a] for a in gens])
+        PermGroup._generated_by((eta[a] for a in key), [eta[a] for a in gens or (0,)])
         for key, gens in _join_closures(eta, _lambda_orbits(N)).items()
     ]
     out.sort(key=lambda P: (P.order, P.canonical_key()))
@@ -122,24 +123,21 @@ def realizable_lattice(N: RegularSubgroup) -> RealizableLattice:
     """All (P, U) pairs, each U read off P by _fixed.  The result is kept
     on N."""
     if N._lattice is None:
-        N._lattice = _build_lattice(N)
+        N._lattice = RealizableLattice(
+            N, [(P, _fixed(N.group, P)) for P in g_stable_subgroups(N)]
+        )
     return N._lattice
-
-
-def _build_lattice(N: RegularSubgroup) -> RealizableLattice:
-    return RealizableLattice(
-        N, [(P, _fixed(N.group, P)) for P in g_stable_subgroups(N)]
-    )
 
 
 def _transport_matches(G, lat1: RealizableLattice,
                        lat2: RealizableLattice, g: int) -> bool:
     """Does conjugating lat1 entrywise by g reproduce lat2 exactly?"""
     rho_g, rho_ginv = rho_embed(G, g), rho_embed(G, G.inverse[g])
+    phi = inner_automorphism(G, g).images
     transported = {}
     for P, U in lat1:
         key = frozenset(_conjugate_all(P.elements, rho_g, rho_ginv))
-        transported[key] = tuple(sorted(G.conj(u, g) for u in U.elements))
+        transported[key] = tuple(sorted(phi[u] for u in U.elements))
     if len(transported) != len(lat2.entries):
         return False
     for P, U in lat2:

@@ -40,9 +40,9 @@ ALTERNATING_DEGREE_LIMIT = 5
 # largest group the tests, verify and the benchmark build is sym:5 (120).
 GROUP_ORDER_LIMIT = 1024
 
-# A subgroup lattice with more entries than this is refused (ClosureCapExceeded,
-# exit 2): the rho structure of elemab:2:6 has 2,825 stable subgroups, that of
-# elemab:2:7 has 29,212; no group of order 64 or less has more than 2,825.
+# A subgroup lattice (all_subgroups, or a structure's stable subgroups) with
+# more entries than this is refused (ClosureCapExceeded, exit 2): the rho
+# structure of elemab:2:6 has 2,825 stable subgroups, elemab:2:7 has 29,212.
 LATTICE_LIMIT = 4096
 
 # automorphisms and constructions.abelian_maps refuse a backtrack over more
@@ -51,9 +51,6 @@ LATTICE_LIMIT = 4096
 # abelian maps of C2^4); C2^5 needs 28,629,151 and C3^4 40,960,000
 # automorphism choices, and 33,554,432 and 43,046,721 abelian-map choices.
 AUTOMORPHISM_SEARCH_LIMIT = 10**6
-
-# all_subgroups refuses larger groups.
-ALL_SUBGROUPS_ORDER_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +441,26 @@ class Subgroup:
         return f"Subgroup(order={self.order}, elements={self.elements})"
 
     def is_normal(self) -> bool:
-        G = self.parent
-        elems = set(self.elements)
-        return all(
-            G.conj(a, g) in elems for a in self.elements for g in range(G.order)
-        )
+        """Whether g S g^-1 lies in S for the parent's generators g; the g
+        for which it does are closed under the product, a subgroup."""
+        G, at = self.parent, _row_getter(self.elements)
+        return all(self.element_set.issuperset(at(inner_automorphism(G, g).images))
+                   for g in G.generating_set())
 
     def as_group(self) -> tuple:
         """The subgroup as a FiniteGroup on positions, with the element list.
 
-        Positions follow the sorted element order, so the identity lands at 0.
+        Positions follow the sorted element order, so the identity lands at
+        0; elements that are not closed under the product raise InvalidSpec.
         """
         if self._abstract is None:
             G = self.parent
             elems = self.elements
             pos = {e: i for i, e in enumerate(elems)}
-            table = [
-                [pos[G.table[a][b]] for b in elems] for a in elems
-            ]
+            try:
+                table = [[pos[G.table[a][b]] for b in elems] for a in elems]
+            except KeyError as exc:
+                raise InvalidSpec(f"not closed: the product {exc} is missing") from None
             names = [G.names[e] for e in elems]
             sub = FiniteGroup(table, names=names, check=True)
             self._abstract = (sub, elems)
@@ -508,11 +507,8 @@ def _joined_subgroups(G: FiniteGroup, pieces) -> list:
 
 
 def all_subgroups(G: FiniteGroup) -> list:
-    """Every subgroup of G: the joins of closures of single elements."""
-    if G.order > ALL_SUBGROUPS_ORDER_LIMIT:
-        raise InvalidSpec(
-            f"subgroup lattice restricted to order <= {ALL_SUBGROUPS_ORDER_LIMIT}"
-        )
+    """Every subgroup of G: the joins of closures of single elements,
+    refused past LATTICE_LIMIT subgroups."""
     return G._memo(
         "all_subgroups",
         lambda: _joined_subgroups(G, [(x,) for x in range(1, G.order)]),
@@ -543,8 +539,7 @@ def conjugacy_classes(G: FiniteGroup) -> list:
     orbits of conjugation by the generators."""
 
     def compute():
-        moves = [[G.conj(a, g) for a in range(G.order)]
-                 for g in G.generating_set()]
+        moves = [inner_automorphism(G, g).images for g in G.generating_set()]
         return [tuple(sorted(c)) for c in _orbits(moves, G.order)]
 
     return G._memo("classes", compute)
@@ -707,23 +702,24 @@ def _refuse_large_search(what: str, candidates: Sequence[Sequence[int]]) -> None
         )
 
 
-def _automorphisms(G: FiniteGroup) -> list:
-    _refuse_large_search(
-        "automorphism", [_iso_candidates(G, G, g) for g in G.generating_set()]
-    )
-    return [GroupHom(G, G, img) for img in sorted(_isomorphisms(G, G))]
-
-
 def automorphisms(G: FiniteGroup) -> list:
     """All automorphisms of G, sorted by image array; refused before the
     backtrack when it would range over more than AUTOMORPHISM_SEARCH_LIMIT
     choices of generator images."""
-    return G._memo("automorphisms", lambda: _automorphisms(G))
+
+    def compute():
+        _refuse_large_search(
+            "automorphism", [_iso_candidates(G, G, g) for g in G.generating_set()]
+        )
+        return [GroupHom(G, G, img) for img in sorted(_isomorphisms(G, G))]
+
+    return G._memo("automorphisms", compute)
 
 
 def inner_automorphism(G: FiniteGroup, g: int) -> GroupHom:
-    """Conjugation x -> g x g^-1 as a GroupHom."""
-    return GroupHom(G, G, tuple(G.conj(x, g) for x in range(G.order)))
+    """Conjugation x -> g x g^-1 as a GroupHom, one gather: x g^-1 is
+    column g^-1 of the table, read at row g, whose entry x is g x."""
+    return GroupHom(G, G, _row_getter(G.table[g])(_columns(G)[G.inverse[g]]))
 
 
 # ---------------------------------------------------------------------------

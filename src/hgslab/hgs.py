@@ -220,7 +220,8 @@ def opposite(N: RegularSubgroup) -> RegularSubgroup:
     eta = N.eta
     cols = tuple(zip(*eta))
     gens, _ = _order_walk(eta, list(map(_cycle_at_0, eta)))
-    return certify(N.group, PermGroup(cols, generators=[cols[g] for g in gens]))
+    gens = [cols[g] for g in gens or (0,)]
+    return certify(N.group, PermGroup._generated_by(cols, gens))
 
 
 def lambda_structure(G: FiniteGroup) -> RegularSubgroup:
@@ -323,6 +324,7 @@ def _close_along_cayley_graph(
     """The map x -> beta(x) on <gens> with beta(gens[k]) = images[k], or None.
 
     beta is spread along G's Cayley graph by beta(x * g) = beta(x) . beta(g),
+    one frontier list walked as it grows, as in extend_generator_images,
     and owner[m] is the coset of the elements sending the base point to m.
     The choice dies when an element is reached with two different images (a
     relation of G fails) or when two cosets would own one m.  Once all of G
@@ -336,25 +338,22 @@ def _close_along_cayley_graph(
     owner[0] = 0
     edges = list(zip(gens, images))
     frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            bx, row = beta[x], table[x]
-            for g, c in edges:
-                q = _compose(bx, c)
-                y = row[g]
-                by = beta[y]
-                if by is None:
-                    m = q[0]
-                    if owner[m] is None:
-                        owner[m] = coset_of[y]
-                    elif owner[m] != coset_of[y]:
-                        return None
-                    beta[y] = q
-                    nxt.append(y)
-                elif by != q:
+    for x in frontier:
+        bx, row = beta[x], table[x]
+        for g, c in edges:
+            q = _compose(bx, c)
+            y = row[g]
+            by = beta[y]
+            if by is None:
+                m = q[0]
+                if owner[m] is None:
+                    owner[m] = coset_of[y]
+                elif owner[m] != coset_of[y]:
                     return None
-        frontier = nxt
+                beta[y] = q
+                frontier.append(y)
+            elif by != q:
+                return None
     return beta
 
 

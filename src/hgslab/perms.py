@@ -39,6 +39,7 @@ from .groups import (
     _columns,
     _cycle_at_0,
     _cycles,
+    _greedy_join,
     _order_walk,
     _respects,
 )
@@ -93,11 +94,25 @@ def _escape(conjugators: Iterable[tuple], probes, members) -> Optional[tuple]:
 
 
 class PermGroup:
-    """A finite set of permutations closed under composition."""
+    """A finite set of permutations closed under composition; generators
+    from the caller are checked as the greedy picks are (_generated_by
+    takes generators a caller has proven)."""
 
     __slots__ = ("base", "elements", "generators", "element_set", "_hash")
 
     def __init__(self, elements: Iterable[tuple], generators=()):
+        self._store(elements)
+        self.generators = _greedy_generators(self.elements, self.element_set,
+                                             tuple(map(tuple, generators)))
+
+    @classmethod
+    def _generated_by(cls, elements: Iterable[tuple], generators) -> "PermGroup":
+        P = cls.__new__(cls)
+        P._store(elements)
+        P.generators = tuple(generators)
+        return P
+
+    def _store(self, elements: Iterable[tuple]) -> None:
         elems = tuple(sorted(elements))
         if not elems:
             raise InvalidSpec("a permutation group needs elements")
@@ -107,8 +122,6 @@ class PermGroup:
         self.elements = elems
         self.element_set = frozenset(elems)
         self._hash = None  # memo of canonical_hash
-        gens = tuple(generators)
-        self.generators = gens or _greedy_generators(elems, self.element_set)
 
     @property
     def order(self) -> int:
@@ -168,9 +181,10 @@ class PermGroup:
         }
 
 
-def _greedy_generators(elems: Sequence[tuple], members: frozenset) -> tuple:
-    """Generators of a closed permutation set: the candidates by decreasing
-    order, each one not reached yet.
+def _greedy_generators(elems: Sequence[tuple], members: frozenset,
+                       given: tuple = ()) -> tuple:
+    """Generators of a closed permutation set: the given members, else the
+    candidates by decreasing order, each one not reached yet.
 
     n sorted permutations of n points with elems[a][0] == a are, if closed,
     regular with Cayley table a*b = elems[a][b], and the order of elems[a]
@@ -180,26 +194,30 @@ def _greedy_generators(elems: Sequence[tuple], members: frozenset) -> tuple:
     hold 0 and are closed under the table's product (read the law at 0),
     and every id is a product of picks.  The members are then permutations
     if each walk from 0 comes back (_cycle_at_0 is not 0): p^k fixes 0 for
-    k that length, and the identity is the only member fixing 0.
-    _greedy_close closes other sets.
+    k that length, and the identity is the only member fixing 0.  Given
+    generators are walked in their order instead.  _greedy_close closes
+    other sets.
     """
-    if len(elems) == 1:
-        return elems
+    if not members.issuperset(given):
+        raise InvalidSpec("a given generator is not a member of the set")
     n = len(elems[0])
+    if elems == (tuple(range(n)),):
+        return given or elems
     if len(elems) == n and all(p[0] == a for a, p in enumerate(elems)):
         orders = list(map(_cycle_at_0, elems))
         if elems[0] == tuple(range(n)) and all(orders):
-            gens, reached = _order_walk(elems, orders)
+            gens, reached = (_greedy_join(elems, [p[0] for p in given]) if given
+                             else _order_walk(elems, orders))
             if len(reached) == n and _acts(elems, elems, gens):
-                return tuple(elems[g] for g in gens)
+                return given or tuple(elems[g] for g in gens)
     else:
-        candidates = sorted(elems, key=lambda q: (-_tuple_order(q), q))
+        candidates = given or sorted(elems, key=lambda q: (-_tuple_order(q), q))
         try:
             gens, reached = _greedy_close(candidates, len(members))
         except ClosureCapExceeded:
             reached = None
         if reached == members:
-            return tuple(gens)
+            return given or tuple(gens)
     raise InvalidSpec("set is not closed under composition")
 
 
@@ -255,7 +273,7 @@ def generated_perm_group(gens: Sequence[Sequence[int]]) -> PermGroup:
         if sorted(g) != list(range(b)):
             raise InvalidSpec(f"not a permutation of 0..{b - 1}: {g}")
     _, reached = _greedy_close(gens, 10 * b * b)
-    return PermGroup(reached, generators=gens)
+    return PermGroup._generated_by(reached, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +298,12 @@ def rho_embed(G: FiniteGroup, g: int) -> tuple:
 
 def lambda_image(G: FiniteGroup) -> PermGroup:
     gens = [lambda_embed(G, g) for g in G.generating_set() or (0,)]
-    return PermGroup(G.table, generators=gens)
+    return PermGroup._generated_by(G.table, gens)
 
 
 def rho_image(G: FiniteGroup) -> PermGroup:
     gens = [rho_embed(G, g) for g in G.generating_set() or (0,)]
-    return PermGroup(_columns(G), generators=gens)
+    return PermGroup._generated_by(_columns(G), gens)
 
 
 # ---------------------------------------------------------------------------

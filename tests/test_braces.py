@@ -1,5 +1,7 @@
 """Skew braces from structures: axioms, criteria, comparisons, Yang-Baxter."""
 
+import random
+
 import pytest
 
 from hgslab import (
@@ -158,6 +160,17 @@ def test_ybe_map_nondegenerate_on_all_small_braces(s3_inventory):
         r = ybe_map(brace_from_subgroup(N))
         assert r.is_bijective()
         assert r.braid_holds()
+
+
+def test_brace_round_trip_and_ybe_on_seeded_catalog_structures(
+        catalog_structures):
+    rng = random.Random(20261019)
+    small = [N for N in catalog_structures if N.order <= 15]
+    for N in rng.sample(small, 60):
+        B = brace_from_subgroup(N)
+        assert subgroup_from_brace(B).perms.element_set == N.perms.element_set
+        r = ybe_map(B)
+        assert r.is_bijective() and r.braid_holds(), N
 
 
 def test_compare_braces_on_conjugates(d4_inventory):

@@ -1,6 +1,8 @@
 """Builders: embeddings, fixed point free pairs, abelian maps, induction."""
 
 import itertools
+import random
+import re
 import time
 
 import pytest
@@ -25,6 +27,7 @@ from hgslab import (
     from_hol_embedding,
     hgs_from_abelian_map,
     hgs_from_fpf,
+    hol_embedding,
     induced_hgs,
     induced_input,
     induced_transport_check,
@@ -39,6 +42,7 @@ from hgslab import (
     to_hol_embedding,
     UnsupportedOrder,
 )
+from hgslab.groups import automorphisms, extend_generator_images
 from hgslab.hgs import stable_regular_subgroups
 from hgslab.verify import (
     dihedral_fpf_pair,
@@ -78,6 +82,51 @@ def test_embedding_rejects_non_homomorphism(s3):
 
     with pytest.raises(ConstructionError):
         hol_embedding(s3, M, rows)
+
+
+def _law_failures(G, rows):
+    """Every (g, h) with beta(g h) != beta(g) . beta(h), by a full scan."""
+    return [(g, h) for g in range(G.order) for h in range(G.order)
+            if rows[G.table[g][h]] != tuple(rows[g][x] for x in rows[h])]
+
+
+def test_hol_embedding_law_on_generators_equals_the_full_scan(catalog_structures):
+    # seeded corruptions of true embeddings (two rows swapped, or two
+    # entries of one row): the law is refused exactly when the full scan
+    # finds a failing pair, and the pair named is the first failure by g
+    # among those at a generator h
+    rng = random.Random(20261019)
+    named = 0
+    for N in rng.sample([N for N in catalog_structures if N.order > 1], 50):
+        G, emb = N.group, to_hol_embedding(N)
+        gens = G.generating_set()
+        assert emb.beta == tuple(tuple(G.table[g]) for g in range(G.order))
+        cases = [list(emb.beta)]
+        for _ in range(4):
+            bad, (i, j) = list(emb.beta), rng.sample(range(G.order), 2)
+            if rng.randrange(2):
+                bad[i], bad[j] = bad[j], bad[i]
+            else:
+                row = list(bad[i])
+                row[i], row[j] = row[j], row[i]
+                bad[i] = tuple(row)
+            cases.append(bad)
+        for rows in cases:
+            fails = _law_failures(G, rows)
+            try:
+                hol_embedding(G, emb.target, rows)
+                message = ""
+            except ConstructionError as exc:
+                message = str(exc)
+            law = re.fullmatch(r"beta is not a homomorphism at \((\d+), (\d+)\)",
+                               message)
+            assert bool(law) == bool(fails), (N, rows)
+            if law:
+                first = min((g, gens.index(h)) for g, h in fails if h in gens)
+                g, h = map(int, law.groups())
+                assert (g, gens.index(h)) == first and (g, h) in fails
+                named += 1
+    assert named > 100
 
 
 def test_embedding_conjugation_check_tracks_rho(m733):
@@ -137,6 +186,33 @@ def test_abelian_map_rejects_nonabelian_image(s3):
         AbelianMap(_identity_hom(s3))
     with pytest.raises(ConstructionError):
         AbelianMap(GroupHom(s3, s3, [0, 1, 1, 1, 1, 1]))  # not multiplicative
+
+
+def test_abelian_map_refuses_every_seeded_map_with_a_nonabelian_image():
+    # seeded homomorphisms, spread from random generator images, and
+    # automorphisms; the image is read in full and AbelianMap must agree
+    rng = random.Random(20261019)
+    verdicts = []
+    for spec in ("sym:3", "dihedral:4", "quaternion:8", "metacyclic:7:3:2",
+                 "product:sym:3,cyclic:2", "sym:4"):
+        G = build_group(spec)
+        k = len(G.generating_set())
+        homs = [phi.images for phi in rng.sample(automorphisms(G), 3)]
+        for _ in range(300):
+            combo = [rng.randrange(G.order) for _ in range(k)]
+            images = extend_generator_images(G, combo, G)
+            if images is not None:
+                homs.append(images)
+        for images in homs:
+            image = set(images)
+            abelian = all(G.table[a][b] == G.table[b][a] for a in image for b in image)
+            if abelian:
+                AbelianMap(GroupHom(G, G, images))
+            else:
+                with pytest.raises(ConstructionError, match="not abelian"):
+                    AbelianMap(GroupHom(G, G, images))
+            verdicts.append(abelian)
+    assert verdicts.count(False) > 20 and verdicts.count(True) > 20
 
 
 def test_structure_from_a_non_homomorphism_is_rejected(s3):

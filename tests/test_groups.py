@@ -22,7 +22,7 @@ from hgslab import (
     parse_spec,
     subgroup_closure,
 )
-from hgslab.groups import conjugacy_classes, extend_generator_images
+from hgslab.groups import Subgroup, conjugacy_classes, extend_generator_images
 
 # number of isomorphism classes of groups of each order 1..15
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1]
@@ -167,6 +167,11 @@ def test_subgroup_as_group():
     assert H.order == 3
     assert are_isomorphic(H, build_group("cyclic:3")) is not None
     assert set(elems) == set(A3.elements)
+
+
+def test_subgroup_as_group_refuses_a_set_that_is_not_closed():
+    with pytest.raises(InvalidSpec, match="not closed: the product 2"):
+        Subgroup(build_group("cyclic:4"), [0, 1]).as_group()
 
 
 def test_automorphism_counts():
@@ -337,6 +342,15 @@ def _classes_by_scanning_all_of_g(G):
             seen |= cls
             classes.append(tuple(sorted(cls)))
     return classes
+
+
+def test_inner_automorphism_equals_conj_on_the_catalog():
+    specs = [str(g) for n in range(1, 25) for g in catalog_specs(n)] + ["sym:5"]
+    for spec in specs:
+        G = build_group(spec)
+        for g in range(G.order):
+            want = tuple(G.conj(x, g) for x in range(G.order))
+            assert inner_automorphism(G, g).images == want, (spec, g)
 
 
 def test_conjugacy_classes_equal_the_scan_over_all_of_g():

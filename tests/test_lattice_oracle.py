@@ -10,6 +10,8 @@ each P carries must close to P.  `all_subgroups` and `normal_subgroups`
 join closures of single elements and of conjugacy classes through the same
 routine; the one-element-at-a-time loop is their oracle too, and each
 subgroup of `all_subgroups` carries exactly its greedy picks in id order.
+Normality, which `is_normal` decides at the generators of G, is checked
+against conjugation by every element.
 
 `groups._join_closures` builds each subgroup once, from its greedy picks
 over the pieces, and drops every join that would reach a subgroup twice.
@@ -22,9 +24,13 @@ new walk completes must be a new subgroup.
 else; the oracle for the pairs is the closure in G of the preimages of 0
 under P's members, with the lattice laws checked entry by entry.
 """
+import random
 import sys
 
+import pytest
+
 from hgslab import (
+    ClosureCapExceeded,
     all_subgroups,
     build_group,
     catalog_specs,
@@ -36,7 +42,13 @@ from hgslab import (
 )
 from hgslab import groups
 from hgslab.correspondence import _lambda_orbits
-from hgslab.groups import _join, _join_closures, conjugacy_classes, subgroup_closure
+from hgslab.groups import (
+    Subgroup,
+    _join,
+    _join_closures,
+    conjugacy_classes,
+    subgroup_closure,
+)
 from hgslab.perms import PermGroup, _escape, _greedy_close, _left_translations
 from test_hol_oracle import perm_group_as_group
 
@@ -158,6 +170,25 @@ def _greedy_picks(G, elements):
     return tuple(picks)
 
 
+def _normal_by_scan(G, s):
+    """Whether g a g^-1 lies in s for every a in s and every g in G."""
+    return all(G.conj(a, g) in s.element_set
+               for a in s.elements for g in range(G.order))
+
+
+def test_is_normal_equals_the_full_conjugation_scan():
+    # every subgroup of every catalog group of order 24 or less, and seeded
+    # sets holding 0 that need not be subgroups
+    rng = random.Random(20261019)
+    for spec in [str(g) for n in range(1, 25) for g in catalog_specs(n)]:
+        G = build_group(spec)
+        sets = list(all_subgroups(G))
+        sets += [Subgroup(G, {0, *rng.sample(range(G.order), G.order // 3)})
+                 for _ in range(4)]
+        for s in sets:
+            assert s.is_normal() == _normal_by_scan(G, s), (spec, s)
+
+
 def test_all_and_normal_subgroups_match_the_scan():
     specs = [str(g) for n in list(range(1, 16)) + [21] for g in catalog_specs(n)]
     specs += ["sym:4", "dihedral:8", "elemab:2:5"]
@@ -167,7 +198,7 @@ def test_all_and_normal_subgroups_match_the_scan():
         want = [(s.elements, _greedy_picks(G, s.elements)) for s in scan]
         got = [(s.elements, s.generators) for s in all_subgroups(G)]
         assert got == want, spec
-        want = [s.elements for s in scan if s.is_normal()]
+        want = [s.elements for s in scan if _normal_by_scan(G, s)]
         assert [s.elements for s in normal_subgroups(G)] == want, spec
 
 
@@ -188,6 +219,21 @@ def _breadth_first_joins(table, pieces):
                         nxt.append(key)
         frontier = nxt
     return found
+
+
+@pytest.mark.parametrize("spec,count", [("sym:5", 156), ("alt:5", 59)])
+def test_all_subgroups_above_order_64_match_the_breadth_first_walk(spec, count):
+    G = build_group(spec)
+    want = _breadth_first_joins(G.table, [(x,) for x in range(1, G.order)])
+    got = all_subgroups(G)
+    assert len(got) == len(want) == count
+    assert {s.element_set for s in got} == set(want)
+
+
+def test_all_subgroups_are_capped_by_the_lattice_limit():
+    # elemab:2:7 has 29,212 subgroups, the subspaces of F_2^7
+    with pytest.raises(ClosureCapExceeded):
+        all_subgroups(build_group("elemab:2:7"))
 
 
 def _closure(table, gens):

@@ -6,6 +6,7 @@ from hgslab import (
     ClosureCapExceeded,
     InvalidSpec,
     build_group,
+    certify,
     CosetSpace,
     generated_perm_group,
     lambda_embed,
@@ -46,6 +47,37 @@ def test_generated_perm_group_checks_every_generator():
 def test_perm_group_refuses_elements_of_different_lengths(elements):
     with pytest.raises(InvalidSpec, match="different lengths"):
         PermGroup(elements)
+
+
+CYCLIC_3 = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+NOT_A_GROUP = [(0, 1, 2), (1, 0, 2), (2, 1, 0)]  # lacks (1,0,2) . (2,1,0)
+
+
+@pytest.mark.parametrize("generators", [[(0, 1, 2)], [(1, 2, 0)]])
+def test_certify_refuses_a_set_that_caller_generators_do_not_close(generators):
+    # the identity generates too little, and (1 2 0) lies outside the set
+    with pytest.raises(InvalidSpec):
+        certify(build_group("cyclic:3"), PermGroup(NOT_A_GROUP, generators=generators))
+
+
+@pytest.mark.parametrize("elements,generators", [
+    (CYCLIC_3, [(0, 1, 2)]),              # a member generating too little
+    (CYCLIC_3, [(1, 0, 2)]),              # a group, a generator outside it
+    ([(0, 1, 2), (1, 0, 2)], [(0, 1, 2)]),  # not regular, closed by composing
+    ([(0, 1, 2), (1, 0, 2)], [(0, 2, 1)]),
+    ([(1, 0)], []),                       # one element that is not the identity
+])
+def test_perm_group_checks_caller_generators(elements, generators):
+    with pytest.raises(InvalidSpec):
+        PermGroup(elements, generators=generators)
+
+
+def test_perm_group_keeps_caller_generators_that_generate():
+    assert PermGroup(CYCLIC_3, generators=[[2, 0, 1]]).generators == ((2, 0, 1),)
+    s3_on_3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    gens = ((1, 0, 2), (1, 2, 0))
+    assert PermGroup(s3_on_3[::-1], generators=gens).generators == gens
+    assert PermGroup([(0, 1)], generators=[(0, 1)]).generators == ((0, 1),)
 
 
 def test_compose_and_invert():

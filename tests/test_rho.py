@@ -1,5 +1,7 @@
 """Conjugation by right translations: orbits, stabilizers, partitions."""
 
+import random
+
 import pytest
 
 from hgslab import (
@@ -32,6 +34,25 @@ def test_conjugation_composes(m733, d4):
                 two_step = rho_conjugate(rho_conjugate(N, g), h)
                 direct = rho_conjugate(N, G.table[h][g])
                 assert two_step.perms.element_set == direct.perms.element_set
+
+
+def test_conjugation_is_a_left_action_on_seeded_catalog_structures(
+        catalog_structures):
+    # N_h conjugated by g is N_{g h}, and both equal the conjugate of N's
+    # members by rho(g h), x -> x (g h)^-1, computed point by point here
+    rng = random.Random(20261019)
+    small = [N for N in catalog_structures if N.order <= 15]
+    for N in rng.sample(small, 60):
+        G = N.group
+        t, inv = G.table, G.inverse
+        for _ in range(4):
+            g, h = rng.randrange(G.order), rng.randrange(G.order)
+            k = t[g][h]
+            two_step = rho_conjugate(rho_conjugate(N, h), g)
+            direct = {tuple(t[p[t[x][k]]][inv[k]] for x in range(G.order))
+                      for p in N.perms.elements}
+            assert two_step.perms.element_set == direct, (N, g, h)
+            assert rho_conjugate(N, k).perms.element_set == direct, (N, g, h)
 
 
 def test_lambda_structure_is_always_fixed(d4, s3):
