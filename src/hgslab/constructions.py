@@ -20,12 +20,12 @@ from .groups import (
     GroupHom,
     Subgroup,
     _columns,
+    _generator_maps,
     _refuse_large_search,
     _respects,
     are_isomorphic,
     catalog_complete,
     catalog_specs,
-    extend_generator_images,
     inner_automorphism,
     is_homomorphism,
 )
@@ -290,26 +290,16 @@ def abelian_maps(G: FiniteGroup) -> list:
 
     Backtracks over generator images; a generator of order k can only map
     to an element whose order divides k.  The image is generated by the
-    generator images, so it is abelian exactly when they commute pairwise.
-    Refused before the backtrack when it would range over more than
-    AUTOMORPHISM_SEARCH_LIMIT choices of generator images.
+    generator images, so it is abelian exactly when they commute pairwise;
+    each prefix of picks is tested before it spreads.  Refused before the
+    backtrack past AUTOMORPHISM_SEARCH_LIMIT choices of generator images.
     """
-    gens = G.generating_set()
     orders = G.element_orders
-    candidates = []
-    for g in gens:
-        o = orders[g]
-        candidates.append([x for x in range(G.order) if o % orders[x] == 0])
+    candidates = [[x for x in range(G.order) if orders[g] % orders[x] == 0]
+                  for g in G.generating_set()]
     _refuse_large_search("abelian map", candidates)
-    out = []
-    for combo in itertools.product(*candidates):
-        if not _commute(G, combo):
-            continue
-        images = extend_generator_images(G, combo, G)
-        if images is not None:
-            out.append(AbelianMap(GroupHom(G, G, images)))
-    out.sort(key=lambda m: m.hom.images)
-    return out
+    maps = _generator_maps(G, G, candidates, keep=lambda xs: _commute(G, xs))
+    return [AbelianMap(GroupHom(G, G, images)) for images in sorted(maps)]
 
 
 def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:

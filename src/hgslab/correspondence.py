@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List
 
 from .errors import CorrespondenceError
-from .groups import (FiniteGroup, Subgroup, _join_closures, _orbits,
+from .groups import (FiniteGroup, Subgroup, _check_id, _join_closures, _orbits,
                      inner_automorphism, subgroup_closure)
 from .hgs import RegularSubgroup
 from .perms import (
@@ -151,6 +151,7 @@ def lattice_transport_check(N: RegularSubgroup, g: int) -> bool:
     """Conjugating the structure by rho(g) must carry its lattice to the
     conjugated lattice: P -> rho(g) P rho(g)^-1 paired with U -> g U g^-1."""
     G = N.group
+    _check_id(G, g)
     lat1 = realizable_lattice(N)
     lat2 = realizable_lattice(rho_conjugate(N, g))
     return _transport_matches(G, lat1, lat2, g)

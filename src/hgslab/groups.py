@@ -46,10 +46,14 @@ GROUP_ORDER_LIMIT = 1024
 LATTICE_LIMIT = 4096
 
 # automorphisms and constructions.abelian_maps refuse a backtrack over more
-# choices of generator images than this (UnsupportedOrder, exit 2): the
+# choices of generator images than this (UnsupportedOrder, exit 2), counted
+# before it starts.  _generator_maps prunes dead prefixes, but the answer
+# itself can be near the count: C2^5 needs 28,629,151 automorphism choices
+# and has 9,999,360 automorphisms, and all its 33,554,432 abelian-map
+# choices are abelian maps (C3^4: 40,960,000 and 43,046,721 choices).  The
 # tests, verify and the benchmark need at most 65,536 (C2^3 x C4, and the
-# abelian maps of C2^4); C2^5 needs 28,629,151 and C3^4 40,960,000
-# automorphism choices, and 33,554,432 and 43,046,721 abelian-map choices.
+# abelian maps of C2^4).  are_isomorphic stops at its first witness and is
+# not refused.
 AUTOMORPHISM_SEARCH_LIMIT = 10**6
 
 
@@ -352,8 +356,7 @@ def _respects(images: Sequence[int], src: FiniteGroup, dst: FiniteGroup) -> bool
     are closed under the product, dst being associative:
     images[a*b*c] = images[a*b]*images[c] = images[a]*images[b]*images[c]
     = images[a]*images[b*c].  Every b is a word in the generators, so by
-    induction on its length it holds at every b, as in
-    extend_generator_images.
+    induction on its length it holds at every b, as in _generator_maps.
     """
     at_images = _row_getter(images)
     src_cols, dst_cols = _columns(src), _columns(dst)
@@ -467,12 +470,17 @@ class Subgroup:
         return self._abstract
 
 
+def _check_id(G: FiniteGroup, g: int) -> None:
+    """Raise InvalidSpec unless g is an element id of G, 0..order-1."""
+    if not 0 <= g < G.order:
+        raise InvalidSpec(f"element id {g} out of range 0..{G.order - 1}")
+
+
 def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing gens."""
     gens = sorted(set(gens) - {0})
-    for g in gens:
-        if not 0 <= g < G.order:
-            raise InvalidSpec(f"element id {g} out of range")
+    for g in gens[:1] + gens[-1:]:  # the least and the greatest
+        _check_id(G, g)
     return Subgroup(G, _greedy_join(G.table, gens)[1], generators=tuple(gens))
 
 
@@ -623,31 +631,54 @@ def is_homomorphism(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bo
     )
 
 
-def extend_generator_images(
-    G: FiniteGroup, gen_images: Sequence[int], H: FiniteGroup
-) -> Optional[tuple]:
-    """Extend images of G.generating_set() to a homomorphism G -> H, or None.
+def _generator_maps(G: FiniteGroup, H: FiniteGroup, candidates, injective=False,
+                    keep=None):
+    """The homomorphisms G -> H sending G.generating_set()[k] into
+    candidates[k], as image tuples in itertools.product order: with keep,
+    those whose picks pass it at each prefix; with injective, injective ones.
 
-    The images spread along G's Cayley graph over its generating set,
-    img[x.g] = img[x].img[g], and None comes back at the first edge that
-    meets an element with a different image.  A map that agrees on every
-    edge is a homomorphism: by induction on the length of a word y in the
-    generators, img[x.y] = img[x].img[y].
+    A prefix backtrack: each pick spreads img[x.g] = img[x].img[g] along G's
+    Cayley graph from where the last level stopped, as _join does (old x
+    times the new generator, new x times every one picked), and dies at the
+    first edge that meets another image or, injective, an image taken.  The
+    subgroup reached then has every edge checked, so a dead pick has no
+    completion, and a map agreeing on all of G's edges is a homomorphism.
     """
-    gens = G.generating_set()
-    t, th = G.table, H.table
-    img = [0] + [None] * (G.order - 1)
-    frontier = [0]
-    for x in frontier:
-        row, hrow = t[x], th[img[x]]
-        for g, h in zip(gens, gen_images):
-            y = row[g]
-            if img[y] is None:
-                img[y] = hrow[h]
-                frontier.append(y)
-            elif img[y] != hrow[h]:
-                return None
-    return tuple(img)
+    gens, t, th = G.generating_set(), G.table, H.table
+    img, taken, reached, picked = [0] + [None] * (G.order - 1), {0}, [0], []
+
+    def spread(old: int) -> bool:
+        edges = tuple(zip(gens, picked))
+        for i, x in enumerate(reached):
+            row, hrow = t[x], th[img[x]]
+            for g, h in edges[-1:] if i < old else edges:
+                y, z = row[g], hrow[h]
+                if img[y] is None:
+                    if injective:
+                        if z in taken:
+                            return False
+                        taken.add(z)
+                    img[y] = z
+                    reached.append(y)
+                elif img[y] != z:
+                    return False
+        return True
+
+    def walk(k: int):
+        if k == len(gens):
+            yield tuple(img)
+            return
+        old = len(reached)
+        for h in candidates[k]:
+            picked.append(h)
+            if (keep is None or keep(picked)) and spread(old):
+                yield from walk(k + 1)
+            for y in reached[old:]:
+                taken.discard(img[y])
+                img[y] = None
+            del reached[old:], picked[-1]
+
+    return walk(0)
 
 
 def _iso_candidates(G: FiniteGroup, H: FiniteGroup, gen: int) -> list:
@@ -666,20 +697,12 @@ def _iso_candidates(G: FiniteGroup, H: FiniteGroup, gen: int) -> list:
 
 
 def _isomorphisms(G: FiniteGroup, H: FiniteGroup):
-    """Every isomorphism G -> H as an image tuple.
-
-    Backtracks over generator images filtered by order and class size, in
-    itertools.product order, skipping the choices that repeat an image.
-    """
+    """Every isomorphism G -> H: _generator_maps, injective, over generator
+    images filtered by order and class size."""
     if G.order != H.order or G.order_profile() != H.order_profile():
-        return
+        return iter(())
     cand = [_iso_candidates(G, H, g) for g in G.generating_set()]
-    for combo in itertools.product(*cand):
-        if len(set(combo)) < len(combo):
-            continue
-        img = extend_generator_images(G, combo, H)
-        if img is not None and len(set(img)) == G.order:
-            yield img
+    return _generator_maps(G, H, cand, injective=True)
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
@@ -719,6 +742,7 @@ def automorphisms(G: FiniteGroup) -> list:
 def inner_automorphism(G: FiniteGroup, g: int) -> GroupHom:
     """Conjugation x -> g x g^-1 as a GroupHom, one gather: x g^-1 is
     column g^-1 of the table, read at row g, whose entry x is g x."""
+    _check_id(G, g)
     return GroupHom(G, G, _row_getter(G.table[g])(_columns(G)[G.inverse[g]]))
 
 

@@ -324,8 +324,9 @@ def _close_along_cayley_graph(
     """The map x -> beta(x) on <gens> with beta(gens[k]) = images[k], or None.
 
     beta is spread along G's Cayley graph by beta(x * g) = beta(x) . beta(g),
-    one frontier list walked as it grows, as in extend_generator_images,
-    and owner[m] is the coset of the elements sending the base point to m.
+    one frontier list walked from the identity as it grows, for each pick
+    (groups._generator_maps goes on from where the last pick stopped), and
+    owner[m] is the coset of the elements sending the base point to m.
     The choice dies when an element is reached with two different images (a
     relation of G fails) or when two cosets would own one m.  Once all of G
     is reached, each of the d cosets owns a point of M and no point has two

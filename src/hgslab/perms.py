@@ -36,6 +36,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _acts,
+    _check_id,
     _columns,
     _cycle_at_0,
     _cycles,
@@ -196,7 +197,7 @@ def _greedy_generators(elems: Sequence[tuple], members: frozenset,
     if each walk from 0 comes back (_cycle_at_0 is not 0): p^k fixes 0 for
     k that length, and the identity is the only member fixing 0.  Given
     generators are walked in their order instead.  _greedy_close closes
-    other sets.
+    other sets, once each member is checked to be a permutation.
     """
     if not members.issuperset(given):
         raise InvalidSpec("a given generator is not a member of the set")
@@ -211,6 +212,7 @@ def _greedy_generators(elems: Sequence[tuple], members: frozenset,
             if len(reached) == n and _acts(elems, elems, gens):
                 return given or tuple(elems[g] for g in gens)
     else:
+        _check_permutations(elems, n)
         candidates = given or sorted(elems, key=lambda q: (-_tuple_order(q), q))
         try:
             gens, reached = _greedy_close(candidates, len(members))
@@ -219,6 +221,14 @@ def _greedy_generators(elems: Sequence[tuple], members: frozenset,
         if reached == members:
             return given or tuple(gens)
     raise InvalidSpec("set is not closed under composition")
+
+
+def _check_permutations(perms: Iterable[tuple], b: int) -> None:
+    """Raise InvalidSpec unless every p in perms is a permutation of 0..b-1."""
+    ident = list(range(b))
+    for p in perms:
+        if sorted(p) != ident:
+            raise InvalidSpec(f"not a permutation of 0..{b - 1}: {p}")
 
 
 def _greedy_close(candidates: Sequence[tuple], limit: int) -> tuple:
@@ -269,9 +279,7 @@ def generated_perm_group(gens: Sequence[Sequence[int]]) -> PermGroup:
     if not gens:
         raise InvalidSpec("need at least one generator")
     b = len(gens[0])
-    for g in gens:
-        if sorted(g) != list(range(b)):
-            raise InvalidSpec(f"not a permutation of 0..{b - 1}: {g}")
+    _check_permutations(gens, b)
     _, reached = _greedy_close(gens, 10 * b * b)
     return PermGroup._generated_by(reached, gens)
 
@@ -282,6 +290,7 @@ def generated_perm_group(gens: Sequence[Sequence[int]]) -> PermGroup:
 
 def lambda_embed(G: FiniteGroup, g: int) -> tuple:
     """Left translation x -> g*x; this is row g of the Cayley table."""
+    _check_id(G, g)
     return G.table[g]
 
 
@@ -293,6 +302,7 @@ def _left_translations(G: FiniteGroup) -> list:
 
 def rho_embed(G: FiniteGroup, g: int) -> tuple:
     """Right translation x -> x*g^-1; this is column g^-1 of the table."""
+    _check_id(G, g)
     return _columns(G)[G.inverse[g]]
 
 
@@ -318,6 +328,8 @@ class CosetSpace:
     def __init__(self, group: FiniteGroup, subgroup: Subgroup):
         if subgroup.parent is not group:
             raise InvalidSpec("subgroup belongs to a different group")
+        if len(_greedy_join(group.table, subgroup.elements)[1]) != subgroup.order:
+            raise InvalidSpec("the subgroup is not closed under the product")
         self.group = group
         self.subgroup = subgroup
         cosets = {

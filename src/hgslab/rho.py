@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvariantError
-from .groups import Subgroup, subgroup_closure
+from .groups import Subgroup, _check_id, subgroup_closure
 from .hgs import HgsInventory, RegularSubgroup, _live, _structure, opposite
 from .perms import _conjugate_all, _escape, rho_embed
 
@@ -66,6 +66,7 @@ def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     member member_of[g t]; otherwise N's elements are conjugated.
     """
     G = N.group
+    _check_id(G, g)
     record = _recorded(N)
     if record:
         members, member_of, t = record

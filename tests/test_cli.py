@@ -221,6 +221,18 @@ def test_bad_structure_references_fail_on_one_line(capsys, argv, code):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("hgs", "show", "--group", "elemab:2:6", "--structure", "rho"),
+    ("brace", "--group", "elemab:2:6", "--structure", "rho"),
+])
+def test_structures_of_c2_to_the_6_are_named_in_time(capsys, argv):
+    # naming the type once walked every choice of generator images, 27 s
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and err == ""
+    assert time.perf_counter() - start < 2
+
+
 def test_construct_induced_refuses_an_incomplete_coset_degree(capsys):
     code, out, err = run_cli(capsys, "construct", "induced",
                              "--group", "cyclic:16", "--t-gens=",

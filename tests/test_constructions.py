@@ -42,7 +42,7 @@ from hgslab import (
     to_hol_embedding,
     UnsupportedOrder,
 )
-from hgslab.groups import automorphisms, extend_generator_images
+from hgslab.groups import _generator_maps, automorphisms
 from hgslab.hgs import stable_regular_subgroups
 from hgslab.verify import (
     dihedral_fpf_pair,
@@ -200,7 +200,7 @@ def test_abelian_map_refuses_every_seeded_map_with_a_nonabelian_image():
         homs = [phi.images for phi in rng.sample(automorphisms(G), 3)]
         for _ in range(300):
             combo = [rng.randrange(G.order) for _ in range(k)]
-            images = extend_generator_images(G, combo, G)
+            images = next(_generator_maps(G, G, [[h] for h in combo]), None)
             if images is not None:
                 homs.append(images)
         for images in homs:

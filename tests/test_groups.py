@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import time
 
 import pytest
 
@@ -10,19 +11,29 @@ from hgslab import (
     FiniteGroup,
     GroupHom,
     InvalidSpec,
+    abelian_maps,
     all_subgroups,
     are_isomorphic,
     automorphisms,
     build_group,
     catalog_complete,
     catalog_specs,
+    enumerate_hgs,
     inner_automorphism,
     is_homomorphism,
+    lambda_embed,
+    lattice_transport_check,
     normal_subgroups,
     parse_spec,
+    rho_conjugate,
+    rho_embed,
+    rho_orbit,
+    rho_structure,
+    structure_group,
     subgroup_closure,
+    type_of,
 )
-from hgslab.groups import Subgroup, conjugacy_classes, extend_generator_images
+from hgslab.groups import Subgroup, _generator_maps, _iso_candidates, conjugacy_classes
 
 # number of isomorphism classes of groups of each order 1..15
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1]
@@ -174,6 +185,32 @@ def test_subgroup_as_group_refuses_a_set_that_is_not_closed():
         Subgroup(build_group("cyclic:4"), [0, 1]).as_group()
 
 
+def _conjugate_after_orbit(G, g):
+    N = enumerate_hgs(G)[0]
+    rho_orbit(N)  # leaves the orbit record that rho_conjugate reads first
+    return rho_conjugate(N, g)
+
+
+ID_ENTRY_POINTS = [
+    ("subgroup_closure", lambda G, g: subgroup_closure(G, [g])),
+    ("lambda_embed", lambda_embed),
+    ("rho_embed", rho_embed),
+    ("inner_automorphism", inner_automorphism),
+    ("rho_conjugate", lambda G, g: rho_conjugate(rho_structure(G), g)),
+    ("rho_conjugate_on_a_record", _conjugate_after_orbit),
+    ("lattice_transport_check",
+     lambda G, g: lattice_transport_check(rho_structure(G), g)),
+]
+
+
+@pytest.mark.parametrize("name,call", ID_ENTRY_POINTS, ids=[n for n, _ in ID_ENTRY_POINTS])
+@pytest.mark.parametrize("g", [-1, 4])
+def test_entry_points_refuse_element_ids_out_of_range(name, call, g):
+    # -1 used to read the last row, 4 raised a bare IndexError
+    with pytest.raises(InvalidSpec, match=f"element id {g} out of range 0..3"):
+        call(build_group("cyclic:4"), g)
+
+
 def test_automorphism_counts():
     for spec, want in [("cyclic:6", 2), ("elemab:2:2", 6), ("sym:3", 6),
                        ("dihedral:4", 8), ("quaternion:8", 24)]:
@@ -279,6 +316,32 @@ def _extend_by_bfs_tree(G, gen_images, H):
     return images if _every_product_respected(G, H, images) else None
 
 
+def _extend_along_edges(G, gen_images, H):
+    """Generator images spread along G's Cayley graph from the identity,
+    each edge checked once: the extension the product loops used."""
+    gens = G.generating_set()
+    img = [0] + [None] * (G.order - 1)
+    frontier = [0]
+    for x in frontier:
+        for g, h in zip(gens, gen_images):
+            y, z = G.table[x][g], H.table[img[x]][h]
+            if img[y] is None:
+                img[y] = z
+                frontier.append(y)
+            elif img[y] != z:
+                return None
+    return tuple(img)
+
+
+def _product_scan(G, H, candidates, keep):
+    """The loops the prefix backtrack replaced: every choice of generator
+    images that keep accepts, in itertools.product order, extended along
+    the edges."""
+    for combo in itertools.product(*candidates):
+        if keep(combo) and (images := _extend_along_edges(G, combo, H)):
+            yield images
+
+
 SMALL_CATALOG = [spec for n in range(1, 9) for spec in catalog_specs(n)]
 
 
@@ -290,11 +353,60 @@ def test_extension_equals_bfs_tree_and_table_check():
         for h_spec in catalog_specs(G.order):
             H = build_group(h_spec)
             for combo in itertools.product(range(H.order), repeat=k):
-                got = extend_generator_images(G, combo, H)
-                assert got == _extend_by_bfs_tree(G, combo, H), (g_spec, h_spec, combo)
+                got = next(_generator_maps(G, H, [[h] for h in combo]), None)
+                want = _extend_by_bfs_tree(G, combo, H)
+                assert got == want == _extend_along_edges(G, combo, H), (
+                    g_spec, h_spec, combo)
                 checked += 1
                 homs += got is not None
     assert (checked, homs) == (3702, 1238)
+
+
+CATALOG_24 = [spec for n in range(1, 25) for spec in catalog_specs(n)]
+
+
+@pytest.mark.parametrize("spec", CATALOG_24, ids=str)
+def test_backtrack_equals_the_product_scan_on_the_catalog(spec):
+    # against every catalog group of the same order (199 ordered pairs in
+    # all): the first isomorphism is the scan's first bijection, and the
+    # automorphisms are all of the scan's, sorted
+    G = build_group(spec)
+    distinct = lambda combo: len(set(combo)) == len(combo)
+    for other in catalog_specs(G.order):
+        H = build_group(other)
+        cand = [_iso_candidates(G, H, g) for g in G.generating_set()]
+        scan = [img for img in _product_scan(G, H, cand, distinct)
+                if len(set(img)) == G.order]
+        iso = are_isomorphic(G, H)
+        assert (iso and iso.images) == (scan[0] if scan else None), other
+        if H is G:
+            assert [phi.images for phi in automorphisms(G)] == sorted(scan)
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "elemab:2:4", "dihedral:12"])
+def test_abelian_maps_equal_the_product_scan(spec):
+    G = build_group(spec)
+    orders, t = G.element_orders, G.table
+    cand = [[x for x in range(G.order) if orders[g] % orders[x] == 0]
+            for g in G.generating_set()]
+    commute = lambda combo: all(t[a][b] == t[b][a] for a in combo for b in combo)
+    assert [m.images for m in abelian_maps(G)] == sorted(
+        _product_scan(G, G, cand, commute))
+
+
+def test_isomorphisms_of_the_large_elementary_abelian_rho_structures():
+    # the full product of generator images was 23 s for C2^6 before the
+    # prefix backtrack, and did not finish for C2^10
+    N = rho_structure(build_group("elemab:2:6"))
+    start = time.perf_counter()
+    assert str(type_of(N)) == "product:" + ",".join(["cyclic:2"] * 6)
+    assert time.perf_counter() - start < 2
+    G = build_group("elemab:2:10")
+    S = structure_group(rho_structure(G))
+    start = time.perf_counter()
+    iso = are_isomorphic(G, S)
+    assert time.perf_counter() - start < 5
+    assert is_homomorphism(G, S, iso.images) and len(set(iso.images)) == G.order
 
 
 def test_automorphisms_equal_every_bijection_respecting_the_table():

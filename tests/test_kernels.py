@@ -45,8 +45,8 @@ from hgslab.groups import (
     _associative,
     _cycle_at_0,
     _perm_sign,
+    _generator_maps,
     _respects,
-    extend_generator_images,
     subgroup_closure,
 )
 from hgslab.perms import _compose, _conjugate_all, _invert, _tuple_order
@@ -293,7 +293,7 @@ def test_generator_verdict_equals_the_full_scan(spec):
         homs = [(0,) * G.order]
         for _ in range(6):
             combo = [rng.randrange(H.order) for _ in range(k)]
-            images = extend_generator_images(G, combo, H)
+            images = next(_generator_maps(G, H, [[h] for h in combo]), None)
             if images is not None:
                 homs.append(images)
         cases = [tuple(rng.randrange(H.order) for _ in range(G.order))

@@ -21,7 +21,7 @@ from hgslab import (
     subgroup_closure,
 )
 from hgslab.perms import _compose, _invert, in_holomorph
-from hgslab.groups import are_isomorphic, automorphisms
+from hgslab.groups import Subgroup, are_isomorphic, automorphisms
 from test_hol_oracle import perm_group_as_group
 
 
@@ -46,6 +46,15 @@ def test_generated_perm_group_checks_every_generator():
 ])
 def test_perm_group_refuses_elements_of_different_lengths(elements):
     with pytest.raises(InvalidSpec, match="different lengths"):
+        PermGroup(elements)
+
+
+@pytest.mark.parametrize("elements", [
+    [(0, 1), (0, 0)],          # closed under composition
+    [(0, 1, 2), (1, 1, 2)],    # closed too
+])
+def test_perm_group_refuses_members_that_are_not_permutations(elements):
+    with pytest.raises(InvalidSpec, match="not a permutation"):
         PermGroup(elements)
 
 
@@ -159,6 +168,13 @@ def test_coset_space_shape(d4):
     for h in range(d4.order):
         perm = left_translation(cs, h)
         assert sorted(perm) == list(range(4))
+
+
+def test_coset_space_refuses_a_subgroup_that_is_not_closed():
+    # {0, 1} in C4 lacks 1 + 1; its "cosets" overlapped, and coset_of[0] was 1
+    G = build_group("cyclic:4")
+    with pytest.raises(InvalidSpec, match="not closed"):
+        CosetSpace(G, Subgroup(G, [0, 1]))
 
 
 def test_holomorph_membership_and_factorization():
