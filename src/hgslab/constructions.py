@@ -32,8 +32,8 @@ from .groups import (
 from .hgs import (
     RegularSubgroup,
     _embedding_sets,
+    _relabel,
     _structure,
-    _structure_from_embedding,
     certify,
     structure_group,
 )
@@ -179,9 +179,11 @@ def to_hol_embedding(
 
 def from_hol_embedding(emb: HolEmbedding) -> RegularSubgroup:
     """The structure behind an embedding: conjugate the left translations
-    of the target back to Perm(G) along the base point bijection."""
-    key = _structure_from_embedding(range(emb.source.order), emb.target, emb.beta)
-    return certify(emb.source, PermGroup(key), type_label=emb.target.spec)
+    of the target back to Perm(G) along the base point bijection
+    g -> beta(g)[0], which must be a bijection G -> M (else NotRegular)."""
+    M = emb.target
+    _, perms = _relabel(M.table, lambda: M.element_orders, [x[0] for x in emb.beta])
+    return certify(emb.source, perms(), type_label=M.spec)
 
 
 def embedding_conjugation_check(emb: HolEmbedding, g: int) -> bool:
@@ -315,7 +317,7 @@ def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
         # rho(psi(h)^-1) sends m to m . psi(h), column p of the table
         elems.append(_compose(arow, columns[p]))
     try:
-        return _structure(G, frozenset(elems))
+        return _structure(G, frozenset(elems), lambda: PermGroup(elems))
     except HgsError as exc:
         raise ConstructionError(f"abelian map construction failed: {exc}") from exc
 
@@ -489,5 +491,5 @@ def coset_stable_regular_subgroups(G: FiniteGroup, T: Subgroup) -> list:
     d = cs.degree
     if not catalog_complete(d):
         raise UnsupportedOrder(f"catalog is incomplete for coset degree {d}")
-    found = _embedding_sets(cs, catalog_specs(d))
-    return sorted(map(PermGroup, found), key=PermGroup.canonical_key)
+    found = _embedding_sets(cs, catalog_specs(d)).values()
+    return sorted((perms() for _, perms in found), key=PermGroup.canonical_key)

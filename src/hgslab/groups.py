@@ -420,6 +420,8 @@ class Subgroup:
         self.generators = tuple(generators)
         self.element_set = frozenset(self.elements)
         self._abstract = None
+        for g in self.elements[:1] + self.elements[-1:]:  # the least and the greatest
+            _check_id(parent, g)
         if not self.elements or self.elements[0] != 0:
             raise InvalidSpec("a subgroup must contain the identity")
 

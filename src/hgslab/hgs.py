@@ -15,7 +15,12 @@ enumerate_hgs is the case T = {e}.
 _structure certifies each element set once per group while a caller holds
 the result (a weak per-group memo), so inventories, rho-orbits and abelian
 map structures share one object per set; it is handed out again only under
-the same type label, and caller-supplied generators never enter it.
+the same type label, and caller-supplied generators never enter it.  A
+structure derived from a regular group already held, an enumerated or
+embedded b^-1 . lambda(M) . b or a rho-conjugate of N's own table, comes
+from _relabel: its members arrive in eta order with their orders, and the
+generators are picked only when the memo has no live structure for the set.
+Sets from elsewhere go through PermGroup, which checks their closure.
 """
 
 from __future__ import annotations
@@ -194,15 +199,33 @@ def _live(G: FiniteGroup) -> weakref.WeakValueDictionary:
     return G._memo("structures", weakref.WeakValueDictionary)
 
 
-def _structure(G: FiniteGroup, key: frozenset, type_label=None) -> RegularSubgroup:
+def _structure(G: FiniteGroup, key, perms, type_label=None) -> RegularSubgroup:
     """The structure on G with element set key: the live one if its label
     still equals type_label (type_of may have filled it in), else a fresh
-    certified one, which replaces it in the memo."""
+    one certified from perms(), which replaces it in the memo."""
     live = _live(G)
     N = live.get(key)
     if N is None or N._type_label != type_label:
-        N = live[key] = certify(G, PermGroup(key), type_label=type_label)
+        N = live[key] = certify(G, perms(), type_label=type_label)
     return N
+
+
+def _relabel(rows: Sequence[tuple], orders, b: Sequence[int]) -> tuple:
+    """(element set, perms) of b^-1 . rows . b: rows is a regular group's
+    table (rows[m][0] = m), orders() gives its element orders and b is a
+    bijection onto its points.  Member i, b^-1 . rows[b(i) . b(0)^-1] . b,
+    sends 0 to i; perms() picks from those orders what PermGroup would."""
+    if sorted(b) != list(range(len(rows))):
+        raise NotRegular("the base point map is not a bijection onto the points")
+    c = rows[b[0]].index(0)  # b(0)^-1
+    eta = _conjugate_all((rows[rows[x][c]] for x in b), _invert(b), b)
+
+    def perms() -> PermGroup:
+        order = orders().__getitem__
+        gens, _ = _order_walk(eta, [order(rows[x][c]) for x in b])
+        return PermGroup._generated_by(eta, [eta[g] for g in gens or (0,)])
+
+    return frozenset(eta), perms
 
 
 def opposite(N: RegularSubgroup) -> RegularSubgroup:
@@ -393,30 +416,16 @@ def _regular_embeddings(cs: CosetSpace, M: FiniteGroup):
     yield from search([tuple(points)], [], auts)
 
 
-def _structure_from_embedding(
-    representatives: Sequence[int], M: FiniteGroup, beta: Sequence[tuple]
-) -> frozenset:
-    """Element set of the structure behind an embedding beta: G -> Hol(M).
-
-    beta[x] is a permutation of M; b(xT) = beta(x)[0], read at the coset
-    representatives (all of G when T = {e}), must be a bijection G/T -> M,
-    and the structure is b^-1 . lambda_M(mu) . b over all mu.
-    """
-    b = tuple(beta[r][0] for r in representatives)
-    if len(set(b)) != len(b):
-        raise NotRegular("embedding image is not regular at the base point")
-    return frozenset(_conjugate_all(M.table, _invert(b), b))
-
-
 def _embedding_sets(cs: CosetSpace, specs: Sequence[GroupSpec]) -> dict:
-    """{element set: spec} over the regular subgroups of Perm(G/T) that the
-    translations of G normalize and whose type is in specs."""
+    """{element set: (spec, perms)} from _relabel over the regular subgroups
+    of Perm(G/T) that the translations of G normalize, of a type in specs."""
     found: dict = {}
     for spec in specs:
         M = build_group(spec)
         for beta in _regular_embeddings(cs, M):
-            key = _structure_from_embedding(cs.representatives, M, beta)
-            found.setdefault(key, spec)
+            b = [beta[r][0] for r in cs.representatives]
+            key, perms = _relabel(M.table, lambda M=M: M.element_orders, b)
+            found.setdefault(key, (spec, perms))
     return found
 
 
@@ -448,7 +457,8 @@ def enumerate_hgs(
         complete = False
 
     found = _embedding_sets(CosetSpace(G, subgroup_closure(G, ())), specs)
-    structures = [_structure(G, key, spec) for key, spec in found.items()]
+    structures = [_structure(G, key, perms, spec)
+                  for key, (spec, perms) in found.items()]
     return HgsInventory(G, structures, complete)
 
 

@@ -8,9 +8,12 @@ stabilizers straight from orbit-stabilizer.  The stabilizer is the set of h
 for which rho(h) normalizes N, checked on N's generators; the elements
 reaching a member M form a coset t . Stab, so walking G in order and
 skipping the cosets already met gives each member once, carried by the least
-element of its coset.  Members and conjugates come from hgs._structure, so
-a set that a live structure already holds, such as an inventory member, is
-that same object rather than a fresh certified copy.
+element of its coset.  N_g is N's own table eta relabelled by
+b = rho(g)^-1 = rho(g^-1), and members and conjugates come from
+hgs._relabel through hgs._structure: a set that a live structure already
+holds, such as an inventory member, is that same object rather than a fresh
+certified copy, and only a fresh one reads the orders of N's members, walked
+once per search, and picks its generators.
 
 One search serves the whole orbit.  Since (N_t)_g = N_{gt}, every member of
 an orbit has the same members, so the search only writes a record: the
@@ -29,18 +32,13 @@ Otherwise the search runs again.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 from .errors import InvariantError
-from .groups import Subgroup, _check_id, subgroup_closure
-from .hgs import HgsInventory, RegularSubgroup, _live, _structure, opposite
-from .perms import _conjugate_all, _escape, rho_embed
-
-
-def _conjugate_key(elements, q: tuple, qinv: tuple) -> frozenset:
-    """Element set of q . N . q^-1 from raw image tuples; for q = rho(g)
-    the inverse qinv is rho(g^-1), so q is never inverted."""
-    return frozenset(_conjugate_all(elements, q, qinv))
+from .groups import Subgroup, _check_id, _cycle_at_0, subgroup_closure
+from .hgs import HgsInventory, RegularSubgroup, _live, _relabel, _structure, opposite
+from .perms import _escape, rho_embed
 
 
 def _recorded(N: RegularSubgroup) -> Optional[tuple]:
@@ -63,7 +61,7 @@ def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     """The structure rho(g) . N . rho(g)^-1, certified (or the live one).
 
     With a valid orbit record, N = N'_t for its search base N', it is
-    member member_of[g t]; otherwise N's elements are conjugated.
+    member member_of[g t]; otherwise N's table is relabelled by rho(g^-1).
     """
     G = N.group
     _check_id(G, g)
@@ -71,10 +69,9 @@ def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     if record:
         members, member_of, t = record
         return members[member_of[G.table[g][t]]]
-    key = _conjugate_key(
-        N.perms.elements, rho_embed(G, g), rho_embed(G, G.inverse[g])
-    )
-    return N if key == N.perms.element_set else _structure(G, key, N._type_label)
+    key, perms = _relabel(N.eta, lambda: tuple(map(_cycle_at_0, N.eta)),
+                          rho_embed(G, G.inverse[g]))
+    return N if key == N.perms.element_set else _structure(G, key, perms, N._type_label)
 
 
 def _is_conjugate(N: RegularSubgroup, g: int, M: RegularSubgroup) -> bool:
@@ -142,34 +139,33 @@ def _stabilizer(G, fixing: list) -> Subgroup:
 
 
 def _orbit_search(N: RegularSubgroup) -> tuple:
-    """(keys, member_of) of N's orbit: the element sets of the conjugates in
-    the order met, and member_of[x], the index in keys of N_x.  G is walked
-    in order; each element not yet placed is the least of its coset g . Stab,
-    where Stab holds the h for which rho(h) normalizes N, and carries the
-    next conjugate to the whole coset."""
-    G = N.group
-    table, inverse = G.table, G.inverse
+    """(found, member_of) of N's orbit: {element set: perms} of the
+    conjugates in the order met, each N's table relabelled by rho(g^-1), and
+    member_of[x], the index in found of N_x.  G is walked in order; each
+    element not yet placed is the least of its coset g . Stab, where Stab
+    holds the h for which rho(h) normalizes N, and carries the next
+    conjugate to the whole coset."""
+    G, table = N.group, N.group.table
+    orders = cache(lambda: tuple(map(_cycle_at_0, N.eta)))
     fixing = [h for h in range(G.order) if _is_conjugate(N, h, N)]
-    keys, member_of = [], [None] * G.order
+    found, member_of = {}, [None] * G.order
     for g in range(G.order):
         if member_of[g] is None:
             for h in fixing:
-                member_of[table[g][h]] = len(keys)
-            keys.append(_conjugate_key(
-                N.perms.elements, rho_embed(G, g), rho_embed(G, inverse[g])
-            ))
-    if len(set(keys)) != len(keys):
+                member_of[table[g][h]] = len(found)
+            found.setdefault(*_relabel(N.eta, orders, rho_embed(G, G.inverse[g])))
+    if len(found) * len(fixing) != G.order:
         raise InvariantError("two cosets of the stabilizer give one conjugate")
-    return keys, member_of
+    return found, member_of
 
 
-def _stamp(N: RegularSubgroup, keys: list, member_of: list) -> tuple:
+def _stamp(N: RegularSubgroup, found: dict, member_of: list) -> tuple:
     """Sort a search's members, certified or live, canonically and leave
     (keys, member_of, t) on each member N_t; returns N's record, t = 0."""
     G = N.group
     found = [
-        N if key == N.perms.element_set else _structure(G, key, N._type_label)
-        for key in keys
+        N if key == N.perms.element_set else _structure(G, key, perms, N._type_label)
+        for key, perms in found.items()
     ]
     order = sorted(range(len(found)), key=lambda i: found[i].canonical_key())
     members = [found[i] for i in order]

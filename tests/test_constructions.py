@@ -12,6 +12,8 @@ from hgslab import (
     ConstructionError,
     CosetSpace,
     GroupHom,
+    HolEmbedding,
+    NotRegular,
     abelian_maps,
     abelian_transport_check,
     all_subgroups,
@@ -72,6 +74,20 @@ def test_embedding_round_trip(s3_inventory):
         emb = to_hol_embedding(N)
         back = from_hol_embedding(emb)
         assert back.perms.element_set == N.perms.element_set
+
+
+def test_structure_from_an_embedding_needs_a_base_point_bijection():
+    G = build_group("cyclic:4")
+    emb = to_hol_embedding(lambda_structure(G))
+    images = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (7, 0, 1, 2)]
+    for beta in (images, emb.beta[:3]):
+        with pytest.raises(NotRegular, match="base point map is not a bijection"):
+            from_hol_embedding(HolEmbedding(G, emb.target, beta))
+    # b(0) = 1: the same structure as the identity embedding's
+    shifted = [tuple((x + 1) % 4 for x in row) for row in emb.beta]
+    N = from_hol_embedding(HolEmbedding(G, emb.target, shifted))
+    assert N.canonical_hash() == "031f409039ede13a"
+    assert N.perms == from_hol_embedding(emb).perms
 
 
 def test_embedding_rejects_non_homomorphism(s3):

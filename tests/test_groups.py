@@ -8,6 +8,7 @@ import time
 import pytest
 
 from hgslab import (
+    CosetSpace,
     FiniteGroup,
     GroupHom,
     InvalidSpec,
@@ -200,6 +201,8 @@ ID_ENTRY_POINTS = [
     ("rho_conjugate_on_a_record", _conjugate_after_orbit),
     ("lattice_transport_check",
      lambda G, g: lattice_transport_check(rho_structure(G), g)),
+    ("Subgroup.is_normal", lambda G, g: Subgroup(G, [0, g]).is_normal()),
+    ("CosetSpace", lambda G, g: CosetSpace(G, Subgroup(G, [0, g]))),
 ]
 
 

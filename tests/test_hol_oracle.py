@@ -29,8 +29,15 @@ from hgslab import (
 )
 from hgslab.groups import subgroup_closure
 from hgslab import hgs
-from hgslab.hgs import _hol_pools, _regular_embeddings, _structure_from_embedding
-from hgslab.perms import CosetSpace, PermGroup, _compose, _tuple_order
+from hgslab.hgs import _hol_pools, _regular_embeddings
+from hgslab.perms import (
+    CosetSpace,
+    PermGroup,
+    _compose,
+    _conjugate_all,
+    _invert,
+    _tuple_order,
+)
 
 CATALOG_PAIRS = [
     (str(g), str(m))
@@ -175,6 +182,14 @@ def _regular_subgroups_of_holomorph(spec):
 _HOL_CACHE: dict = {}
 
 
+def _embedding_key(representatives, M, beta) -> frozenset:
+    """Element set b^-1 . lambda_M(mu) . b over all mu, b(xT) = beta(x)[0]
+    read at the coset representatives."""
+    b = [beta[r][0] for r in representatives]
+    assert sorted(b) == list(range(M.order))
+    return frozenset(_conjugate_all(M.table, _invert(b), b))
+
+
 def _oracle(G, spec):
     """(structure keys of type spec on G, e'(G, M)) through the old search."""
     n = G.order
@@ -191,7 +206,7 @@ def _oracle(G, spec):
         base = [q_elems[iso0.images[g]] for g in range(n)]
         for aut in auts:
             beta = [base[aut.images[g]] for g in range(n)]
-            key = _structure_from_embedding(range(n), M, beta)
+            key = _embedding_key(range(n), M, beta)
             found.add(key)
     return found, isomorphic
 
@@ -231,7 +246,7 @@ def test_one_embedding_per_structure():
         G, M = build_group(g_spec), build_group(m_spec)
         cs = CosetSpace(G, subgroup_closure(G, ()))
         keys = [
-            _structure_from_embedding(cs.representatives, M, beta)
+            _embedding_key(cs.representatives, M, beta)
             for beta in _regular_embeddings(cs, M)
         ]
         assert len(keys) == len(set(keys)), (g_spec, m_spec)

@@ -59,6 +59,9 @@ PUBLISHED = [
     ("cyclic:64", "cyclic:64", 16),
     ("cyclic:64", "dihedral:32", 16),
     ("cyclic:64", "dicyclic:32", 16),
+    ("cyclic:128", "dihedral:64", 32),
+    ("cyclic:128", "dicyclic:64", 32),
+    ("cyclic:256", "cyclic:256", 64),
     ("metacyclic:13:3:3", "metacyclic:13:3:3", 28),
     ("metacyclic:13:3:3", "cyclic:39", 13),
     ("cyclic:39", "metacyclic:13:3:3", 4),

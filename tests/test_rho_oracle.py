@@ -53,19 +53,22 @@ from hgslab.perms import (
     rho_embed,
 )
 from hgslab import rho
-from hgslab.rho import RhoOrbit, _conjugate_key, _is_conjugate
+from hgslab.rho import RhoOrbit, _is_conjugate
 from hgslab.verify import metacyclic_base_structure
 
 CATALOG = [str(g) for n in list(range(1, 16)) + [21] for g in catalog_specs(n)]
 
 
+def _conjugate_set(N, g) -> frozenset:
+    """rho(g) . N . rho(g)^-1 as an element set, from the whole conjugate."""
+    G = N.group
+    q, qinv = rho_embed(G, g), rho_embed(G, G.inverse[g])
+    return frozenset(_conjugate_all(N.perms.elements, q, qinv))
+
+
 def _scan_conjugates(N):
     """N_g as an element set for every g, from the whole conjugate."""
-    G = N.group
-    return [
-        _conjugate_key(N.perms.elements, rho_embed(G, g), rho_embed(G, G.inverse[g]))
-        for g in range(G.order)
-    ]
+    return [_conjugate_set(N, g) for g in range(N.group.order)]
 
 
 def _scan_orbit(N, conjugates=None):
@@ -93,13 +96,9 @@ def _scan_orbit(N, conjugates=None):
 
 
 def _scan_same_conjugate(N1, N2):
-    G = N1.group
-    elems = N1.perms.elements
     target = N2.perms.element_set
-    for g in range(G.order):
-        if _conjugate_key(
-            elems, rho_embed(G, g), rho_embed(G, G.inverse[g])
-        ) == target:
+    for g in range(N1.group.order):
+        if _conjugate_set(N1, g) == target:
             return g
     return None
 
@@ -179,7 +178,7 @@ def _check_record_reads(structures, monkeypatch):
 
     hits = misses = 0
     with monkeypatch.context() as patch:
-        patch.setattr(rho, "_conjugate_key", refuse)
+        patch.setattr(rho, "_relabel", refuse)
         patch.setattr(rho, "_is_conjugate", refuse)
         for N, keys in zip(structures, conjugates):
             assert rho._recorded(N) is not None

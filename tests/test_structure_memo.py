@@ -10,6 +10,13 @@ once its structures are dropped.  The orbit records that `rho_orbit` leaves
 on the members are read only while every member is the live structure of
 its set, so the same holds for orbits read off a record.
 
+Structures derived from a regular group already held, the enumerated and
+embedded b^-1 . lambda(M) . b and the rho-conjugates, are built by
+`hgs._relabel` with the generator picks of PermGroup's table path.  On
+groups of their own, where nothing is live, each must have the `to_json()`
+of `certify(G, PermGroup(elements), label)`, and none may reach
+`perms._greedy_generators`.
+
 `rho_embed(G, g)` reads column g^-1 of the memoized column table; the
 oracle is its definition x -> x * g^-1, read from the table row by row.
 """
@@ -21,20 +28,26 @@ import pytest
 from hgslab import (
     FiniteGroup,
     abelian_maps,
+    all_subgroups,
     build_group,
     catalog_specs,
     certify,
+    coset_stable_regular_subgroups,
     enumerate_hgs,
+    from_hol_embedding,
     hgs_from_abelian_map,
     lattice_transport_check,
+    parse_spec,
     realizable_lattice,
     rho_conjugate,
     rho_image,
     rho_orbit,
     rho_partition,
+    to_hol_embedding,
     type_of,
 )
-from hgslab.perms import PermGroup, _compose, _invert, rho_embed
+from hgslab import perms
+from hgslab.perms import PermGroup, _compose, _conjugate_all, _invert, rho_embed
 
 CATALOG = [str(g) for n in list(range(1, 16)) + [21] for g in catalog_specs(n)]
 
@@ -119,6 +132,97 @@ def test_labelled_structure_is_not_handed_to_an_unlabelled_lookup():
     fresh = certify(G, PermGroup(labelled.perms.element_set))
     assert again.to_json() == fresh.to_json()
     assert again.to_json()["type"] is None
+
+
+def _refusing_picks(monkeypatch, call):
+    """call() while PermGroup's own generator picks raise."""
+
+    def refuse(*args):
+        raise AssertionError("PermGroup picked generators")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(perms, "_greedy_generators", refuse)
+        return call()
+
+
+def _records(structures) -> list:
+    """(elements, label, generators) of each structure, what its to_json()
+    is made of (the order and hash are those of the elements); holds none
+    of them."""
+    return [(N.perms.elements, N.type_label, N.perms.generators)
+            for N in structures]
+
+
+def _check_records(G, records) -> int:
+    """Every record has the to_json() of a fresh certification of its
+    elements under its label; returns the number of distinct ones."""
+    fresh: dict = {}
+    for elements, label, generators in records:
+        if (elements, label) not in fresh:
+            fresh[elements, label] = certify(G, PermGroup(elements), label)
+        assert generators == fresh[elements, label].perms.generators
+    return len(fresh)
+
+
+def test_enumerated_and_embedded_structures_equal_fresh_certification(monkeypatch):
+    checked = 0
+    for spec, type_filter in [(s, None) for s in CATALOG] + [
+        ("dihedral:32", parse_spec("dihedral:32"))
+    ]:
+        G = FiniteGroup(build_group(spec).table)
+
+        def derive():
+            inv = enumerate_hgs(G, type_filter)
+            embedded = [from_hol_embedding(to_hol_embedding(N)) for N in inv]
+            return _records(inv) + _records(embedded)
+
+        records = _refusing_picks(monkeypatch, derive)
+        assert all(label is None for _, label, _ in records[len(records) // 2:])
+        checked += _check_records(G, records)
+    assert checked == 2 * (376 + 72)
+    S4 = build_group("sym:4")
+    cosets = [T for T in all_subgroups(S4) if T.order in (2, 3)]
+    found = _refusing_picks(monkeypatch, lambda: [
+        (P.elements, P.to_json())
+        for T in cosets for P in coset_stable_regular_subgroups(S4, T)
+    ])
+    assert len(cosets) == 13 and len(found) == 64
+    for elements, got in found:
+        assert got == PermGroup(elements).to_json()
+
+
+# (group, indices into abelian_maps, orbit sizes of their structures): on
+# sym:5 the first map of each of the three orbits, on dihedral:12 all 76
+FRESH_ABELIAN = [
+    ("sym:5", [0, 1, 5], [1, 10, 15]),
+    ("dihedral:12", range(76), [1] * 4 + [3] * 72),
+]
+
+
+@pytest.mark.parametrize("spec,picked,sizes", FRESH_ABELIAN,
+                         ids=[spec for spec, _, _ in FRESH_ABELIAN])
+def test_conjugates_of_fresh_abelian_map_structures_equal_fresh_certification(
+        spec, picked, sizes, monkeypatch):
+    # each structure is built and dropped on its own, and each conjugate is
+    # dropped once read, so every conjugate other than N is built afresh
+    G = FiniteGroup(build_group(spec).table)
+    maps = abelian_maps(G)
+    built = []
+    for k in picked:
+        N = hgs_from_abelian_map(maps[k])
+        conjugates = _refusing_picks(monkeypatch, lambda: [
+            _records([rho_conjugate(N, g)])[0] for g in range(G.order)
+        ])
+        for g, (elements, _, _) in enumerate(conjugates):
+            # rho(g) . N . rho(g)^-1 by its definition x -> x * g^-1
+            q = tuple(row[G.inverse[g]] for row in G.table)
+            assert set(elements) == set(_conjugate_all(N.perms.elements, q, _invert(q)))
+        orbit = _refusing_picks(monkeypatch, lambda: _records(rho_orbit(N)))
+        assert {e for e, _, _ in orbit} == {e for e, _, _ in conjugates}
+        _check_records(G, conjugates + orbit)
+        built.append(len(orbit))
+        del N
+    assert sorted(built) == sizes
 
 
 @pytest.mark.parametrize("spec", CATALOG + ["sym:5"])
