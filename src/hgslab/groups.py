@@ -40,6 +40,11 @@ ALTERNATING_DEGREE_LIMIT = 5
 # largest group the tests, verify and the benchmark build is sym:5 (120).
 GROUP_ORDER_LIMIT = 1024
 
+# parse_spec refuses product specs with parentheses nested deeper than this
+# (InvalidSpec, exit 2) rather than recursing; an order within the limit has
+# at most 10 nontrivial factors.
+SPEC_NESTING_LIMIT = 16
+
 # A subgroup lattice (all_subgroups, or a structure's stable subgroups) with
 # more entries than this is refused (ClosureCapExceeded, exit 2): the rho
 # structure of elemab:2:6 has 2,825 stable subgroups, elemab:2:7 has 29,212.
@@ -71,7 +76,8 @@ class GroupSpec:
 
     def __str__(self) -> str:
         if self.kind == "product":
-            return "product:" + ",".join(str(p) for p in self.parts)
+            return "product:" + ",".join(
+                f"({p})" if p.kind == "product" else str(p) for p in self.parts)
         bits = [self.kind] + [str(p) for p in self.params]
         return ":".join(bits)
 
@@ -139,6 +145,9 @@ def _split_product(body: str) -> list[str]:
     for ch in body:
         if ch == "(":
             depth += 1
+            if depth > SPEC_NESTING_LIMIT:
+                raise InvalidSpec(
+                    f"product spec nests deeper than {SPEC_NESTING_LIMIT} levels")
             if depth == 1:
                 continue
         elif ch == ")":
@@ -753,37 +762,51 @@ def inner_automorphism(G: FiniteGroup, g: int) -> GroupHom:
 
 
 def build_group(spec) -> FiniteGroup:
-    """Construct (and cache) the group described by spec (GroupSpec or text)."""
+    """Construct (and cache) the group described by spec (GroupSpec or text).
+
+    The one place a builder's table becomes a group, with every check on.
+    """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    cached = _GROUP_CACHE.get(spec)
-    if cached is not None:
-        return cached
-    if _spec_order(spec) > GROUP_ORDER_LIMIT:
-        raise OrderTooLarge(
-            f"{spec} has order above the limit of {GROUP_ORDER_LIMIT}"
-        )
-    G = _build_group_uncached(spec)
-    _GROUP_CACHE[spec] = G
+    G = _GROUP_CACHE.get(spec)
+    if G is None:
+        G = _GROUP_CACHE[spec] = FiniteGroup(*_table_and_names(spec), spec=spec)
     return G
 
 
 _GROUP_CACHE: dict = {}
 
 
+def _table_and_names(spec: GroupSpec) -> tuple:
+    """spec's unchecked (table, names), refused with OrderTooLarge before
+    the table is allocated."""
+    if _spec_order(spec) > GROUP_ORDER_LIMIT:
+        raise OrderTooLarge(
+            f"{spec} has order above the limit of {GROUP_ORDER_LIMIT}"
+        )
+    return _build_group_uncached(spec)
+
+
 def _spec_order(spec: GroupSpec) -> int:
     """The order spec asks for, capped at GROUP_ORDER_LIMIT + 1.
 
     Parameters the builders reject give 0, so their own errors stay in
-    charge; sym, alt and quaternion are bounded by their own limits.
+    charge; a product with such a part is checked part by part as it is
+    built.
     """
     kind, params = spec.kind, spec.params
     if kind == "product":
         factors = [_spec_order(part) for part in spec.parts]
     elif kind == "elemab":
         factors = params[:1] * min(max(params[1], 0), GROUP_ORDER_LIMIT.bit_length())
+    elif kind == "sym":
+        factors = [_factorial(params[0])
+                   if 1 <= params[0] <= SYMMETRIC_DEGREE_LIMIT else 0]
+    elif kind == "alt":
+        factors = [_factorial(params[0]) // 2
+                   if 3 <= params[0] <= ALTERNATING_DEGREE_LIMIT else 0]
     else:
-        factors = {"cyclic": params, "dihedral": (2,) + params,
+        factors = {"cyclic": params, "dihedral": (2,) + params, "quaternion": params,
                    "dicyclic": (2,) + params, "metacyclic": params[:2]}.get(kind, (0,))
     order = 1
     for f in factors:
@@ -791,25 +814,29 @@ def _spec_order(spec: GroupSpec) -> int:
     return order
 
 
-def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
+def _build_group_uncached(spec: GroupSpec) -> tuple:
+    """The (table, names) of spec, unchecked: build_group checks them once.
+
+    Cyclic rows are rotations of one tuple of ids; elemab and product are
+    direct products of their factors' tables (_product).
+    """
     kind = spec.kind
     if kind == "cyclic":
         (n,) = spec.params
         if n < 1:
             raise InvalidSpec("cyclic order must be positive")
-        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        ids = tuple(range(n))
         names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-        return FiniteGroup(table, names=names, spec=spec)
+        return [ids[a:] + ids[:a] for a in range(n)], names
 
     if kind == "dihedral":
         (n,) = spec.params
         if n < 1:
             raise InvalidSpec("dihedral parameter must be positive")
-        return FiniteGroup(*_semidirect_table(n, 2, n - 1, 0, "rs"), spec=spec)
+        return _semidirect_table(n, 2, n - 1, 0, "rs")
 
     if kind == "metacyclic":
-        p, q, d = spec.params
-        return FiniteGroup(*_metacyclic_table(p, q, d), spec=spec)
+        return _metacyclic_table(*spec.params)
 
     if kind == "sym":
         (n,) = spec.params
@@ -817,8 +844,7 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
             raise InvalidSpec(
                 f"sym degree must be between 1 and {SYMMETRIC_DEGREE_LIMIT}"
             )
-        perms = sorted(itertools.permutations(range(n)))
-        return FiniteGroup(*_perm_list_table(perms), spec=spec)
+        return _perm_list_table(sorted(itertools.permutations(range(n))))
 
     if kind == "alt":
         (n,) = spec.params
@@ -826,16 +852,15 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
             raise InvalidSpec(
                 f"alt degree must be between 3 and {ALTERNATING_DEGREE_LIMIT}"
             )
-        perms = sorted(
+        return _perm_list_table(sorted(
             p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1
-        )
-        return FiniteGroup(*_perm_list_table(perms), spec=spec)
+        ))
 
     if kind == "quaternion":
         (n,) = spec.params
         if n != 8:
             raise InvalidSpec("quaternion group is only defined for order 8")
-        return FiniteGroup(*_semidirect_table(4, 2, 3, 2, "ab"), spec=spec)
+        return _semidirect_table(4, 2, 3, 2, "ab")
 
     if kind == "dicyclic":
         (n,) = spec.params
@@ -843,7 +868,7 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
             raise InvalidSpec("dicyclic parameter must be even")
         if n < 4:
             raise InvalidSpec("dicyclic parameter must be at least 4")
-        return FiniteGroup(*_semidirect_table(n, 2, n - 1, n // 2, "ab"), spec=spec)
+        return _semidirect_table(n, 2, n - 1, n // 2, "ab")
 
     if kind == "elemab":
         p, k = spec.params
@@ -851,21 +876,13 @@ def _build_group_uncached(spec: GroupSpec) -> FiniteGroup:
             raise InvalidSpec(f"{p} is not prime")
         if k < 1:
             raise InvalidSpec("rank must be positive")
-        # the product indexes (a, b) as a * p + b, so x has its base-p
-        # digits in big-endian order, as the names spell them
-        C = build_group(GroupSpec.cyclic(p))
-        G = C
-        for _ in range(k - 1):
-            G = _direct_product(G, C)
-        names = ["".join(map(str, _to_digits(x, p, k))) for x in range(G.order)]
-        return FiniteGroup(G.table, names=names, spec=spec)
+        # x has its base-p digits in big-endian order, as the names spell them
+        table, _ = _product([_build_group_uncached(GroupSpec.cyclic(p))] * k)
+        names = ["".join(map(str, x)) for x in itertools.product(range(p), repeat=k)]
+        return table, names
 
     if kind == "product":
-        groups = [build_group(part) for part in spec.parts]
-        G = groups[0]
-        for H in groups[1:]:
-            G = _direct_product(G, H)
-        return FiniteGroup(G.table, names=G.names, spec=spec)
+        return _product([_table_and_names(part) for part in spec.parts])
 
     raise InvalidSpec(f"unknown group kind {kind!r}")
 
@@ -911,24 +928,25 @@ def _perm_list_table(perms: list) -> tuple:
     return table, names
 
 
-def _direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    # pair (a, b) has index a * |H| + b
-    nh = H.order
-    order = G.order * nh
-    table = [[0] * order for _ in range(order)]
-    for a in range(G.order):
-        for b in range(nh):
-            row = table[a * nh + b]
-            ga = G.table[a]
-            hb = H.table[b]
-            for c in range(G.order):
-                gac = ga[c] * nh
-                for dd in range(nh):
-                    row[c * nh + dd] = gac + hb[dd]
-    names = [
-        f"({G.names[a]},{H.names[b]})" for a in range(G.order) for b in range(nh)
-    ]
-    return FiniteGroup(table, names=names, check=False)
+def _product(factors: list) -> tuple:
+    """(table, names) of the direct product of factors, each a (table,
+    names) pair, folded from the left: (a, b) has index a * |H| + b and is
+    named "(a,b)".
+
+    Row (a, b) joins, for c in G, the block of ids (a c, b d) over d in H,
+    a gather of one slice of the product's ids by row b of H; the blocks
+    are shared between rows, and so are their ints.
+    """
+    table, names = factors[0]
+    for t, t_names in factors[1:]:
+        m = len(t)
+        ids = tuple(range(len(table) * m))
+        blocks = [[gather(ids[v * m:v * m + m]) for v in range(len(table))]
+                  for gather in map(_row_getter, t)]
+        table = [tuple(itertools.chain.from_iterable(map(row_b.__getitem__, row_a)))
+                 for row_a in table for row_b in blocks]
+        names = [f"({x},{y})" for x in names for y in t_names]
+    return table, names
 
 
 def _word_name(parts: list) -> str:
@@ -989,14 +1007,6 @@ def _mult_order(d: int, p: int) -> int:
         x = (x * d) % p
         k += 1
     return k
-
-
-def _to_digits(x: int, p: int, k: int) -> list:
-    out = []
-    for _ in range(k):
-        out.append(x % p)
-        x //= p
-    return list(reversed(out))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,8 @@ def test_structure_references_enumerate_each_group_once(capsys, monkeypatch,
     (("group", "dicyclic:3"), 2),
     (("group", "product:cyclic:2"), 2),
     (("group", "product:(cyclic:2"), 2),
+    # 350 levels of parentheses, refused before any recursion over them
+    (("group", "product:(" * 350 + "cyclic:1" + "),cyclic:1" * 350), 2),
     (("hgs", "enumerate", "--group", "cyclic:4", "--type", "cyclic:8"), 2),
     # a group of order 2, not regular on 4 points
     (("hgs", "show", "--group", "cyclic:4", "--structure", "gens:1,0,3,2"), 2),

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -34,7 +35,13 @@ from hgslab import (
     subgroup_closure,
     type_of,
 )
-from hgslab.groups import Subgroup, _generator_maps, _iso_candidates, conjugacy_classes
+from hgslab.groups import (
+    Subgroup,
+    _generator_maps,
+    _iso_candidates,
+    abelian_specs,
+    conjugacy_classes,
+)
 
 # number of isomorphism classes of groups of each order 1..15
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1]
@@ -87,8 +94,27 @@ def test_catalog_groups_pairwise_nonisomorphic():
 def test_parse_spec_round_trip():
     for text in ["cyclic:9", "dihedral:5", "quaternion:8", "sym:4",
                  "metacyclic:7:3:2", "product:cyclic:2,cyclic:4",
-                 "elemab:3:2"]:
+                 "elemab:3:2",
+                 "product:(product:cyclic:2,cyclic:3),cyclic:5",
+                 "product:cyclic:5,(product:cyclic:2,sym:3)",
+                 "product:(product:(product:cyclic:2,cyclic:2),cyclic:2),elemab:3:2"]:
         assert str(parse_spec(text)) == text
+    for spec in [s for n in range(1, 65) for s in catalog_specs(n)]:
+        assert parse_spec(str(spec)) == spec, spec
+
+
+def _nested(depth):
+    """product:(product:(...),cyclic:1),cyclic:1 with depth parentheses."""
+    return "product:(" * depth + "cyclic:1" + "),cyclic:1" * depth
+
+
+def test_parse_spec_refuses_deep_nesting():
+    from hgslab.groups import SPEC_NESTING_LIMIT
+
+    assert build_group(_nested(SPEC_NESTING_LIMIT)).order == 1
+    for depth in (SPEC_NESTING_LIMIT + 1, 350):
+        with pytest.raises(InvalidSpec, match="nests deeper"):
+            parse_spec(_nested(depth))
 
 
 def test_parse_spec_rejects_garbage():
@@ -118,6 +144,11 @@ def test_metacyclic_requires_d_of_order_q():
     "elemab:2:1000000000",
     "product:cyclic:64,cyclic:17",
     "product:cyclic:2,(product:cyclic:32,cyclic:32)",
+    # sym, alt and quaternion parts count with their own orders
+    "product:sym:5,cyclic:1000",
+    "product:quaternion:8,cyclic:200",
+    "product:alt:5,(product:alt:4,cyclic:2)",
+    "product:cyclic:2000,sym:3",
 ])
 def test_build_group_refuses_orders_above_the_limit(text):
     with pytest.raises(InvalidSpec, match="above the limit of 1024"):
@@ -441,11 +472,64 @@ SEMIDIRECT_FAMILIES = {
 }
 
 
+def _table_digest(specs):
+    blob = json.dumps([[G.table, G.names, G.inverse] for G in map(build_group, specs)])
+    return hashlib.sha256(blob.encode()).hexdigest()[:20]
+
+
 @pytest.mark.parametrize("family", sorted(SEMIDIRECT_FAMILIES))
 def test_semidirect_tables_names_and_inverses_are_unchanged(family):
     specs, want = SEMIDIRECT_FAMILIES[family]
-    blob = json.dumps([[G.table, G.names, G.inverse] for G in map(build_group, specs)])
-    assert hashlib.sha256(blob.encode()).hexdigest()[:20] == want
+    assert _table_digest(specs) == want
+
+
+# sha256 prefixes of [table, names, inverse] per group, recorded from the
+# builders that made cyclic rows one sum mod n each and chained a quadruple
+# loop per pair of factors, before the product fold replaced them
+CATALOG_TABLE_FAMILIES = {
+    "cyclic": ([f"cyclic:{n}" for n in range(1, 65)] + ["cyclic:1024"],
+               "652530c961379ec39fb7"),
+    "elemab": (
+        [f"elemab:{p}:{k}" for p, top in [(2, 10), (3, 6), (5, 4), (7, 3)]
+         for k in range(1, top + 1)],
+        "807ef3ba84685c830734",
+    ),
+    "product": (
+        sorted({str(s) for n in range(1, 65) for s in abelian_specs(n)
+                if s.kind == "product"}) + [
+            "product:cyclic:2,cyclic:512",
+            "product:sym:3,alt:4",
+            "product:dihedral:4,quaternion:8",
+            "product:sym:3,cyclic:2,dicyclic:6",
+            "product:(product:cyclic:2,cyclic:3),cyclic:5",
+            "product:cyclic:5,(product:cyclic:2,sym:3)",
+            "product:(product:cyclic:2,cyclic:2),(product:cyclic:3,dihedral:3)",
+            "product:(product:(product:cyclic:2,cyclic:2),cyclic:2),elemab:3:2",
+        ],
+        "2100966d9cf95156e374",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CATALOG_TABLE_FAMILIES))
+def test_catalog_tables_names_and_inverses_are_unchanged(family):
+    specs, want = CATALOG_TABLE_FAMILIES[family]
+    assert _table_digest(specs) == want
+
+
+@pytest.mark.parametrize("text", ["elemab:2:10", "cyclic:1024"])
+def test_order_1024_tables_share_their_ints(text):
+    # n^2 fresh ints took 32 MB; shared ones leave the 8 MB of row pointers.
+    # Built around the cache, so no earlier build can make it pass.
+    from hgslab.groups import _build_group_uncached
+
+    spec = parse_spec(text)
+    tracemalloc.start()
+    G = FiniteGroup(*_build_group_uncached(spec), spec=spec)
+    retained, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert G.order == 1024
+    assert retained < 12 * 2**20
 
 
 def _classes_by_scanning_all_of_g(G):
