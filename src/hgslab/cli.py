@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -531,6 +532,12 @@ def _emit(args, command: str, payload: dict, lines: List[str],
             print(line)
         if args.timing:
             print(f"({seconds:.2f}s)")
+    sys.stdout.flush()  # a closed pipe raises here, inside main
+
+
+# exit code when stdout is closed before the report is written: 128 + SIGPIPE,
+# what a shell reports for a process that SIGPIPE ended
+EXIT_CLOSED_STDOUT = 141
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -558,6 +565,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (hgslab ... | head); what is left unwritten
+        # goes to devnull, so the flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

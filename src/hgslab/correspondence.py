@@ -27,7 +27,6 @@ from .groups import (FiniteGroup, Subgroup, _check_id, _join_closures, _orbits,
 from .hgs import RegularSubgroup
 from .perms import (
     PermGroup,
-    _conjugate_all,
     _escape,
     _left_translations,
     rho_embed,
@@ -131,17 +130,27 @@ def realizable_lattice(N: RegularSubgroup) -> RealizableLattice:
 
 def _transport_matches(G, lat1: RealizableLattice,
                        lat2: RealizableLattice, g: int) -> bool:
-    """Does conjugating lat1 entrywise by g reproduce lat2 exactly?"""
+    """Does conjugating lat1 entrywise by g reproduce lat2 exactly?
+
+    First rho(g) N rho(g)^-1 = N2 for the two structures, decided on N's
+    generators (equal orders make inclusion equality).  Then a member p of
+    a P goes to the member of N2 that sends 0 to rho(g)(p(rho(g)^-1(0))),
+    so each P is compared with lat2's entries by the ids {p(0)}.
+    """
     rho_g, rho_ginv = rho_embed(G, g), rho_embed(G, G.inverse[g])
-    phi = inner_automorphism(G, g).images
+    N, N2 = lat1.structure, lat2.structure
+    if _escape([(rho_g, rho_ginv)], N.perms.generators,
+               N2.perms.element_set) is not None:
+        return False
+    phi, r0 = inner_automorphism(G, g).images, rho_ginv[0]
     transported = {}
     for P, U in lat1:
-        key = frozenset(_conjugate_all(P.elements, rho_g, rho_ginv))
+        key = frozenset(rho_g[p[r0]] for p in P.elements)
         transported[key] = tuple(sorted(phi[u] for u in U.elements))
     if len(transported) != len(lat2.entries):
         return False
     for P, U in lat2:
-        want = transported.get(P.element_set)
+        want = transported.get(frozenset(p[0] for p in P.elements))
         if want is None or want != U.elements:
             return False
     return True

@@ -419,20 +419,32 @@ def _order_walk(table: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple:
 
 
 class Subgroup:
-    """A subgroup of a FiniteGroup, kept as a sorted element tuple."""
+    """A subgroup of a FiniteGroup, kept as a sorted element tuple.
+
+    The ids must be closed under the product; _closed=True skips that check
+    for ids that a closure kernel has just returned.
+    """
 
     __slots__ = ("parent", "elements", "generators", "element_set", "_abstract")
 
-    def __init__(self, parent: FiniteGroup, elements: Iterable[int], generators=()):
+    def __init__(self, parent: FiniteGroup, elements: Iterable[int], generators=(),
+                 _closed=False):
         self.parent = parent
-        self.elements = tuple(sorted(elements))
+        self.element_set = frozenset(elements)
+        self.elements = tuple(sorted(self.element_set))
         self.generators = tuple(generators)
-        self.element_set = frozenset(self.elements)
         self._abstract = None
+        if _closed:
+            return
         for g in self.elements[:1] + self.elements[-1:]:  # the least and the greatest
             _check_id(parent, g)
         if not self.elements or self.elements[0] != 0:
             raise InvalidSpec("a subgroup must contain the identity")
+        if _greedy_join(parent.table, self.elements)[1] != self.element_set:
+            t, have = parent.table, self.element_set
+            y = next(t[a][b] for a in self.elements for b in self.elements
+                     if t[a][b] not in have)
+            raise InvalidSpec(f"not closed: the product {y} is missing")
 
     @property
     def order(self) -> int:
@@ -464,17 +476,13 @@ class Subgroup:
     def as_group(self) -> tuple:
         """The subgroup as a FiniteGroup on positions, with the element list.
 
-        Positions follow the sorted element order, so the identity lands at
-        0; elements that are not closed under the product raise InvalidSpec.
+        Positions follow the sorted element order, so the identity lands at 0.
         """
         if self._abstract is None:
             G = self.parent
             elems = self.elements
             pos = {e: i for i, e in enumerate(elems)}
-            try:
-                table = [[pos[G.table[a][b]] for b in elems] for a in elems]
-            except KeyError as exc:
-                raise InvalidSpec(f"not closed: the product {exc} is missing") from None
+            table = [[pos[G.table[a][b]] for b in elems] for a in elems]
             names = [G.names[e] for e in elems]
             sub = FiniteGroup(table, names=names, check=True)
             self._abstract = (sub, elems)
@@ -492,7 +500,7 @@ def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = sorted(set(gens) - {0})
     for g in gens[:1] + gens[-1:]:  # the least and the greatest
         _check_id(G, g)
-    return Subgroup(G, _greedy_join(G.table, gens)[1], generators=tuple(gens))
+    return Subgroup(G, _greedy_join(G.table, gens)[1], tuple(gens), _closed=True)
 
 
 def _join_closures(table: Sequence[Sequence[int]], pieces) -> dict:
@@ -521,7 +529,7 @@ def _join_closures(table: Sequence[Sequence[int]], pieces) -> dict:
 
 def _joined_subgroups(G: FiniteGroup, pieces) -> list:
     found = _join_closures(G.table, pieces)
-    subs = [Subgroup(G, k, generators=sorted(g)) for k, g in found.items()]
+    subs = [Subgroup(G, k, sorted(g), _closed=True) for k, g in found.items()]
     return sorted(subs, key=lambda s: (s.order, s.elements))
 
 
@@ -642,51 +650,62 @@ def is_homomorphism(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bo
     )
 
 
-def _generator_maps(G: FiniteGroup, H: FiniteGroup, candidates, injective=False,
-                    keep=None):
-    """The homomorphisms G -> H sending G.generating_set()[k] into
-    candidates[k], as image tuples in itertools.product order: with keep,
-    those whose picks pass it at each prefix; with injective, injective ones.
+def _generator_maps(G: FiniteGroup, H, candidates, keep=None, owner=None):
+    """The homomorphisms G -> H sending G.generating_set()[k] to a candidate
+    of level k, as image tuples in the order of the picks.  H is a
+    FiniteGroup or a product mul(u, v) on ids with identity 0; candidates[k],
+    or candidates(k) when callable, is read once the earlier picks spread.
+    Each prefix of picks must pass keep.  With owner = (d, coset_of), z
+    sends the base point to z % d, and no two cosets coset_of[x] (with
+    coset_of[0] = 0) may send it to one point: injectivity is (|H|, range(|G|)).
 
     A prefix backtrack: each pick spreads img[x.g] = img[x].img[g] along G's
     Cayley graph from where the last level stopped, as _join does (old x
-    times the new generator, new x times every one picked), and dies at the
-    first edge that meets another image or, injective, an image taken.  The
-    subgroup reached then has every edge checked, so a dead pick has no
+    times the new generator, new x, first, times every one picked), and dies
+    at the first edge that meets another image or an owned point.  The
+    subgroup reached has every edge checked, so a dead pick has no
     completion, and a map agreeing on all of G's edges is a homomorphism.
     """
-    gens, t, th = G.generating_set(), G.table, H.table
-    img, taken, reached, picked = [0] + [None] * (G.order - 1), {0}, [0], []
+    gens, t = G.generating_set(), G.table
+    mul = (lambda u, v, th=H.table: th[u][v]) if isinstance(H, FiniteGroup) else H
+    level = candidates if callable(candidates) else candidates.__getitem__
+    img, reached, picked, owners = [0] + [None] * (G.order - 1), [0], [], {0: 0}
+    d, coset_of = owner or (1, None)
 
     def spread(old: int) -> bool:
         edges = tuple(zip(gens, picked))
-        for i, x in enumerate(reached):
-            row, hrow = t[x], th[img[x]]
-            for g, h in edges[-1:] if i < old else edges:
-                y, z = row[g], hrow[h]
+        last, i, j = edges[-1:], 0, old
+        while True:
+            if j < len(reached):  # new x first: a failing relation shows early
+                x, by, j = reached[j], edges, j + 1
+            elif i < old:
+                x, by, i = reached[i], last, i + 1
+            else:
+                return True
+            row, u = t[x], img[x]
+            for g, h in by:
+                y, z = row[g], mul(u, h)
                 if img[y] is None:
-                    if injective:
-                        if z in taken:
-                            return False
-                        taken.add(z)
+                    if owner and owners.setdefault(z % d, coset_of[y]) != coset_of[y]:
+                        return False
                     img[y] = z
                     reached.append(y)
                 elif img[y] != z:
                     return False
-        return True
 
     def walk(k: int):
         if k == len(gens):
             yield tuple(img)
             return
-        old = len(reached)
-        for h in candidates[k]:
+        old, mark = len(reached), len(owners)
+        for h in level(k):
             picked.append(h)
             if (keep is None or keep(picked)) and spread(old):
                 yield from walk(k + 1)
             for y in reached[old:]:
-                taken.discard(img[y])
                 img[y] = None
+            for _ in range(len(owners) - mark):
+                owners.popitem()  # the points claimed at this level, last first
             del reached[old:], picked[-1]
 
     return walk(0)
@@ -713,7 +732,7 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup):
     if G.order != H.order or G.order_profile() != H.order_profile():
         return iter(())
     cand = [_iso_candidates(G, H, g) for g in G.generating_set()]
-    return _generator_maps(G, H, cand, injective=True)
+    return _generator_maps(G, H, cand, owner=(H.order, range(G.order)))
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:

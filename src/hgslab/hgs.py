@@ -5,11 +5,11 @@ with group G, so we call a certified one a structure.  Enumeration follows
 Byott's translation, which also covers the separable case: the regular
 subgroups of Perm(G/T) of type M normalized by G correspond to the
 homomorphisms beta: G -> Hol(M) for which xT -> beta(x)(0) is a bijection,
-up to conjugation by Aut(M).  An element lambda(m) . a of Hol(M), a in
-Aut(M), is searched as the pair (m, a) and formed only as a chosen image.
-The search backtracks over the images of G's generating set, spreads each
-partial choice along G's Cayley graph, and rejects it as soon as a relation
-of G fails or two cosets send the base point to the same place.
+up to conjugation by Aut(M).  An element lambda(m) . a of Hol(M) is
+searched as one id, a . n + m, and no permutation is formed: the search
+(groups._generator_maps) backtracks over the images of G's generating set,
+spreads each partial choice along G's Cayley graph, and rejects it as soon
+as a relation of G fails or two cosets send the base point to the same m.
 enumerate_hgs is the case T = {e}.
 
 _structure certifies each element set once per group while a caller holds
@@ -36,6 +36,7 @@ from .groups import (
     FiniteGroup,
     GroupSpec,
     _cycle_at_0,
+    _generator_maps,
     _order_walk,
     automorphisms,
     are_isomorphic,
@@ -290,9 +291,40 @@ def type_of(N: RegularSubgroup) -> GroupSpec:
 # Enumeration by generator images into Hol(M)
 
 
-def _hol_pools(M: FiniteGroup, auts: Sequence[tuple], shapes) -> dict:
-    """{shape: {a: ms}}: the pairs (m, a), a in auts, for which lambda(m) . a
-    has (order, fixed points) in shapes; no element of Hol(M) is formed.
+def _aut_ids(M: FiniteGroup) -> tuple:
+    """(auts, index, inverse, orders): automorphisms(M) as image tuples,
+    whose positions are their ids; {images: id}; the id of each inverse;
+    the order of each."""
+
+    def compute():
+        auts = tuple(a.images for a in automorphisms(M))
+        index = {a: i for i, a in enumerate(auts)}
+        inverse = [index[_invert(a)] for a in auts]
+        return auts, index, inverse, [*map(_tuple_order, auts)]
+
+    return M._memo("aut_ids", compute)
+
+
+def _hol_product(M: FiniteGroup):
+    """Hol(M)'s product on the ids a . n + m of lambda(m) . auts[a]:
+    (m, a)(m', a') = (m . a(m'), a a'), one table lookup, one point lookup
+    and the id of a a', memoized per a while the returned function lives."""
+    auts, index, _, _ = _aut_ids(M)
+    n, table, products = M.order, M.table, [{} for _ in auts]
+
+    def mul(u: int, v: int) -> int:
+        (a, m), (b, x) = divmod(u, n), divmod(v, n)
+        ab = products[a].get(b)
+        if ab is None:
+            ab = products[a][b] = index[_compose(auts[a], auts[b])]
+        return ab * n + table[m][auts[a][x]]
+
+    return mul
+
+
+def _hol_pools(M: FiniteGroup, shapes) -> dict:
+    """{shape: {a: ms}}: the pairs (m, a), a an id of _aut_ids, for which
+    lambda(m) . auts[a] has (order, fixed points) in shapes; none is formed.
 
     lambda(m) . a fixes x exactly when m = x . a(x)^-1, so one pass over the
     points counts the fixed points of all n pairs with one a.  Its k-th
@@ -300,9 +332,9 @@ def _hol_pools(M: FiniteGroup, auts: Sequence[tuple], shapes) -> dict:
     its image of 0, so its order is k times that of c.
     """
     table, inverse, orders = M.table, M.inverse, M.element_orders
+    auts, _, _, aut_orders = _aut_ids(M)
     pools: dict = {}
-    for a in auts:
-        k = _tuple_order(a)
+    for i, (a, k) in enumerate(zip(auts, aut_orders)):
         if all(order % k for order, _ in shapes):
             continue
         fixed = Counter(map(getitem, table, map(inverse.__getitem__, a)))
@@ -312,118 +344,74 @@ def _hol_pools(M: FiniteGroup, auts: Sequence[tuple], shapes) -> dict:
         for m, c in enumerate(walk):
             shape = (k * orders[c], fixed.get(m, 0))
             if shape in shapes:
-                pools.setdefault(shape, {}).setdefault(a, []).append(m)
+                pools.setdefault(shape, {}).setdefault(i, []).append(m)
     return pools
 
 
-def _orbit_representatives(M: FiniteGroup, pool: dict, auts: Sequence[tuple]):
-    """One element of each orbit of the pool {a: ms} under conjugation by the
-    group auts, given as (b, b^-1) pairs, with the pairs that fix it.
-
-    b sends lambda(m) . a to lambda(b(m)) . (b a b^-1), so one pass over auts
-    takes the class of a out of the pool and leaves its centralizer C, and
-    the orbits of C on the ms are walked by point lookups.
-    """
+def _orbit_representatives(M: FiniteGroup, pool: dict, stabilizer: Sequence[int]):
+    """One id a . n + m of each orbit of the pool {a: ms} under conjugation
+    by the automorphism ids in stabilizer, a group, with the ids fixing it:
+    b sends lambda(m) . a to lambda(b(m)) . (b a b^-1), so one pass over the
+    stabilizer takes the class of a out of the pool and leaves its
+    centralizer C, whose orbits on the ms are walked by point lookups."""
+    auts, index, inverse, _ = _aut_ids(M)
     left = set(pool)
     for a, ms in pool.items():
         if a in left:
             centralizer = []
-            for b, bi in auts:
-                c = _conjugate(a, b, bi)
+            for b in stabilizer:
+                c = index[_conjugate(auts[a], auts[b], auts[inverse[b]])]
                 left.discard(c)
                 if c == a:
-                    centralizer.append((b, bi))
+                    centralizer.append(b)
             rest = set(ms)
             for m in ms:
                 if m in rest:
-                    rest.difference_update(b[m] for b, _ in centralizer)
-                    fixing = [(b, bi) for b, bi in centralizer if b[m] == m]
-                    yield _compose(M.table[m], a), fixing
-
-
-def _close_along_cayley_graph(
-    cs: CosetSpace, gens: Sequence[int], images: Sequence[tuple]
-) -> Optional[list]:
-    """The map x -> beta(x) on <gens> with beta(gens[k]) = images[k], or None.
-
-    beta is spread along G's Cayley graph by beta(x * g) = beta(x) . beta(g),
-    one frontier list walked from the identity as it grows, for each pick
-    (groups._generator_maps goes on from where the last pick stopped), and
-    owner[m] is the coset of the elements sending the base point to m.
-    The choice dies when an element is reached with two different images (a
-    relation of G fails) or when two cosets would own one m.  Once all of G
-    is reached, each of the d cosets owns a point of M and no point has two
-    owners, so xT -> beta(x)(0) is a well-defined bijection.
-    """
-    table, coset_of = cs.group.table, cs.coset_of
-    beta: list = [None] * len(table)
-    beta[0] = tuple(range(cs.degree))
-    owner: list = [None] * cs.degree
-    owner[0] = 0
-    edges = list(zip(gens, images))
-    frontier = [0]
-    for x in frontier:
-        bx, row = beta[x], table[x]
-        for g, c in edges:
-            q = _compose(bx, c)
-            y = row[g]
-            by = beta[y]
-            if by is None:
-                m = q[0]
-                if owner[m] is None:
-                    owner[m] = coset_of[y]
-                elif owner[m] != coset_of[y]:
-                    return None
-                beta[y] = q
-                frontier.append(y)
-            elif by != q:
-                return None
-    return beta
+                    rest.difference_update(auts[b][m] for b in centralizer)
+                    yield a * M.order + m, [b for b in centralizer if auts[b][m] == m]
 
 
 def _regular_embeddings(cs: CosetSpace, M: FiniteGroup):
-    """Image lists of the homomorphisms beta: G -> Hol(M) for which
-    xT -> beta(x)(0) is a bijection G/T -> M, one per Aut(M)-class.
+    """The homomorphisms beta: G -> Hol(M) for which xT -> beta(x)(0) is a
+    bijection G/T -> M, one per Aut(M)-class, as tuples of the ids a . n + m
+    of beta(x) = lambda(m) . a (so beta(x)(0) = beta(x) % n): the search of
+    _generator_maps on _hol_product, with the owner test on G/T.
 
-    beta(g) is conjugate to the translation of g on G/T, so its order and
-    number of fixed points pick the pairs (m, a) it may be.  Conjugate
-    embeddings give the same subgroup, so each generator image is taken only
-    up to conjugation by the automorphisms of M that fix the earlier images
-    (the first one up to Aut(M)-conjugacy).  Such a conjugation moves the
-    next image to its representative without moving the earlier ones, so
-    every class is reached, and two representatives never share a class.
-    Each representative comes with the automorphisms that fix it, read off
-    the orbit walk that chose it.
+    beta(g) is conjugate to g's translation on G/T, whose order and fixed
+    points pick its pool.  Conjugate embeddings give one subgroup, so each
+    image is taken up to the automorphisms fixing the earlier ones (which
+    the orbit walk that chose them gives), and such a conjugation moves it
+    to its representative without moving them: each class is reached once.
+    A shape's pool and first-level classes depend only on M: kept on M.
     """
-    gens = cs.group.generating_set()
-    points = range(cs.degree)
-    lts = [left_translation(cs, g) for g in gens]
-    shapes = [(_tuple_order(lt), sum(map(eq, lt, points))) for lt in lts]
-    auts = [(a.images, _invert(a.images)) for a in automorphisms(M)]
-    pools = _hol_pools(M, [a for a, _ in auts], set(shapes))
+    lts = [left_translation(cs, g) for g in cs.group.generating_set()]
+    shapes = [(_tuple_order(lt), sum(map(eq, lt, range(cs.degree)))) for lt in lts]
+    pools, first = M._memo("hol_pools", dict), M._memo("hol_first", dict)
+    if missing := set(shapes).difference(pools):
+        pools.update(dict.fromkeys(missing, {}) | _hol_pools(M, missing))
+    stabilizers = [range(len(_aut_ids(M)[0]))] + [None] * len(shapes)
 
-    def search(beta, images, auts):
-        i = len(images)
-        if i == len(gens):
-            yield beta
-            return
-        for c, fixing in _orbit_representatives(M, pools.get(shapes[i], {}), auts):
-            chosen = images + [c]
-            closed = _close_along_cayley_graph(cs, gens[: i + 1], chosen)
-            if closed is not None:
-                yield from search(closed, chosen, fixing)
+    def level(k: int):
+        reps = _orbit_representatives(M, pools[shapes[k]], stabilizers[k])
+        if k == 0:
+            reps = first.get(shapes[0]) or first.setdefault(shapes[0], list(reps))
+        for c, fixing in reps:
+            stabilizers[k + 1] = fixing
+            yield c
 
-    yield from search([tuple(points)], [], auts)
+    return _generator_maps(cs.group, _hol_product(M), level,
+                           owner=(cs.degree, cs.coset_of))
 
 
 def _embedding_sets(cs: CosetSpace, specs: Sequence[GroupSpec]) -> dict:
     """{element set: (spec, perms)} from _relabel over the regular subgroups
-    of Perm(G/T) that the translations of G normalize, of a type in specs."""
+    of Perm(G/T) that the translations of G normalize, of a type in specs;
+    b is the m of each coset representative's image."""
     found: dict = {}
     for spec in specs:
         M = build_group(spec)
         for beta in _regular_embeddings(cs, M):
-            b = [beta[r][0] for r in cs.representatives]
+            b = [beta[r] % M.order for r in cs.representatives]
             key, perms = _relabel(M.table, lambda M=M: M.element_orders, b)
             found.setdefault(key, (spec, perms))
     return found

@@ -328,8 +328,6 @@ class CosetSpace:
     def __init__(self, group: FiniteGroup, subgroup: Subgroup):
         if subgroup.parent is not group:
             raise InvalidSpec("subgroup belongs to a different group")
-        if len(_greedy_join(group.table, subgroup.elements)[1]) != subgroup.order:
-            raise InvalidSpec("the subgroup is not closed under the product")
         self.group = group
         self.subgroup = subgroup
         cosets = {

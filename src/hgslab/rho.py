@@ -36,7 +36,7 @@ from functools import cache
 from typing import Optional
 
 from .errors import InvariantError
-from .groups import Subgroup, _check_id, _cycle_at_0, subgroup_closure
+from .groups import Subgroup, _check_id, _cycle_at_0, _join, subgroup_closure
 from .hgs import HgsInventory, RegularSubgroup, _live, _relabel, _structure, opposite
 from .perms import _escape, rho_embed
 
@@ -138,16 +138,33 @@ def _stabilizer(G, fixing: list) -> Subgroup:
     return stabilizer
 
 
+def _normalizers(N: RegularSubgroup) -> set:
+    """Stab, the h for which rho(h) normalizes N, found by cosets: G is
+    walked in order and only an h not yet placed is tested.  A yes joins h
+    to S, the part of Stab found so far; a no places h's coset h . S, none
+    of which is in Stab (h s in Stab would put h there)."""
+    table, stab, gens = N.group.table, {0}, []
+    placed = set(stab)
+    for h in range(1, N.group.order):
+        if h not in placed:
+            if _is_conjugate(N, h, N):
+                stab = _join(table, stab, gens, (h,))
+                gens.append(h)
+                placed |= stab
+            else:
+                placed.update(map(table[h].__getitem__, stab))
+    return stab
+
+
 def _orbit_search(N: RegularSubgroup) -> tuple:
     """(found, member_of) of N's orbit: {element set: perms} of the
     conjugates in the order met, each N's table relabelled by rho(g^-1), and
     member_of[x], the index in found of N_x.  G is walked in order; each
-    element not yet placed is the least of its coset g . Stab, where Stab
-    holds the h for which rho(h) normalizes N, and carries the next
-    conjugate to the whole coset."""
+    element not yet placed is the least of its coset g . Stab, Stab from
+    _normalizers, and carries the next conjugate to the whole coset."""
     G, table = N.group, N.group.table
     orders = cache(lambda: tuple(map(_cycle_at_0, N.eta)))
-    fixing = [h for h in range(G.order) if _is_conjugate(N, h, N)]
+    fixing = _normalizers(N)
     found, member_of = {}, [None] * G.order
     for g in range(G.order):
         if member_of[g] is None:

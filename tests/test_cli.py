@@ -1,14 +1,19 @@
 """Command dispatch, exit codes, structure references, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from hgslab import build_group, lambda_structure, rho_structure
 from hgslab.cli import main, resolve_structure
 from hgslab.errors import UsageError
+import hgslab
 import hgslab.cli as cli_module
 
 
@@ -326,3 +331,24 @@ def test_timing_is_opt_in(capsys):
     assert "seconds" not in json.loads(out)
     code, out, _ = run_cli(capsys, "group", "cyclic:4", "--json", "--timing")
     assert "seconds" in json.loads(out)
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # `hgslab hgs enumerate ... --json | head -c 100` used to end in a
+    # BrokenPipeError traceback and exit 1; the pipe here has no reader
+    # from the start, so the first write fails whatever the output's size
+    src = str(Path(hgslab.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hgslab.cli", "hgs", "enumerate",
+             "--group", "dihedral:32", "--type", "dihedral:32", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli_module.EXIT_CLOSED_STDOUT == 141
+    assert proc.stderr == b""

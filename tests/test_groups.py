@@ -212,6 +212,13 @@ def test_subgroup_as_group():
     assert set(elems) == set(A3.elements)
 
 
+def test_subgroup_refuses_a_set_that_is_not_closed():
+    # {0, 1} in C4 was accepted, and is_normal() said True
+    with pytest.raises(InvalidSpec, match="not closed: the product 2 is missing"):
+        Subgroup(build_group("cyclic:4"), [0, 1])
+    assert Subgroup(build_group("cyclic:4"), [2, 0, 2]).elements == (0, 2)
+
+
 def test_subgroup_as_group_refuses_a_set_that_is_not_closed():
     with pytest.raises(InvalidSpec, match="not closed: the product 2"):
         Subgroup(build_group("cyclic:4"), [0, 1]).as_group()

@@ -182,12 +182,17 @@ def _regular_subgroups_of_holomorph(spec):
 _HOL_CACHE: dict = {}
 
 
-def _embedding_key(representatives, M, beta) -> frozenset:
-    """Element set b^-1 . lambda_M(mu) . b over all mu, b(xT) = beta(x)[0]
-    read at the coset representatives."""
-    b = [beta[r][0] for r in representatives]
+def _embedding_key(M, b) -> frozenset:
+    """Element set b^-1 . lambda_M(mu) . b over all mu, for the base-point
+    map b(xT) = beta(x)(0)."""
     assert sorted(b) == list(range(M.order))
     return frozenset(_conjugate_all(M.table, _invert(b), b))
+
+
+def _base_points(cs, M, beta) -> list:
+    """b(xT) = beta(x)(0) at the coset representatives, for beta as the ids
+    a . n + m of lambda(m) . a that _regular_embeddings yields."""
+    return [beta[r] % M.order for r in cs.representatives]
 
 
 def _oracle(G, spec):
@@ -206,7 +211,7 @@ def _oracle(G, spec):
         base = [q_elems[iso0.images[g]] for g in range(n)]
         for aut in auts:
             beta = [base[aut.images[g]] for g in range(n)]
-            key = _embedding_key(range(n), M, beta)
+            key = _embedding_key(M, [p[0] for p in beta])
             found.add(key)
     return found, isomorphic
 
@@ -246,7 +251,7 @@ def test_one_embedding_per_structure():
         G, M = build_group(g_spec), build_group(m_spec)
         cs = CosetSpace(G, subgroup_closure(G, ()))
         keys = [
-            _embedding_key(cs.representatives, M, beta)
+            _embedding_key(M, _base_points(cs, M, beta))
             for beta in _regular_embeddings(cs, M)
         ]
         assert len(keys) == len(set(keys)), (g_spec, m_spec)
@@ -288,17 +293,18 @@ def test_heavy_structure_sets_are_pinned(g_spec, m_spec, count, digest, monkeypa
 ])
 def test_hol_pools_hold_the_pairs_of_each_shape(spec, monkeypatch):
     """_hol_pools against every lambda(m) . a formed and walked: the same
-    pairs of each (order, fixed points) shape in the same order, for all
-    shapes and for those of the largest order, with no element formed."""
+    pairs of each (order, fixed points) shape in the same order, a given by
+    its position in automorphisms(M), for all shapes and for those of the
+    largest order, with no element formed."""
     M = build_group(spec)
     auts = [a.images for a in automorphisms(M)]
     points = range(M.order)
     want: dict = {}
-    for a in auts:
+    for i, a in enumerate(auts):
         for m, row in enumerate(M.table):
             p = _compose(row, a)
             shape = (_tuple_order(p), sum(map(eq, p, points)))
-            want.setdefault(shape, {}).setdefault(a, []).append(m)
+            want.setdefault(shape, {}).setdefault(i, []).append(m)
 
     def refuse(*args):
         raise AssertionError("a pool formed an element of Hol(M)")
@@ -306,6 +312,6 @@ def test_hol_pools_hold_the_pairs_of_each_shape(spec, monkeypatch):
     monkeypatch.setattr(hgs, "_compose", refuse)
     top = max(order for order, _ in want)
     for shapes in (set(want), {s for s in want if s[0] == top}):
-        pools = _hol_pools(M, auts, shapes)
+        pools = _hol_pools(M, shapes)
         assert {s: list(pools[s].items()) for s in pools} == \
             {s: list(want[s].items()) for s in shapes}

@@ -31,6 +31,7 @@ import pytest
 
 from hgslab import (
     ClosureCapExceeded,
+    InvalidSpec,
     all_subgroups,
     build_group,
     catalog_specs,
@@ -178,13 +179,19 @@ def _normal_by_scan(G, s):
 
 def test_is_normal_equals_the_full_conjugation_scan():
     # every subgroup of every catalog group of order 24 or less, and seeded
-    # sets holding 0 that need not be subgroups
+    # sets holding 0 that need not be subgroups: Subgroup refuses those that
+    # are not closed, and the closed ones join the scan
     rng = random.Random(20261019)
     for spec in [str(g) for n in range(1, 25) for g in catalog_specs(n)]:
         G = build_group(spec)
         sets = list(all_subgroups(G))
-        sets += [Subgroup(G, {0, *rng.sample(range(G.order), G.order // 3)})
-                 for _ in range(4)]
+        for _ in range(4):
+            ids = {0, *rng.sample(range(G.order), G.order // 3)}
+            if subgroup_closure(G, ids).element_set == ids:
+                sets.append(Subgroup(G, ids))
+            else:
+                with pytest.raises(InvalidSpec, match="not closed"):
+                    Subgroup(G, ids)
         for s in sets:
             assert s.is_normal() == _normal_by_scan(G, s), (spec, s)
 
