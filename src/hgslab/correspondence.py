@@ -135,7 +135,9 @@ def _transport_matches(G, lat1: RealizableLattice,
     First rho(g) N rho(g)^-1 = N2 for the two structures, decided on N's
     generators (equal orders make inclusion equality).  Then a member p of
     a P goes to the member of N2 that sends 0 to rho(g)(p(rho(g)^-1(0))),
-    so each P is compared with lat2's entries by the ids {p(0)}.
+    so each P is compared with lat2's entries by the ids {p(0)}.  For a
+    lat2 entry (P, U) those ids are U's elements: _fixed refuses any U whose
+    order is not |P|, and U holds the orbit {p(0)}, so U.element_set is read.
     """
     rho_g, rho_ginv = rho_embed(G, g), rho_embed(G, G.inverse[g])
     N, N2 = lat1.structure, lat2.structure
@@ -149,8 +151,8 @@ def _transport_matches(G, lat1: RealizableLattice,
         transported[key] = tuple(sorted(phi[u] for u in U.elements))
     if len(transported) != len(lat2.entries):
         return False
-    for P, U in lat2:
-        want = transported.get(frozenset(p[0] for p in P.elements))
+    for _, U in lat2:
+        want = transported.get(U.element_set)
         if want is None or want != U.elements:
             return False
     return True

@@ -15,12 +15,15 @@ enumerate_hgs is the case T = {e}.
 _structure certifies each element set once per group while a caller holds
 the result (a weak per-group memo), so inventories, rho-orbits and abelian
 map structures share one object per set; it is handed out again only under
-the same type label, and caller-supplied generators never enter it.  A
-structure derived from a regular group already held, an enumerated or
-embedded b^-1 . lambda(M) . b or a rho-conjugate of N's own table, comes
-from _relabel: its members arrive in eta order with their orders, and the
-generators are picked only when the memo has no live structure for the set.
-Sets from elsewhere go through PermGroup, which checks their closure.
+the same type label, and caller-supplied generators never enter it.  Each
+structure it certifies is also filed under its probe, its members at the
+ids of G's generating set (_probes), so rho finds a live conjugate from k
+members of it instead of all n.  A structure derived from a regular group
+already held, an enumerated or embedded b^-1 . lambda(M) . b or a
+rho-conjugate of N's own table that is not live, comes from _relabel: its
+members arrive in eta order with their orders, and the generators are
+picked only when the memo has no live structure for the set.  Sets from
+elsewhere go through PermGroup, which checks their closure.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import Counter
+from functools import cache
 from operator import eq, getitem
 from typing import Optional, Sequence
 
@@ -200,29 +204,52 @@ def _live(G: FiniteGroup) -> weakref.WeakValueDictionary:
     return G._memo("structures", weakref.WeakValueDictionary)
 
 
+def _probes(G: FiniteGroup) -> weakref.WeakValueDictionary:
+    """{probe: structure} for the structures _structure certified on G and a
+    caller still holds, each filed under its _probe when certified; two
+    structures may share a probe, and the later one is filed."""
+    return G._memo("probes", weakref.WeakValueDictionary)
+
+
+def _probe(N: RegularSubgroup) -> tuple:
+    """N's members at the ids of G's generating set, a key of k members
+    (k = |generating set|) for looking N up among the live structures."""
+    return tuple(map(N.eta.__getitem__, N.group.generating_set()))
+
+
 def _structure(G: FiniteGroup, key, perms, type_label=None) -> RegularSubgroup:
     """The structure on G with element set key: the live one if its label
     still equals type_label (type_of may have filled it in), else a fresh
-    one certified from perms(), which replaces it in the memo."""
+    one certified from perms(), which replaces it in the memo and is filed
+    under its probe."""
     live = _live(G)
     N = live.get(key)
     if N is None or N._type_label != type_label:
         N = live[key] = certify(G, perms(), type_label=type_label)
+        _probes(G)[_probe(N)] = N
     return N
+
+
+def _relabel_members(rows: Sequence[tuple], b, binv, ids) -> list:
+    """The members i in ids of b^-1 . rows . b, given binv = b^-1: member i,
+    b^-1 . rows[b(i) . b(0)^-1] . b, is the one sending 0 to i.  One gather
+    per id, so a few ids cost a few gathers, not a whole relabel."""
+    c = rows[b[0]].index(0)  # b(0)^-1
+    return _conjugate_all((rows[rows[b[i]][c]] for i in ids), binv, b)
 
 
 def _relabel(rows: Sequence[tuple], orders, b: Sequence[int]) -> tuple:
     """(element set, perms) of b^-1 . rows . b: rows is a regular group's
     table (rows[m][0] = m), orders() gives its element orders and b is a
-    bijection onto its points.  Member i, b^-1 . rows[b(i) . b(0)^-1] . b,
-    sends 0 to i; perms() picks from those orders what PermGroup would."""
+    bijection onto its points.  Its members come from _relabel_members in
+    eta order; perms() picks from those orders what PermGroup would."""
     if sorted(b) != list(range(len(rows))):
         raise NotRegular("the base point map is not a bijection onto the points")
-    c = rows[b[0]].index(0)  # b(0)^-1
-    eta = _conjugate_all((rows[rows[x][c]] for x in b), _invert(b), b)
+    eta = _relabel_members(rows, b, _invert(b), range(len(rows)))
 
     def perms() -> PermGroup:
         order = orders().__getitem__
+        c = rows[b[0]].index(0)  # b(0)^-1
         gens, _ = _order_walk(eta, [order(rows[x][c]) for x in b])
         return PermGroup._generated_by(eta, [eta[g] for g in gens or (0,)])
 
@@ -457,29 +484,39 @@ def enumerate_hgs(
 BRUTE_FORCE_LIMIT = 8
 
 
-def stable_regular_subgroups(lgens: Sequence[tuple]) -> dict:
-    """Every regular subgroup of Perm(d) normalized by the permutations lgens.
+@cache
+def _regular_scan(d: int) -> tuple:
+    """((element set, spec), ...) of every regular subgroup of Perm(d), the
+    spec being the first catalog type whose scan met the set, in the order
+    met; memoized for the degrees the scan serves (see
+    stable_regular_subgroups).
 
-    d = len(lgens[0]).  Every regular subgroup equals b . lambda_M . b^-1 for
-    its own abstract type M and the bijection b(m) = eta_m[0], which fixes
-    0; so scanning the bijections with b(0) = 0 over all catalog types of
-    degree d is exhaustive.  Returns {element set: catalog spec}, the spec
-    being the first type whose scan met the set.  Only sensible for d <= 8.
+    Every regular subgroup equals b . lambda_M . b^-1 for its own abstract
+    type M and the bijection b(m) = eta_m[0], which fixes 0; so scanning
+    the bijections with b(0) = 0 over all catalog types of degree d is
+    exhaustive.
     """
-    d = len(lgens[0])
-    pairs = [(q, _invert(q)) for q in lgens]
     found: dict = {}
-    seen: set = set()
     for spec in catalog_specs(d):
         table = build_group(spec).table
         for rest in itertools.permutations(range(1, d)):
             b = (0,) + rest
-            key = frozenset(_conjugate_all(table, b, _invert(b)))
-            if key not in seen:
-                seen.add(key)
-                if _escape(pairs, key, key) is None:
-                    found[key] = spec
-    return found
+            found.setdefault(frozenset(_conjugate_all(table, b, _invert(b))), spec)
+    return tuple(found.items())
+
+
+def stable_regular_subgroups(lgens: Sequence[tuple]) -> dict:
+    """Every regular subgroup of Perm(d) normalized by the permutations lgens.
+
+    d = len(lgens[0]).  Returns {element set: catalog spec} in the order of
+    _regular_scan, the spec being the first type whose scan met the set.
+    The scan of each degree up to BRUTE_FORCE_LIMIT is made once and kept;
+    only the stability filter runs per call.  Only sensible for d <= 8.
+    """
+    d = len(lgens[0])
+    scan = _regular_scan(d) if d <= BRUTE_FORCE_LIMIT else _regular_scan.__wrapped__(d)
+    pairs = [(q, _invert(q)) for q in lgens]
+    return {key: spec for key, spec in scan if _escape(pairs, key, key) is None}
 
 
 def brute_force_inventory(G: FiniteGroup) -> HgsInventory:

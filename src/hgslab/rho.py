@@ -9,11 +9,15 @@ for which rho(h) normalizes N, checked on N's generators; the elements
 reaching a member M form a coset t . Stab, so walking G in order and
 skipping the cosets already met gives each member once, carried by the least
 element of its coset.  N_g is N's own table eta relabelled by
-b = rho(g)^-1 = rho(g^-1), and members and conjugates come from
-hgs._relabel through hgs._structure: a set that a live structure already
-holds, such as an inventory member, is that same object rather than a fresh
-certified copy, and only a fresh one reads the orders of N's members, walked
-once per search, and picks its generators.
+b = rho(g)^-1 = rho(g^-1), and _conjugate finds it for members and
+conjugates alike.  It forms only N_g's probe, its members at the ids of
+G's generating set (k gathers of _relabel's formula, not n), and hands out
+N itself or the live structure filed under that probe (hgs._probes) once
+N's generators conjugate into it, which is exact since both have |G|
+elements.  Only a conjugate that is not live is relabelled in full by
+hgs._relabel and goes through hgs._structure: a set that a live structure
+holds is still that same object, and only a fresh one reads the orders of
+N's members, walked once per search, and picks its generators.
 
 One search serves the whole orbit.  Since (N_t)_g = N_{gt}, every member of
 an orbit has the same members, so the search only writes a record: the
@@ -37,7 +41,8 @@ from typing import Optional
 
 from .errors import InvariantError
 from .groups import Subgroup, _check_id, _cycle_at_0, _join, subgroup_closure
-from .hgs import HgsInventory, RegularSubgroup, _live, _relabel, _structure, opposite
+from .hgs import (HgsInventory, RegularSubgroup, _live, _probe, _probes, _relabel,
+                  _relabel_members, _structure, opposite)
 from .perms import _escape, rho_embed
 
 
@@ -57,11 +62,36 @@ def _recorded(N: RegularSubgroup) -> Optional[tuple]:
     return members, member_of, t
 
 
+def _conjugate(N: RegularSubgroup, g: int, orders) -> tuple:
+    """(element set, make) of N_g = rho(g) . N . rho(g)^-1, make() giving
+    what relabelling N's table by b = rho(g^-1) gives: N itself when N_g is
+    N, else _structure of N_g's set under N's label.
+
+    N_g's probe is k gathers of _relabel_members.  N, and else the
+    structure filed under that probe, is N_g exactly when the probes agree
+    and N's generators conjugate into it (_is_conjugate).  The filed one is
+    taken only as _structure would take it: while it is the live structure
+    of its set and carries N's label.  Only on a miss is N's whole table
+    relabelled.
+    """
+    G = N.group
+    b = rho_embed(G, G.inverse[g])
+    probe = tuple(_relabel_members(N.eta, b, rho_embed(G, g), G.generating_set()))
+    if probe == _probe(N) and _is_conjugate(N, g, N):
+        return N.perms.element_set, lambda: N
+    M = _probes(G).get(probe)
+    if (M is not None and _live(G).get(M.perms.element_set) is M
+            and M._type_label == N._type_label and _is_conjugate(N, g, M)):
+        return M.perms.element_set, lambda: M
+    key, perms = _relabel(N.eta, orders, b)
+    return key, lambda: _structure(G, key, perms, N._type_label)
+
+
 def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     """The structure rho(g) . N . rho(g)^-1, certified (or the live one).
 
     With a valid orbit record, N = N'_t for its search base N', it is
-    member member_of[g t]; otherwise N's table is relabelled by rho(g^-1).
+    member member_of[g t]; otherwise _conjugate finds it.
     """
     G = N.group
     _check_id(G, g)
@@ -69,9 +99,7 @@ def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
     if record:
         members, member_of, t = record
         return members[member_of[G.table[g][t]]]
-    key, perms = _relabel(N.eta, lambda: tuple(map(_cycle_at_0, N.eta)),
-                          rho_embed(G, G.inverse[g]))
-    return N if key == N.perms.element_set else _structure(G, key, perms, N._type_label)
+    return _conjugate(N, g, lambda: tuple(map(_cycle_at_0, N.eta)))[1]()
 
 
 def _is_conjugate(N: RegularSubgroup, g: int, M: RegularSubgroup) -> bool:
@@ -157,11 +185,11 @@ def _normalizers(N: RegularSubgroup) -> set:
 
 
 def _orbit_search(N: RegularSubgroup) -> tuple:
-    """(found, member_of) of N's orbit: {element set: perms} of the
-    conjugates in the order met, each N's table relabelled by rho(g^-1), and
-    member_of[x], the index in found of N_x.  G is walked in order; each
-    element not yet placed is the least of its coset g . Stab, Stab from
-    _normalizers, and carries the next conjugate to the whole coset."""
+    """(found, member_of) of N's orbit: {element set: make} of the
+    conjugates in the order met, from _conjugate, and member_of[x], the
+    index in found of N_x.  G is walked in order; each element not yet
+    placed is the least of its coset g . Stab, Stab from _normalizers, and
+    carries the next conjugate to the whole coset; the coset of 0 gives N."""
     G, table = N.group, N.group.table
     orders = cache(lambda: tuple(map(_cycle_at_0, N.eta)))
     fixing = _normalizers(N)
@@ -170,20 +198,17 @@ def _orbit_search(N: RegularSubgroup) -> tuple:
         if member_of[g] is None:
             for h in fixing:
                 member_of[table[g][h]] = len(found)
-            found.setdefault(*_relabel(N.eta, orders, rho_embed(G, G.inverse[g])))
+            found.setdefault(*_conjugate(N, g, orders))
     if len(found) * len(fixing) != G.order:
         raise InvariantError("two cosets of the stabilizer give one conjugate")
     return found, member_of
 
 
-def _stamp(N: RegularSubgroup, found: dict, member_of: list) -> tuple:
-    """Sort a search's members, certified or live, canonically and leave
-    (keys, member_of, t) on each member N_t; returns N's record, t = 0."""
-    G = N.group
-    found = [
-        N if key == N.perms.element_set else _structure(G, key, perms, N._type_label)
-        for key, perms in found.items()
-    ]
+def _stamp(found: dict, member_of: list) -> tuple:
+    """Make a search's members, live or certified, sort them canonically
+    and leave (keys, member_of, t) on each member N_t; returns the record of
+    the search's base N, t = 0."""
+    found = [make() for make in found.values()]
     order = sorted(range(len(found)), key=lambda i: found[i].canonical_key())
     members = [found[i] for i in order]
     rank = {i: r for r, i in enumerate(order)}
@@ -212,7 +237,7 @@ def _read_orbit(N: RegularSubgroup, members: list, member_of: tuple, t: int):
 def rho_orbit(N: RegularSubgroup) -> RhoOrbit:
     """Orbit of N under conjugation by all right translations: read off N's
     record, or off the one a fresh search leaves when N has no valid one."""
-    return _read_orbit(N, *(_recorded(N) or _stamp(N, *_orbit_search(N))))
+    return _read_orbit(N, *(_recorded(N) or _stamp(*_orbit_search(N))))
 
 
 def rho_partition(inventory: HgsInventory) -> list:
@@ -235,7 +260,7 @@ def rho_partition(inventory: HgsInventory) -> list:
                 "a conjugate left the inventory; pass a complete inventory"
             )
         consumed.update(found)
-        orbits.append(_read_orbit(s, *(record or _stamp(s, found, member_of))))
+        orbits.append(_read_orbit(s, *(record or _stamp(found, member_of))))
     return orbits
 
 

@@ -45,7 +45,8 @@ from hgslab import (
     UnsupportedOrder,
 )
 from hgslab.groups import _generator_maps, automorphisms
-from hgslab.hgs import stable_regular_subgroups
+from hgslab.hgs import _regular_scan, stable_regular_subgroups
+from hgslab.perms import _conjugate_all, _escape, _invert
 from hgslab.verify import (
     dihedral_fpf_pair,
     dihedral_two_generator_family,
@@ -321,6 +322,41 @@ def test_coset_search_equals_bijection_scan():
             pairs += 1
     assert pairs == 98
     assert time.perf_counter() - start < 30
+
+
+def _scan_per_call(lgens) -> dict:
+    """The bijection scan made afresh for one call: every type of degree d
+    conjugated by every bijection fixing 0, each set kept with the first
+    type that met it if lgens normalize it."""
+    d = len(lgens[0])
+    pairs = [(q, _invert(q)) for q in lgens]
+    found, seen = {}, set()
+    for spec in catalog_specs(d):
+        table = build_group(spec).table
+        for rest in itertools.permutations(range(1, d)):
+            b = (0,) + rest
+            key = frozenset(_conjugate_all(table, b, _invert(b)))
+            if key not in seen:
+                seen.add(key)
+                if _escape(pairs, key, key) is None:
+                    found[key] = spec
+    return found
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:1", "cyclic:2", "sym:3", "elemab:2:2", "cyclic:5", "dihedral:3",
+    "cyclic:7", "dihedral:4", "quaternion:8",
+])
+def test_kept_degree_scan_equals_a_scan_per_call(spec):
+    # same sets, same first spec for each, same order, and one scan of the
+    # degree serves every later call
+    G = build_group(spec)
+    lgens = [G.table[g] for g in G.generating_set()] or [G.table[0]]
+    want = list(_scan_per_call(lgens).items())
+    assert list(stable_regular_subgroups(lgens).items()) == want
+    hits = _regular_scan.cache_info().hits
+    assert list(stable_regular_subgroups(lgens).items()) == want
+    assert _regular_scan.cache_info().hits == hits + 1
 
 
 # canonical hashes of the one structure per pair, as found by the Sylow

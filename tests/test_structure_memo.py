@@ -88,9 +88,14 @@ def test_memo_is_empty_once_its_structures_are_dropped():
         realizable_lattice(N)
         assert all(lattice_transport_check(N, g) for g in range(G.order))
     assert len(G._derived["structures"]) == len(inv)
+    probes = G._derived["probes"]
+    assert 0 < len(probes) <= len(inv)
+    assert all(M is G._derived["structures"][M.perms.element_set]
+               for M in probes.values())
     del inv, orbits, N
     gc.collect()
     assert len(G._derived["structures"]) == 0
+    assert len(probes) == 0
 
 
 def test_labelled_structure_is_not_handed_to_an_unlabelled_lookup():
