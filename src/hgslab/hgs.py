@@ -17,8 +17,9 @@ the result (a weak per-group memo), so inventories, rho-orbits and abelian
 map structures share one object per set; it is handed out again only under
 the same type label, and caller-supplied generators never enter it.  Each
 structure it certifies is also filed under its probe, its members at the
-ids of G's generating set (_probes), so rho finds a live conjugate from k
-members of it instead of all n.  A structure derived from a regular group
+ids of G's generating set (_probes), so rho finds a live conjugate from
+those k members of it (_conjugate_probe, O(k n) work) instead of all n
+(O(n^2)).  A structure derived from a regular group
 already held, an enumerated or embedded b^-1 . lambda(M) . b or a
 rho-conjugate of N's own table that is not live, comes from _relabel: its
 members arrive in eta order with their orders, and the generators are
@@ -217,6 +218,12 @@ def _probe(N: RegularSubgroup) -> tuple:
     return tuple(map(N.eta.__getitem__, N.group.generating_set()))
 
 
+def _conjugate_probe(N: RegularSubgroup, b, binv) -> tuple:
+    """The _probe of b^-1 . N . b, given binv = b^-1: _relabel_members of N's
+    table at the ids _probe reads, so the two keys always agree."""
+    return tuple(_relabel_members(N.eta, b, binv, N.group.generating_set()))
+
+
 def _structure(G: FiniteGroup, key, perms, type_label=None) -> RegularSubgroup:
     """The structure on G with element set key: the live one if its label
     still equals type_label (type_of may have filled it in), else a fresh
@@ -232,8 +239,9 @@ def _structure(G: FiniteGroup, key, perms, type_label=None) -> RegularSubgroup:
 
 def _relabel_members(rows: Sequence[tuple], b, binv, ids) -> list:
     """The members i in ids of b^-1 . rows . b, given binv = b^-1: member i,
-    b^-1 . rows[b(i) . b(0)^-1] . b, is the one sending 0 to i.  One gather
-    per id, so a few ids cost a few gathers, not a whole relabel."""
+    b^-1 . rows[b(i) . b(0)^-1] . b, is the one sending 0 to i.  One scan of
+    a row finds b(0)^-1, then each id costs one member of n points, so k ids
+    cost O(k n) against a whole relabel's O(n^2)."""
     c = rows[b[0]].index(0)  # b(0)^-1
     return _conjugate_all((rows[rows[b[i]][c]] for i in ids), binv, b)
 
@@ -488,8 +496,7 @@ BRUTE_FORCE_LIMIT = 8
 def _regular_scan(d: int) -> tuple:
     """((element set, spec), ...) of every regular subgroup of Perm(d), the
     spec being the first catalog type whose scan met the set, in the order
-    met; memoized for the degrees the scan serves (see
-    stable_regular_subgroups).
+    met; memoized per degree.
 
     Every regular subgroup equals b . lambda_M . b^-1 for its own abstract
     type M and the bijection b(m) = eta_m[0], which fixes 0; so scanning
@@ -510,11 +517,11 @@ def stable_regular_subgroups(lgens: Sequence[tuple]) -> dict:
 
     d = len(lgens[0]).  Returns {element set: catalog spec} in the order of
     _regular_scan, the spec being the first type whose scan met the set.
-    The scan of each degree up to BRUTE_FORCE_LIMIT is made once and kept;
-    only the stability filter runs per call.  Only sensible for d <= 8.
+    The scan of each degree is made once and kept; only the stability
+    filter runs per call.  Only sensible for d <= 8.
     """
     d = len(lgens[0])
-    scan = _regular_scan(d) if d <= BRUTE_FORCE_LIMIT else _regular_scan.__wrapped__(d)
+    scan = _regular_scan(d)
     pairs = [(q, _invert(q)) for q in lgens]
     return {key: spec for key, spec in scan if _escape(pairs, key, key) is None}
 

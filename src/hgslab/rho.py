@@ -11,7 +11,8 @@ skipping the cosets already met gives each member once, carried by the least
 element of its coset.  N_g is N's own table eta relabelled by
 b = rho(g)^-1 = rho(g^-1), and _conjugate finds it for members and
 conjugates alike.  It forms only N_g's probe, its members at the ids of
-G's generating set (k gathers of _relabel's formula, not n), and hands out
+G's generating set (hgs._conjugate_probe: one row scan and k members of n
+points by _relabel's formula, O(k n) against O(n^2)), and hands out
 N itself or the live structure filed under that probe (hgs._probes) once
 N's generators conjugate into it, which is exact since both have |G|
 elements.  Only a conjugate that is not live is relabelled in full by
@@ -41,8 +42,8 @@ from typing import Optional
 
 from .errors import InvariantError
 from .groups import Subgroup, _check_id, _cycle_at_0, _join, subgroup_closure
-from .hgs import (HgsInventory, RegularSubgroup, _live, _probe, _probes, _relabel,
-                  _relabel_members, _structure, opposite)
+from .hgs import (HgsInventory, RegularSubgroup, _conjugate_probe, _live, _probe,
+                  _probes, _relabel, _structure, opposite)
 from .perms import _escape, rho_embed
 
 
@@ -67,7 +68,7 @@ def _conjugate(N: RegularSubgroup, g: int, orders) -> tuple:
     what relabelling N's table by b = rho(g^-1) gives: N itself when N_g is
     N, else _structure of N_g's set under N's label.
 
-    N_g's probe is k gathers of _relabel_members.  N, and else the
+    N_g's probe comes from _conjugate_probe, O(k n) work.  N, and else the
     structure filed under that probe, is N_g exactly when the probes agree
     and N's generators conjugate into it (_is_conjugate).  The filed one is
     taken only as _structure would take it: while it is the live structure
@@ -76,7 +77,7 @@ def _conjugate(N: RegularSubgroup, g: int, orders) -> tuple:
     """
     G = N.group
     b = rho_embed(G, G.inverse[g])
-    probe = tuple(_relabel_members(N.eta, b, rho_embed(G, g), G.generating_set()))
+    probe = _conjugate_probe(N, b, rho_embed(G, g))
     if probe == _probe(N) and _is_conjugate(N, g, N):
         return N.perms.element_set, lambda: N
     M = _probes(G).get(probe)

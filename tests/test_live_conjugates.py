@@ -72,6 +72,21 @@ def test_probe_path_is_the_relabel_path_on_catalog_and_s5_maps():
     assert moved > 0
 
 
+def test_conjugate_probe_is_the_probe_of_the_conjugate():
+    # the key rho looks up is read at the ids _probe files under: member x
+    # of a regular set is its one element sending 0 to x
+    for spec in CATALOG:
+        G = build_group(spec)
+        for N in enumerate_hgs(G):
+            for g in range(G.order):
+                b = rho_embed(G, G.inverse[g])
+                key, _ = hgs._relabel(N.eta, _orders(N), b)
+                at = {p[0]: p for p in key}
+                want = tuple(at[x] for x in G.generating_set())
+                assert hgs._conjugate_probe(N, b, rho_embed(G, g)) == want
+            assert hgs._conjugate_probe(N, G.table[0], G.table[0]) == hgs._probe(N)
+
+
 def _moving_pair(spec):
     """(inventory, N, g, C) on a group of its own: C = N_g is live and is
     not N."""
