@@ -317,7 +317,8 @@ def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
         # rho(psi(h)^-1) sends m to m . psi(h), column p of the table
         elems.append(_compose(arow, columns[p]))
     try:
-        return _structure(G, frozenset(elems), lambda: PermGroup(elems))
+        # sorted, a regular set is in eta order; certify refuses any other
+        return _structure(G, sorted(elems), lambda: PermGroup(elems))
     except HgsError as exc:
         raise ConstructionError(f"abelian map construction failed: {exc}") from exc
 
@@ -491,5 +492,5 @@ def coset_stable_regular_subgroups(G: FiniteGroup, T: Subgroup) -> list:
     d = cs.degree
     if not catalog_complete(d):
         raise UnsupportedOrder(f"catalog is incomplete for coset degree {d}")
-    found = _embedding_sets(cs, catalog_specs(d)).values()
-    return sorted((perms() for _, perms in found), key=PermGroup.canonical_key)
+    found = _embedding_sets(cs, catalog_specs(d))
+    return sorted((perms() for _, _, perms in found), key=PermGroup.canonical_key)

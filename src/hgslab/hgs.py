@@ -12,19 +12,27 @@ spreads each partial choice along G's Cayley graph, and rejects it as soon
 as a relation of G fails or two cosets send the base point to the same m.
 enumerate_hgs is the case T = {e}.
 
-_structure certifies each element set once per group while a caller holds
-the result (a weak per-group memo), so inventories, rho-orbits and abelian
-map structures share one object per set; it is handed out again only under
-the same type label, and caller-supplied generators never enter it.  Each
-structure it certifies is also filed under its probe, its members at the
-ids of G's generating set (_probes), so rho finds a live conjugate from
-those k members of it (_conjugate_probe, O(k n) work) instead of all n
-(O(n^2)).  A structure derived from a regular group
-already held, an enumerated or embedded b^-1 . lambda(M) . b or a
-rho-conjugate of N's own table that is not live, comes from _relabel: its
-members arrive in eta order with their orders, and the generators are
-picked only when the memo has no live structure for the set.  Sets from
-elsewhere go through PermGroup, which checks their closure.
+_structure certifies each structure once per group while a caller holds
+it: a weak memo (_live) files it under its probe, its members at the ids of
+G's generating set S, so inventories, rho-orbits and abelian map structures
+share one object.  A probe names one structure (Byott's translation read
+through skew braces):
+
+    Lemma.  A G-stable regular N is generated by the lambda(x) . eta_s .
+    lambda(x)^-1, x in G and s in S.  Proof: they generate some H in N.  If
+    eta_x, eta_y are in H, so is lambda(x) . eta_y . lambda(x)^-1 . eta_x, a
+    member of N sending 0 to x y, that is eta_xy; so the x with eta_x in H
+    contain S and are closed under products: they are G, and H = N.
+
+A live structure is handed out only under the same label (_held), and to a
+set built elsewhere only when their members agree; caller-supplied
+generators never enter the memo.  rho finds a live conjugate by its probe
+(_conjugate_probe, O(k n) work) instead of its n members (O(n^2)).  A
+structure derived from a regular group already held (an enumerated or
+embedded b^-1 . lambda(M) . b, or a rho-conjugate that is not live) comes
+from _relabel: its members arrive in eta order with their orders, and the
+generators are picked only when the memo misses.  Sets from elsewhere go
+through PermGroup, which checks their closure.
 """
 
 from __future__ import annotations
@@ -200,22 +208,16 @@ def certify(
 
 
 def _live(G: FiniteGroup) -> weakref.WeakValueDictionary:
-    """{element set: structure} for the structures on G that _structure
-    certified and a caller still holds."""
+    """{probe: structure} for the structures on G that _structure certified
+    and a caller still holds; a probe names one structure (module
+    docstring), so each is filed under its own."""
     return G._memo("structures", weakref.WeakValueDictionary)
 
 
-def _probes(G: FiniteGroup) -> weakref.WeakValueDictionary:
-    """{probe: structure} for the structures _structure certified on G and a
-    caller still holds, each filed under its _probe when certified; two
-    structures may share a probe, and the later one is filed."""
-    return G._memo("probes", weakref.WeakValueDictionary)
-
-
-def _probe(N: RegularSubgroup) -> tuple:
-    """N's members at the ids of G's generating set, a key of k members
-    (k = |generating set|) for looking N up among the live structures."""
-    return tuple(map(N.eta.__getitem__, N.group.generating_set()))
+def _probe(G: FiniteGroup, eta: Sequence[tuple]) -> tuple:
+    """The members of eta at the ids of G's generating set: k members, k =
+    |generating set|, that determine a structure on G."""
+    return tuple(map(eta.__getitem__, G.generating_set()))
 
 
 def _conjugate_probe(N: RegularSubgroup, b, binv) -> tuple:
@@ -224,16 +226,21 @@ def _conjugate_probe(N: RegularSubgroup, b, binv) -> tuple:
     return tuple(_relabel_members(N.eta, b, binv, N.group.generating_set()))
 
 
-def _structure(G: FiniteGroup, key, perms, type_label=None) -> RegularSubgroup:
-    """The structure on G with element set key: the live one if its label
-    still equals type_label (type_of may have filled it in), else a fresh
-    one certified from perms(), which replaces it in the memo and is filed
-    under its probe."""
-    live = _live(G)
-    N = live.get(key)
-    if N is None or N._type_label != type_label:
-        N = live[key] = certify(G, perms(), type_label=type_label)
-        _probes(G)[_probe(N)] = N
+def _held(G: FiniteGroup, probe: tuple, type_label) -> Optional[RegularSubgroup]:
+    """The live structure filed under probe if it carries type_label (type_of
+    may have filled one in since), else None."""
+    N = _live(G).get(probe)
+    return N if N is not None and N._type_label == type_label else None
+
+
+def _structure(G: FiniteGroup, eta, perms, type_label=None) -> RegularSubgroup:
+    """The structure on G whose members in eta order are eta: the one _held
+    under its probe if its members are these, else a fresh one certified
+    from perms() and filed in its place."""
+    probe = _probe(G, eta)
+    N = _held(G, probe, type_label)
+    if N is None or N.eta != tuple(eta):
+        N = _live(G)[probe] = certify(G, perms(), type_label=type_label)
     return N
 
 
@@ -247,7 +254,7 @@ def _relabel_members(rows: Sequence[tuple], b, binv, ids) -> list:
 
 
 def _relabel(rows: Sequence[tuple], orders, b: Sequence[int]) -> tuple:
-    """(element set, perms) of b^-1 . rows . b: rows is a regular group's
+    """(eta, perms) of b^-1 . rows . b: rows is a regular group's
     table (rows[m][0] = m), orders() gives its element orders and b is a
     bijection onto its points.  Its members come from _relabel_members in
     eta order; perms() picks from those orders what PermGroup would."""
@@ -261,7 +268,7 @@ def _relabel(rows: Sequence[tuple], orders, b: Sequence[int]) -> tuple:
         gens, _ = _order_walk(eta, [order(rows[x][c]) for x in b])
         return PermGroup._generated_by(eta, [eta[g] for g in gens or (0,)])
 
-    return frozenset(eta), perms
+    return eta, perms
 
 
 def opposite(N: RegularSubgroup) -> RegularSubgroup:
@@ -438,17 +445,17 @@ def _regular_embeddings(cs: CosetSpace, M: FiniteGroup):
                            owner=(cs.degree, cs.coset_of))
 
 
-def _embedding_sets(cs: CosetSpace, specs: Sequence[GroupSpec]) -> dict:
-    """{element set: (spec, perms)} from _relabel over the regular subgroups
-    of Perm(G/T) that the translations of G normalize, of a type in specs;
-    b is the m of each coset representative's image."""
-    found: dict = {}
+def _embedding_sets(cs: CosetSpace, specs: Sequence[GroupSpec]) -> list:
+    """[(spec, eta, perms)] from _relabel, one for each regular subgroup of
+    Perm(G/T) of a type in specs that the translations of G normalize: b is
+    the m of each coset representative's image, and distinct classes of
+    embeddings give distinct subgroups (Byott), so none repeats."""
+    found = []
     for spec in specs:
         M = build_group(spec)
         for beta in _regular_embeddings(cs, M):
             b = [beta[r] % M.order for r in cs.representatives]
-            key, perms = _relabel(M.table, lambda M=M: M.element_orders, b)
-            found.setdefault(key, (spec, perms))
+            found.append((spec, *_relabel(M.table, lambda M=M: M.element_orders, b)))
     return found
 
 
@@ -458,7 +465,7 @@ def enumerate_hgs(
     """All G-stable regular subgroups of Perm(G), optionally of one type.
 
     _embedding_sets over the cosets of the trivial subgroup, which are the
-    elements of G, finds the element sets; each one is certified.
+    elements of G, finds the structures; each one is certified.
     Requires a catalog-complete order unless a type filter narrows the
     search; the completeness flag on the result reflects that.
     """
@@ -480,8 +487,7 @@ def enumerate_hgs(
         complete = False
 
     found = _embedding_sets(CosetSpace(G, subgroup_closure(G, ())), specs)
-    structures = [_structure(G, key, perms, spec)
-                  for key, (spec, perms) in found.items()]
+    structures = [_structure(G, eta, perms, spec) for spec, eta, perms in found]
     return HgsInventory(G, structures, complete)
 
 

@@ -9,30 +9,23 @@ for which rho(h) normalizes N, checked on N's generators; the elements
 reaching a member M form a coset t . Stab, so walking G in order and
 skipping the cosets already met gives each member once, carried by the least
 element of its coset.  N_g is N's own table eta relabelled by
-b = rho(g)^-1 = rho(g^-1), and _conjugate finds it for members and
-conjugates alike.  It forms only N_g's probe, its members at the ids of
-G's generating set (hgs._conjugate_probe: one row scan and k members of n
-points by _relabel's formula, O(k n) against O(n^2)), and hands out
-N itself or the live structure filed under that probe (hgs._probes) once
-N's generators conjugate into it, which is exact since both have |G|
-elements.  Only a conjugate that is not live is relabelled in full by
-hgs._relabel and goes through hgs._structure: a set that a live structure
-holds is still that same object, and only a fresh one reads the orders of
-N's members, walked once per search, and picks its generators.
+b = rho(g)^-1 = rho(g^-1); _conjugate finds it for members and conjugates
+alike by its probe, O(k n) work (a probe names one structure: the lemma in
+hgs), and relabels N's whole table, O(n^2), only when none is live.
 
 One search serves the whole orbit.  Since (N_t)_g = N_{gt}, every member of
 an orbit has the same members, so the search only writes a record: the
-conjugates' element sets and member_of[x], the index of N_x, filled coset by
+conjugates' probes and member_of[x], the index of N_x, filled coset by
 coset as it walks G.  _stamp sorts the members canonically and leaves
 (keys, member_of, t) on each member M = N_t, and _read_orbit, the one place
 an orbit is built, reads M's orbit off that record in O(|G|) steps without
 touching a permutation: M_g = N_{gt} is member member_of[g t], and M's
 stabilizer is the set of g with member_of[g t] = member_of[t], which is
 t . Stab . t^-1.  rho_conjugate and same_conjugate read M_g off it too.
-The record is read only when it gives what a fresh search would: every
-member is still the live structure of its element set, M among them, and
-every member carries M's type label (type_of may have filled one in since).
-Otherwise the search runs again.
+The record is read only when it gives what a fresh search would: hgs._held
+still gives a structure for every member's probe and M's type label (type_of
+may have filled one in since), M itself for M's.  Otherwise the search runs
+again.
 """
 
 from __future__ import annotations
@@ -42,8 +35,8 @@ from typing import Optional
 
 from .errors import InvariantError
 from .groups import Subgroup, _check_id, _cycle_at_0, _join, subgroup_closure
-from .hgs import (HgsInventory, RegularSubgroup, _conjugate_probe, _live, _probe,
-                  _probes, _relabel, _structure, opposite)
+from .hgs import (HgsInventory, RegularSubgroup, _conjugate_probe, _held, _probe,
+                  _relabel, _structure, opposite)
 from .perms import _escape, rho_embed
 
 
@@ -53,39 +46,29 @@ def _recorded(N: RegularSubgroup) -> Optional[tuple]:
     if N._orbit is None:
         return None
     keys, member_of, t = N._orbit
-    live = _live(N.group)
-    members = [live.get(key) for key in keys]
-    label = N._type_label
-    if members[member_of[t]] is not N or any(
-        M is None or M._type_label != label for M in members
-    ):
+    members = [_held(N.group, key, N._type_label) for key in keys]
+    if members[member_of[t]] is not N or any(M is None for M in members):
         return None
     return members, member_of, t
 
 
 def _conjugate(N: RegularSubgroup, g: int, orders) -> tuple:
-    """(element set, make) of N_g = rho(g) . N . rho(g)^-1, make() giving
-    what relabelling N's table by b = rho(g^-1) gives: N itself when N_g is
-    N, else _structure of N_g's set under N's label.
-
-    N_g's probe comes from _conjugate_probe, O(k n) work.  N, and else the
-    structure filed under that probe, is N_g exactly when the probes agree
-    and N's generators conjugate into it (_is_conjugate).  The filed one is
-    taken only as _structure would take it: while it is the live structure
-    of its set and carries N's label.  Only on a miss is N's whole table
-    relabelled.
+    """(probe, make) of N_g = rho(g) . N . rho(g)^-1, make() giving what
+    relabelling N's table by b = rho(g^-1) gives.  The probe, O(k n) work
+    by _conjugate_probe, names N_g: it is N when the probes agree, else the
+    structure _held under the probe and N's label; only on a miss is N's
+    whole table relabelled, and certified by _structure.
     """
     G = N.group
     b = rho_embed(G, G.inverse[g])
     probe = _conjugate_probe(N, b, rho_embed(G, g))
-    if probe == _probe(N) and _is_conjugate(N, g, N):
-        return N.perms.element_set, lambda: N
-    M = _probes(G).get(probe)
-    if (M is not None and _live(G).get(M.perms.element_set) is M
-            and M._type_label == N._type_label and _is_conjugate(N, g, M)):
-        return M.perms.element_set, lambda: M
-    key, perms = _relabel(N.eta, orders, b)
-    return key, lambda: _structure(G, key, perms, N._type_label)
+    if probe == _probe(G, N.eta):
+        return probe, lambda: N
+    M = _held(G, probe, N._type_label)
+    if M is not None:
+        return probe, lambda: M
+    eta, perms = _relabel(N.eta, orders, b)
+    return probe, lambda: _structure(G, eta, perms, N._type_label)
 
 
 def rho_conjugate(N: RegularSubgroup, g: int) -> RegularSubgroup:
@@ -186,7 +169,7 @@ def _normalizers(N: RegularSubgroup) -> set:
 
 
 def _orbit_search(N: RegularSubgroup) -> tuple:
-    """(found, member_of) of N's orbit: {element set: make} of the
+    """(found, member_of) of N's orbit: {probe: make} of the
     conjugates in the order met, from _conjugate, and member_of[x], the
     index in found of N_x.  G is walked in order; each element not yet
     placed is the least of its coset g . Stab, Stab from _normalizers, and
@@ -214,8 +197,8 @@ def _stamp(found: dict, member_of: list) -> tuple:
     members = [found[i] for i in order]
     rank = {i: r for r, i in enumerate(order)}
     member_of = tuple(rank[i] for i in member_of)
-    # the members' own sets, so the record keeps no conjugate alive
-    keys = tuple(m.perms.element_set for m in members)
+    # the members' probes, so the record keeps no conjugate alive
+    keys = tuple(_probe(m.group, m.eta) for m in members)
     for i, member in enumerate(members):
         member._orbit = (keys, member_of, member_of.index(i))
     return members, member_of, 0
@@ -248,11 +231,11 @@ def rho_partition(inventory: HgsInventory) -> list:
     a miss means the inventory was filtered or incomplete.  It is checked
     before any member of the orbit is certified.
     """
-    keys = {s.perms.element_set for s in inventory}
+    keys = {_probe(s.group, s.eta) for s in inventory}
     consumed: set = set()
     orbits = []
     for s in inventory:
-        if s.perms.element_set in consumed:
+        if _probe(s.group, s.eta) in consumed:
             continue
         record = _recorded(s)
         found, member_of = (s._orbit[0], None) if record else _orbit_search(s)

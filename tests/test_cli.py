@@ -308,6 +308,17 @@ def test_verify_list_and_selection(capsys):
     assert "1 passed, 0 failed" in out
 
 
+def test_python_dash_m_hgslab_runs_the_cli():
+    # a bare checkout runs the CLI as `PYTHONPATH=src python -m hgslab`
+    src = str(Path(hgslab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hgslab", "verify", "--list"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert b"metacyclic-cyclic-family" in proc.stdout
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "no-such-check")
     assert code == 1

@@ -20,10 +20,13 @@ import pytest
 
 from hgslab import (
     FiniteGroup,
+    all_subgroups,
     are_isomorphic,
     automorphisms,
     build_group,
+    catalog_complete,
     catalog_specs,
+    coset_stable_regular_subgroups,
     enumerate_hgs,
     parse_spec,
 )
@@ -258,6 +261,21 @@ def test_one_embedding_per_structure():
         embeddings += len(keys)
         structures += len(set(keys))
     assert embeddings == structures == 436
+
+
+def test_one_subgroup_per_embedding_on_coset_spaces():
+    """The search keeps every embedding's subgroup as it comes, with no
+    dedup: on every coset space G/T of complete degree, T not trivial, of
+    the catalog groups of order up to 15 and 21, no subgroup comes twice."""
+    found = 0
+    for g_spec in {g for g, _ in CATALOG_PAIRS}:
+        G = build_group(g_spec)
+        for T in all_subgroups(G):
+            if T.order > 1 and catalog_complete(G.order // T.order):
+                subgroups = coset_stable_regular_subgroups(G, T)
+                assert len({P.element_set for P in subgroups}) == len(subgroups)
+                found += len(subgroups)
+    assert found == 218
 
 
 @pytest.mark.parametrize("g_spec,m_spec,count,digest", HEAVY)

@@ -1,16 +1,19 @@
 """ρ-conjugates found among the live structures by their probe.
 
 `rho._conjugate` forms only the probe of N_g = ρ(g)·N·ρ(g)⁻¹, its members
-at the ids of `G.generating_set()`, and hands out N itself or the live
-structure filed under that probe (`hgs._probes`) once N's generators
-conjugate into it.  Only on a miss does it relabel N's whole table.  The
-oracle is the relabel path itself: N's table relabelled by ρ(g⁻¹) through
-`hgs._relabel`, N when the set is N's own, else `hgs._structure` of the
-set under N's label.  The probe path must hand out that same object, for
-every structure at every g, with the probe memo full or emptied; a wrong
-structure filed under a probe must be refused, and a label mismatch must
-certify a fresh structure, as `_structure` does.
+at the ids of `G.generating_set()`, and hands out N itself when the probe
+is N's, else the live structure `hgs._held` under that probe and N's
+label.  Only on a miss does it relabel N's whole table.  The oracle is the
+relabel path itself: N's table relabelled by ρ(g⁻¹) through `hgs._relabel`,
+N when the members are N's own, else `hgs._structure` of them under N's
+label.  The probe path must hand out that same object, for every structure
+at every g, with the memo full or emptied; a twin that was never filed must
+not be handed out, a set that shares a live structure's probe but not its
+members must be certified, and a label mismatch must certify a fresh
+structure, as `_structure` does.
 """
+
+import pytest
 
 from hgslab import (
     FiniteGroup,
@@ -25,6 +28,7 @@ from hgslab import (
     type_of,
 )
 from hgslab import hgs, rho
+from hgslab.errors import HgsError
 from hgslab.groups import _cycle_at_0
 from hgslab.perms import PermGroup, rho_embed
 
@@ -38,10 +42,10 @@ def _orders(N):
 def _relabel_path(N, g):
     """N_g by relabelling N's whole table by ρ(g⁻¹)."""
     G = N.group
-    key, perms = hgs._relabel(N.eta, _orders(N), rho_embed(G, G.inverse[g]))
-    if key == N.perms.element_set:
+    eta, perms = hgs._relabel(N.eta, _orders(N), rho_embed(G, G.inverse[g]))
+    if tuple(eta) == N.eta:
         return N
-    return hgs._structure(G, key, perms, N._type_label)
+    return hgs._structure(G, eta, perms, N._type_label)
 
 
 def _probe_path(N, g):
@@ -50,15 +54,20 @@ def _probe_path(N, g):
 
 def _check_probe_path(structures):
     """On every structure at every g the probe path hands out the object
-    the relabel path does, before and after the probe memo is emptied."""
+    the relabel path does, with the memo full, and again once it is emptied,
+    when the probe path certifies and files each conjugate first."""
     G = structures[0].group
     got = [[_probe_path(N, g) for g in range(G.order)] for N in structures]
-    G._derived["probes"].clear()
     for N, row in zip(structures, got):
         for g, M in enumerate(row):
-            want = _relabel_path(N, g)
-            assert M is want
-            assert _probe_path(N, g) is want
+            assert M is _relabel_path(N, g)
+    hgs._live(G).clear()
+    for N, row in zip(structures, got):
+        for g, M in enumerate(row):
+            again = _probe_path(N, g)
+            assert again is _relabel_path(N, g)
+            assert (again is N) == (M is N)
+            assert again.to_json() == M.to_json()
     return sum(M is not N for row in got for M in row)
 
 
@@ -80,11 +89,12 @@ def test_conjugate_probe_is_the_probe_of_the_conjugate():
         for N in enumerate_hgs(G):
             for g in range(G.order):
                 b = rho_embed(G, G.inverse[g])
-                key, _ = hgs._relabel(N.eta, _orders(N), b)
-                at = {p[0]: p for p in key}
+                eta, _ = hgs._relabel(N.eta, _orders(N), b)
+                at = {p[0]: p for p in eta}
                 want = tuple(at[x] for x in G.generating_set())
                 assert hgs._conjugate_probe(N, b, rho_embed(G, g)) == want
-            assert hgs._conjugate_probe(N, G.table[0], G.table[0]) == hgs._probe(N)
+            unmoved = hgs._conjugate_probe(N, G.table[0], G.table[0])
+            assert unmoved == hgs._probe(G, N.eta)
 
 
 def _moving_pair(spec):
@@ -109,25 +119,33 @@ def _counted(monkeypatch, N, g):
         return _probe_path(N, g), len(calls)
 
 
-def test_a_wrong_structure_under_a_probe_is_refused(monkeypatch):
+def test_a_twin_never_filed_is_not_handed_out(monkeypatch):
     inv, N, g, C = _moving_pair("metacyclic:7:3:2")
-    G, probe = N.group, hgs._probe(C)
-    assert hgs._probes(G)[probe] is C
+    G, probe = N.group, hgs._probe(N.group, C.eta)
+    assert hgs._live(G)[probe] is C
     got, relabels = _counted(monkeypatch, N, g)
     assert got is C and relabels == 0
-    # another live structure with N's label filed under C's probe is not
-    # N_g: N's generators do not conjugate into it
-    wrong = next(M for M in inv if M is not C and M is not N
-                 and M.type_label == N.type_label)
-    hgs._probes(G)[probe] = wrong
-    got, relabels = _counted(monkeypatch, N, g)
-    assert got is C and relabels == 1
-    # a twin of C that is not the live structure of its set is not handed out
+    # a twin of C certified outside the memo is not the live structure of
+    # its probe, and neither the probe path nor _structure hands it out
     twin = certify(G, PermGroup(C.perms.element_set), C.type_label)
-    hgs._probes(G)[probe] = twin
     got, relabels = _counted(monkeypatch, N, g)
-    assert got is C and relabels == 1
-    assert rho_conjugate(N, g) is C and hgs._live(G)[C.perms.element_set] is C
+    assert got is C and got is not twin and relabels == 0
+    assert rho_conjugate(N, g) is C and hgs._live(G)[probe] is C
+    assert hgs._structure(G, twin.eta, None, C.type_label) is C
+
+
+def test_a_set_sharing_a_probe_is_compared_member_by_member():
+    # a set built outside the search may share a live structure's probe
+    # without being it; _structure must certify it, not hand out the live one
+    inv, _, _, C = _moving_pair("metacyclic:7:3:2")
+    G = C.group
+    x = next(x for x in range(1, G.order) if x not in G.generating_set())
+    eta = list(C.eta)
+    eta[x] = eta[0]
+    assert hgs._probe(G, eta) == hgs._probe(G, C.eta)
+    with pytest.raises(HgsError):
+        hgs._structure(G, eta, lambda: PermGroup(eta), C.type_label)
+    assert hgs._live(G)[hgs._probe(G, C.eta)] is C
 
 
 def test_a_label_mismatch_certifies_a_fresh_structure():
@@ -137,15 +155,15 @@ def test_a_label_mismatch_certifies_a_fresh_structure():
         _probe_path(N, g) is not N for g in range(G.order)))
     g = next(g for g in range(G.order) if _probe_path(N, g) is not N)
     C = _probe_path(N, g)
-    assert C.type_label is None and hgs._probes(G)[hgs._probe(C)] is C
+    probe = hgs._probe(G, C.eta)
+    assert C.type_label is None and hgs._live(G)[probe] is C
     label = type_of(N)
     got = rho_conjugate(N, g)
     assert got is not C and got.type_label == label
     fresh = certify(G, PermGroup(C.perms.element_set), label)
     assert got.to_json() == fresh.to_json()
-    # the fresh one replaced C in both memos, so it is handed out again
-    assert hgs._live(G)[C.perms.element_set] is got
-    assert hgs._probes(G)[hgs._probe(got)] is got
+    # the fresh one replaced C in the memo, so it is handed out again
+    assert hgs._live(G)[probe] is got
     assert rho_conjugate(N, g) is got
 
 

@@ -52,7 +52,7 @@ from hgslab.perms import (
     _invert,
     rho_embed,
 )
-from hgslab import rho
+from hgslab import hgs, rho
 from hgslab.rho import RhoOrbit, _is_conjugate
 from hgslab.verify import metacyclic_base_structure
 
@@ -69,6 +69,13 @@ def _conjugate_set(N, g) -> frozenset:
 def _scan_conjugates(N):
     """N_g as an element set for every g, from the whole conjugate."""
     return [_conjugate_set(N, g) for g in range(N.group.order)]
+
+
+def _probe_of(G, key):
+    """The members of a regular element set that send 0 to the ids of G's
+    generating set."""
+    at = {p[0]: p for p in key}
+    return tuple(at[x] for x in G.generating_set())
 
 
 def _scan_orbit(N, conjugates=None):
@@ -182,11 +189,13 @@ def _check_record_reads(structures, monkeypatch):
         patch.setattr(rho, "_is_conjugate", refuse)
         for N, keys in zip(structures, conjugates):
             assert rho._recorded(N) is not None
-            live = rho._live(N.group)
+            live = hgs._live(N.group)
             first = {}
             for g, key in enumerate(keys):
                 first.setdefault(key, g)
-                want = N if key == N.perms.element_set else live[key]
+                own = key == N.perms.element_set
+                want = N if own else live[_probe_of(N.group, key)]
+                assert want.perms.element_set == key
                 assert rho_conjugate(N, g) is want
             for M in structures:
                 got = same_conjugate(N, M)

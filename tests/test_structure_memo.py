@@ -1,14 +1,14 @@
 """The per-group memo of live structures and the column table of rho_embed.
 
-`hgs._structure` hands out the live structure certified for an element set
-instead of certifying it again, and `rho_conjugate`, the rho-orbits,
+`hgs._structure` hands out the live structure filed under a set's probe,
+when its members are the set's, instead of certifying it again, and `rho_conjugate`, the rho-orbits,
 `enumerate_hgs` and `hgs_from_abelian_map` go through it.  The memo must
 not be visible in any result: every conjugate has the `to_json()` of a
 freshly certified copy, a structure whose label `type_of` has filled in is
 never handed to a caller asking for no label, and the memo holds nothing
 once its structures are dropped.  The orbit records that `rho_orbit` leaves
 on the members are read only while every member is the live structure of
-its set, so the same holds for orbits read off a record.
+its probe, so the same holds for orbits read off a record.
 
 Structures derived from a regular group already held, the enumerated and
 embedded b^-1 . lambda(M) . b and the rho-conjugates, are built by
@@ -46,7 +46,7 @@ from hgslab import (
     to_hol_embedding,
     type_of,
 )
-from hgslab import perms
+from hgslab import hgs, perms
 from hgslab.perms import PermGroup, _compose, _conjugate_all, _invert, rho_embed
 
 CATALOG = [str(g) for n in list(range(1, 16)) + [21] for g in catalog_specs(n)]
@@ -87,15 +87,12 @@ def test_memo_is_empty_once_its_structures_are_dropped():
     for N in inv:
         realizable_lattice(N)
         assert all(lattice_transport_check(N, g) for g in range(G.order))
-    assert len(G._derived["structures"]) == len(inv)
-    probes = G._derived["probes"]
-    assert 0 < len(probes) <= len(inv)
-    assert all(M is G._derived["structures"][M.perms.element_set]
-               for M in probes.values())
+    live = G._derived["structures"]
+    assert len(live) == len(inv)
+    assert all(live[hgs._probe(G, M.eta)] is M for M in inv)
     del inv, orbits, N
     gc.collect()
-    assert len(G._derived["structures"]) == 0
-    assert len(probes) == 0
+    assert len(live) == 0
 
 
 def test_labelled_structure_is_not_handed_to_an_unlabelled_lookup():
