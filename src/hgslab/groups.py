@@ -913,13 +913,18 @@ def _semidirect_table(n: int, q: int, d: int, twist: int, letters: str) -> tuple
     The pair (i, j) is the word x^i y^j, x and y named by letters, at index
     q*i + j.  Dihedral is (q, d, twist) = (2, n-1, 0), dicyclic (2, n-1, n/2)
     and metacyclic (q, d, 0).
+
+    Only the q rows (0, j) come from the formula.  As (i, j) = (i, 0).(0, j)
+    and row (i, 0) is the ids rotated by q*i, row (i, j) is that rotation
+    gathered at row (0, j), so every entry is an int of one shared
+    tuple(range(n*q)), not a fresh one per position.
     """
+    ids = tuple(range(n * q))
     powers = [pow(d, j, n) for j in range(q)]
-    table = [
-        [q * ((i + k * powers[j] + (twist if j + l >= q else 0)) % n) + (j + l) % q
-         for k in range(n) for l in range(q)]
-        for i in range(n) for j in range(q)
-    ]
+    at = [_row_getter([q * ((k * powers[j] + (twist if j + l >= q else 0)) % n)
+                       + (j + l) % q for k in range(n) for l in range(q)])
+          for j in range(q)]
+    table = [at_j(ids[q * i:] + ids[:q * i]) for i in range(n) for at_j in at]
     x, y = letters
     names = [_word_name([(x, i), (y, j)]) for i in range(n) for j in range(q)]
     return table, names

@@ -16,7 +16,9 @@ gathers, q . p . q^-1 = q . (p . q^-1), with the gather by q^-1 built once
 per conjugator (_conjugate_all).
 
 A regular set of permutations is closed as its own Cayley table, by the
-id kernels groups._order_walk and groups._acts (_greedy_generators).
+id kernels groups._order_walk and groups._acts (_greedy_generators); a set
+inside the holomorph is decided at k+1 points instead
+(constructions._holomorph_group).
 _greedy_close composes permutations; it is kept for sets without such a
 table and for generated_perm_group, under the cap of 10 * b^2 elements.
 The one stability check is _escape: the first conjugate q . p . q^-1 that

@@ -44,9 +44,12 @@ from hgslab import (
     to_hol_embedding,
     UnsupportedOrder,
 )
+import hgslab.constructions as constructions
+from hgslab.constructions import _holomorph_group
+from hgslab.errors import InvalidSpec
 from hgslab.groups import _generator_maps, automorphisms
-from hgslab.hgs import _regular_scan, stable_regular_subgroups
-from hgslab.perms import _conjugate_all, _escape, _invert
+from hgslab.hgs import _regular_scan, certify, stable_regular_subgroups
+from hgslab.perms import _conjugate_all, _escape, _invert, in_holomorph
 from hgslab.verify import (
     dihedral_fpf_pair,
     dihedral_two_generator_family,
@@ -198,6 +201,18 @@ def test_abelian_maps_refuse_a_search_past_the_limit():
     assert time.perf_counter() - start < 2
 
 
+def test_abelian_map_search_counts_candidates_modulo_the_derived_subgroup(
+        monkeypatch):
+    # a generator of sym:5 has order 6 but order 2 modulo alt:5, so its
+    # candidates are the 26 elements of order 1 or 2, not the 66 of order
+    # dividing 6
+    seen = []
+    monkeypatch.setattr(constructions, "_refuse_large_search",
+                        lambda what, cand: seen.append([len(c) for c in cand]))
+    assert len(abelian_maps(build_group("sym:5"))) == 26
+    assert seen == [[26, 26]]
+
+
 def test_abelian_map_rejects_nonabelian_image(s3):
     with pytest.raises(ConstructionError):
         AbelianMap(_identity_hom(s3))
@@ -246,6 +261,77 @@ def test_structure_from_a_non_homomorphism_is_rejected(s3):
             hgs_from_abelian_map(forged)
         rejected += 1
     assert rejected == 6 ** 5 - 10
+
+
+def _forged_maps(G, rng):
+    """Seeded image arrays that AbelianMap would refuse: maps that are not
+    homomorphisms (random, into the center, into a cyclic subgroup), and
+    homomorphisms with a nonabelian image."""
+    n, t = G.order, G.table
+    center = G.center()
+    cyclic = subgroup_closure(G, [rng.randrange(n)]).elements
+    pools = [range(n)] * 40 + [center] * 20 + [cyclic] * 20
+    forged = []
+    for pool in pools:
+        images = [rng.choice(pool) for _ in range(n)]
+        if rng.random() < 0.7:
+            images[0] = 0
+        if not is_homomorphism(G, G, images):
+            forged.append(tuple(images))
+    k = len(G.generating_set())
+    homs = [phi.images for phi in rng.sample(automorphisms(G), 2)]
+    for _ in range(100):
+        combo = [[rng.randrange(n)] for _ in range(k)]
+        homs.extend(_generator_maps(G, G, combo))
+    for images in homs:
+        image = set(images)
+        if any(t[a][b] != t[b][a] for a in image for b in image):
+            forged.append(images)
+    return forged
+
+
+def test_abelian_map_closure_agrees_with_the_full_closure_check():
+    """On forged maps, the closure check of hgs_from_abelian_map, at the
+    points 0 and G.generating_set() of Hol(G), decides as PermGroup's check
+    over every row does; a closed set gives the generators PermGroup picks
+    and the structure certify gives."""
+    rng = random.Random(20261022)
+    verdicts = []
+    for spec in ("sym:3", "dihedral:4", "quaternion:8", "alt:4", "sym:4",
+                 "metacyclic:7:3:2"):
+        G = build_group(spec)
+        t, inv, n = G.table, G.inverse, G.order
+        for images in _forged_maps(G, rng):
+            # member h, x -> h p^-1 x p for p = images[h], point by point
+            elems = [tuple(t[t[h][inv[p]]][t[x][p]] for x in range(n))
+                     for h, p in enumerate(images)]
+            try:
+                P = PermGroup(elems)
+            except InvalidSpec:
+                P = None
+            try:
+                got = _holomorph_group(G, tuple(elems))
+            except InvalidSpec:
+                got = None
+            assert (got is None) == (P is None), (spec, images)
+            forged = object.__new__(AbelianMap)  # skips AbelianMap's checks
+            forged.hom = GroupHom(G, G, images)
+            if P is None:
+                with pytest.raises(ConstructionError):
+                    hgs_from_abelian_map(forged)
+            else:
+                want = certify(G, P)
+                N = hgs_from_abelian_map(forged)
+                assert got.generators == N.perms.generators == P.generators
+                assert N.to_json() == want.to_json()
+            verdicts.append(P is not None)
+    assert verdicts.count(False) > 200 and verdicts.count(True) > 100
+
+
+def test_s5_abelian_map_members_lie_in_the_holomorph():
+    G = build_group("sym:5")
+    for am in abelian_maps(G):
+        assert all(in_holomorph(G, p) for p in hgs_from_abelian_map(am).eta)
 
 
 def test_trivial_map_gives_left_translations(s3):

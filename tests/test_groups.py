@@ -35,6 +35,7 @@ from hgslab import (
     subgroup_closure,
     type_of,
 )
+from hgslab.constructions import _derived_subgroup
 from hgslab.groups import (
     Subgroup,
     _generator_maps,
@@ -424,8 +425,17 @@ def test_backtrack_equals_the_product_scan_on_the_catalog(spec):
             assert [phi.images for phi in automorphisms(G)] == sorted(scan)
 
 
-@pytest.mark.parametrize("spec", ["sym:5", "elemab:2:4", "dihedral:12"])
+# every catalog group of orders 1-15 and 21, with sym:5, elemab:2:4 and
+# dihedral:12 beyond them
+ABELIAN_MAP_SPECS = sorted(
+    {str(s) for n in [*range(1, 16), 21] for s in catalog_specs(n)}
+    | {"sym:5", "elemab:2:4", "dihedral:12"})
+
+
+@pytest.mark.parametrize("spec", ABELIAN_MAP_SPECS)
 def test_abelian_maps_equal_the_product_scan(spec):
+    # the scan keeps every image whose order divides the generator's, so it
+    # also covers the search's pruning by the derived subgroup
     G = build_group(spec)
     orders, t = G.element_orders, G.table
     cand = [[x for x in range(G.order) if orders[g] % orders[x] == 0]
@@ -433,6 +443,14 @@ def test_abelian_maps_equal_the_product_scan(spec):
     commute = lambda combo: all(t[a][b] == t[b][a] for a in combo for b in combo)
     assert [m.images for m in abelian_maps(G)] == sorted(
         _product_scan(G, G, cand, commute))
+
+
+@pytest.mark.parametrize("spec", ABELIAN_MAP_SPECS)
+def test_derived_subgroup_is_the_closure_of_every_commutator(spec):
+    G = build_group(spec)
+    t, inv = G.table, G.inverse
+    every = {t[t[a][b]][inv[t[b][a]]] for a in range(G.order) for b in range(G.order)}
+    assert _derived_subgroup(G) == set(subgroup_closure(G, every).elements)
 
 
 def test_isomorphisms_of_the_large_elementary_abelian_rho_structures():
@@ -524,7 +542,8 @@ def test_catalog_tables_names_and_inverses_are_unchanged(family):
     assert _table_digest(specs) == want
 
 
-@pytest.mark.parametrize("text", ["elemab:2:10", "cyclic:1024"])
+@pytest.mark.parametrize(
+    "text", ["elemab:2:10", "cyclic:1024", "dihedral:512", "dicyclic:512"])
 def test_order_1024_tables_share_their_ints(text):
     # n^2 fresh ints took 32 MB; shared ones leave the 8 MB of row pointers.
     # Built around the cache, so no earlier build can make it pass.
