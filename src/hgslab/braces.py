@@ -152,8 +152,7 @@ def brace_from_subgroup(N: RegularSubgroup) -> SkewBrace:
 
 def subgroup_from_brace(B: SkewBrace) -> RegularSubgroup:
     """The star rows as a structure on the circ group; round-trips exactly."""
-    perms = PermGroup(B.star)
-    return certify(B.circ_group, perms)
+    return certify(B.circ_group, PermGroup(B.star))
 
 
 def _right_relation_at(B: SkewBrace, g: int) -> bool:
@@ -218,7 +217,7 @@ def rho_fix_criteria(B: SkewBrace, g: int) -> tuple:
     G = B.circ_group
     phi = inner_automorphism(G, g).images
     inn = (phi, inner_automorphism(G, G.inverse[g]).images)
-    normalizes = _escape([inn], N.perms.generators, N.perms.element_set) is None
+    normalizes = _escape([inn], N.generators, N) is None
     preserves = _respects(phi, B.star_group, B.star_group)
     relation = _right_relation_at(B, g)
     return normalizes, preserves, relation
@@ -301,11 +300,10 @@ def compare_braces(N1: RegularSubgroup, N2: RegularSubgroup) -> BraceComparison:
         raise ValueError("structures live on different groups")
     B1 = SkewBrace(structure_group(N1), N1.group, source=N1)
     B2 = SkewBrace(structure_group(N2), N2.group, source=N2)
-    probes, target = N1.perms.generators, N2.perms.element_set
 
     def carries(phis) -> bool:
         pairs = ((_invert(phi.images), phi.images) for phi in phis)
-        return any(_escape([pq], probes, target) is None for pq in pairs)
+        return any(_escape([pq], N1.generators, N2) is None for pq in pairs)
 
     equal = B1.star == B2.star
     isomorphic = braces_isomorphic(B1, B2) is not None

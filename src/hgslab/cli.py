@@ -39,7 +39,7 @@ from .hgs import (
     rho_structure,
     type_of,
 )
-from .perms import generated_perm_group
+from .perms import PermGroup, generated_perm_group
 from .rho import rho_orbit, rho_partition
 from .verify import check_ids, run_checks, CHECKS
 
@@ -197,12 +197,12 @@ def resolve_structure(G: FiniteGroup, ref: str, inventory=None) -> RegularSubgro
 
 
 def _inventory_index(inventory) -> dict:
-    """{element set: index} over inventory(), or {} when it cannot be built."""
+    """{structure: index} over inventory(), or {} when it cannot be built."""
     try:
         inv = inventory()
     except HgsError:
         return {}
-    return {s.perms.element_set: i for i, s in enumerate(inv)}
+    return {s: i for i, s in enumerate(inv)}
 
 
 def _type_or_none(N: RegularSubgroup) -> Optional[str]:
@@ -259,11 +259,11 @@ def cmd_hgs_enumerate(args) -> Tuple[dict, List[str]]:
 
 def cmd_hgs_rho_orbits(args) -> Tuple[dict, List[str]]:
     G, inv = _inventory_for(args)
-    index = {s.perms.element_set: i for i, s in enumerate(inv)}
+    index = {s: i for i, s in enumerate(inv)}
     orbits = rho_partition(inv)
     rows = []
     for orb in orbits:
-        members = sorted(index[m.perms.element_set] for m in orb.members)
+        members = sorted(index[m] for m in orb.members)
         rows.append({
             "representative": members[0],
             "size": len(orb),
@@ -298,12 +298,12 @@ def cmd_hgs_show(args) -> Tuple[dict, List[str]]:
         "structure": N.to_json(),
         "type": _type_or_none(N),
         "abelian": N.is_abelian(),
-        "index": _inventory_index(inventory).get(N.perms.element_set),
+        "index": _inventory_index(inventory).get(N),
         "orbit_size": orb.size,
         "stabilizer_order": len(orb.stabilizer.elements),
         "translation_normalized": orb.size == 1,
         "opposite_hash": opp.canonical_hash(),
-        "self_opposite": opp.perms.element_set == N.perms.element_set,
+        "self_opposite": opp == N,
     }
     lines = [f"structure on {G.spec}",
              f"  hash: {N.canonical_hash()}",
@@ -391,7 +391,7 @@ def cmd_construct_fpf(args) -> Tuple[dict, List[str]]:
         "group": str(G.spec),
         "structure": N.to_json(),
         "type": _type_or_none(N),
-        "index": _inventory_index(_inventory_once(G)).get(N.perms.element_set),
+        "index": _inventory_index(_inventory_once(G)).get(N),
     }
     lines = [f"fixed point free pair on {G.spec} builds"
              f" hash={N.canonical_hash()} type={payload['type']}"
@@ -406,10 +406,11 @@ def cmd_construct_induced(args) -> Tuple[dict, List[str]]:
     a_candidates = coset_stable_regular_subgroups(G, T)
     t_group, t_elems = T.as_group()
     b_inventory = enumerate_hgs(t_group)
+    bs = [PermGroup._generated_by(B.eta, B.generators) for B in b_inventory]
     built = [
-        (ai, bi, induced_hgs(induced_input(G, T, S, A, Bs.perms)))
+        (ai, bi, induced_hgs(induced_input(G, T, S, A, B)))
         for ai, A in enumerate(a_candidates)
-        for bi, Bs in enumerate(b_inventory)
+        for bi, B in enumerate(bs)
     ]
     index = _inventory_index(_inventory_once(G)) if built else {}
     rows = [
@@ -418,7 +419,7 @@ def cmd_construct_induced(args) -> Tuple[dict, List[str]]:
             "subgroup_choice": bi,
             "hash": N.canonical_hash(),
             "type": _type_or_none(N),
-            "index": index.get(N.perms.element_set),
+            "index": index.get(N),
         }
         for ai, bi, N in built
     ]

@@ -5,7 +5,8 @@ same thing as an injective homomorphism of G into Hol(M) whose image acts
 regularly on M.  On top of that sit three concrete factories: fixed point
 free pairs of homomorphisms, endomorphisms with abelian image, and
 structures induced from a subgroup with a normal complement.  Every factory
-routes its output through certify, so a malformed input cannot produce an
+routes its output through hgs's certification (certify, or _certified for
+a table built in eta order), so a malformed input cannot produce an
 uncertified structure.
 """
 
@@ -36,6 +37,7 @@ from .groups import (
 )
 from .hgs import (
     RegularSubgroup,
+    _certified,
     _embedding_sets,
     _relabel,
     _structure,
@@ -187,8 +189,8 @@ def from_hol_embedding(emb: HolEmbedding) -> RegularSubgroup:
     of the target back to Perm(G) along the base point bijection
     g -> beta(g)[0], which must be a bijection G -> M (else NotRegular)."""
     M = emb.target
-    _, perms = _relabel(M.table, lambda: M.element_orders, [x[0] for x in emb.beta])
-    return certify(emb.source, perms(), type_label=M.spec)
+    eta, gens = _relabel(M.table, lambda: M.element_orders, [x[0] for x in emb.beta])
+    return _certified(emb.source, eta, gens(), type_label=M.spec)
 
 
 def embedding_conjugation_check(emb: HolEmbedding, g: int) -> bool:
@@ -330,10 +332,10 @@ def abelian_maps(G: FiniteGroup) -> list:
     return [AbelianMap(GroupHom(G, G, images)) for images in sorted(maps)]
 
 
-def _holomorph_group(G: FiniteGroup, elems: tuple) -> PermGroup:
-    """The PermGroup of elems, members of Hol(G) with elems[h][0] == h,
-    with the generators PermGroup(elems) picks; InvalidSpec, as there,
-    unless the set is closed.
+def _holomorph_group(G: FiniteGroup, elems: tuple) -> list:
+    """Generators of elems, members of Hol(G) with elems[h][0] == h: the
+    picks PermGroup(elems) makes; InvalidSpec, as there, unless the set is
+    closed.
 
     By the argument of perms._greedy_generators the set is closed exactly
     when elems[0] is the identity, the picks of _order_walk reach every id
@@ -359,7 +361,7 @@ def _holomorph_group(G: FiniteGroup, elems: tuple) -> PermGroup:
             return all(column(elems[g][s]) == at_g(col_s) for s, col_s in points)
 
         if len(reached) == n and all(map(law, gens)):
-            return PermGroup._generated_by(elems, [elems[g] for g in gens or (0,)])
+            return [elems[g] for g in gens or (0,)]
     raise InvalidSpec("set is not closed under composition")
 
 
@@ -372,8 +374,8 @@ def hgs_from_abelian_map(am: AbelianMap) -> RegularSubgroup:
     For any map psi that member is lambda(h) . inn(psi(h)^-1), an element
     of Hol(G) sending 0 to h, so the members come in eta order and
     _holomorph_group decides closure at k+1 points.  That check, and
-    certify's stability check, run only when no live structure has these
-    members.
+    the stability check of _certified, run only when no live structure has
+    these members.
     """
     G = am.group
     tm, inv, columns = G.table, G.inverse, _columns(G)
@@ -559,4 +561,5 @@ def coset_stable_regular_subgroups(G: FiniteGroup, T: Subgroup) -> list:
     if not catalog_complete(d):
         raise UnsupportedOrder(f"catalog is incomplete for coset degree {d}")
     found = _embedding_sets(cs, catalog_specs(d))
-    return sorted((perms() for _, _, perms in found), key=PermGroup.canonical_key)
+    return sorted((PermGroup._generated_by(eta, gens()) for _, eta, gens in found),
+                  key=PermGroup.canonical_key)

@@ -81,7 +81,7 @@ def fixed_subgroup(N: RegularSubgroup, P: PermGroup) -> Subgroup:
     structure that the translations normalize; the order must come out
     equal to |P|.
     """
-    if not P.element_set <= N.perms.element_set:
+    if not all(p in N for p in P.elements):
         raise CorrespondenceError("P is not a subgroup of the structure")
     if _escape(_left_translations(N.group), P.generators, P.element_set) is not None:
         raise CorrespondenceError("P is not stable under the translation action")
@@ -141,8 +141,7 @@ def _transport_matches(G, lat1: RealizableLattice,
     """
     rho_g, rho_ginv = rho_embed(G, g), rho_embed(G, G.inverse[g])
     N, N2 = lat1.structure, lat2.structure
-    if _escape([(rho_g, rho_ginv)], N.perms.generators,
-               N2.perms.element_set) is not None:
+    if _escape([(rho_g, rho_ginv)], N.generators, N2) is not None:
         return False
     phi, r0 = inner_automorphism(G, g).images, rho_ginv[0]
     transported = {}

@@ -24,19 +24,20 @@ through skew braces):
     member of N sending 0 to x y, that is eta_xy; so the x with eta_x in H
     contain S and are closed under products: they are G, and H = N.
 
-A live structure is handed out only under the same label (_held), and to a
-set built elsewhere only when their members agree; caller-supplied
-generators never enter the memo.  rho finds a live conjugate by its probe
-(_conjugate_probe, O(k n) work) instead of its n members (O(n^2)).  A
-structure derived from a regular group already held (an enumerated or
-embedded b^-1 . lambda(M) . b, or a rho-conjugate that is not live) comes
-from _relabel: its members arrive in eta order with their orders, and the
-generators are picked only when the memo misses.  Sets from elsewhere go
-through PermGroup, which checks their closure.
+So the probe is a structure's hash.  A live structure is handed out only
+under the same label (_held), and to a set built elsewhere only when their
+members agree; caller-supplied generators never enter the memo.  rho finds a
+live conjugate by its probe (_conjugate_probe, O(k n) work) instead of its n
+members (O(n^2)).  A structure derived from a regular group already held (an
+enumerated or embedded b^-1 . lambda(M) . b, or a rho-conjugate that is not
+live) comes from _relabel: its members arrive in eta order with their orders,
+and the generators are picked only when the memo misses.  Every path hands
+(eta, generators) to _certified; only certify takes a PermGroup, from outside.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import weakref
 from collections import Counter
@@ -48,6 +49,7 @@ from .errors import InvalidSpec, NotRegular, NotStable, UnknownType, Unsupported
 from .groups import (
     FiniteGroup,
     GroupSpec,
+    _columns,
     _cycle_at_0,
     _generator_maps,
     _order_walk,
@@ -68,66 +70,76 @@ from .perms import (
     _escape,
     _left_translations,
     _tuple_order,
-    lambda_image,
+    lambda_embed,
     left_translation,
-    rho_image,
+    rho_embed,
 )
 
 
 class RegularSubgroup:
-    """A certified G-stable regular subgroup of Perm(G).
+    """A certified G-stable regular subgroup of Perm(G), held as its eta table.
 
     eta[a] is the unique member sending 0 to a; this indexing doubles as the
     regularity certificate, and since eta[a] . eta[b] = eta[eta[a][b]] the
-    rows of eta are N's Cayley table.
+    rows of eta are N's Cayley table; p is a member when eta[p[0]] == p.
     """
 
     __slots__ = (
-        "group", "perms", "eta", "_type_label", "_lattice", "_orbit", "__weakref__"
+        "group", "eta", "generators", "_hash", "_type_label", "_lattice",
+        "_orbit", "__weakref__",
     )
 
-    def __init__(self, group: FiniteGroup, perms: PermGroup, eta, type_label=None):
+    def __init__(self, group: FiniteGroup, eta, generators, type_label=None):
         self.group = group
-        self.perms = perms
         self.eta = tuple(eta)
+        self.generators = tuple(generators)
+        self._hash = None  # memo of canonical_hash
         self._type_label = type_label
         self._lattice = None  # memo of correspondence.realizable_lattice
         self._orbit = None  # orbit record left by rho._stamp
 
     @property
     def order(self) -> int:
-        return self.perms.order
+        return len(self.eta)
 
     @property
     def type_label(self) -> Optional[GroupSpec]:
         return self._type_label
 
     def canonical_key(self) -> tuple:
-        return self.perms.canonical_key()
+        return self.eta  # the members in eta order, which is sorted order
 
     def canonical_hash(self) -> str:
-        return self.perms.canonical_hash()
+        if self._hash is None:
+            blob = repr(self.eta).encode()
+            self._hash = hashlib.sha256(blob).hexdigest()[:16]
+        return self._hash
+
+    def __contains__(self, p) -> bool:
+        n = len(self.eta)
+        return len(p) == n and 0 <= p[0] < n and self.eta[p[0]] == p
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RegularSubgroup)
             and self.group is other.group
-            and self.perms.element_set == other.perms.element_set
+            and self.eta == other.eta
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.perms.element_set))
+        return hash(_probe(self.group, self.eta))
 
     def __repr__(self) -> str:
         label = str(self._type_label) if self._type_label else "?"
         return f"RegularSubgroup(order={self.order}, type={label})"
 
     def is_abelian(self) -> bool:
-        return self.perms.is_abelian()
+        pairs = itertools.combinations(self.generators, 2)
+        return all(_compose(a, b) == _compose(b, a) for a, b in pairs)
 
     def to_json(self) -> dict:
         out = {
-            "generators": [list(p) for p in self.perms.generators],
+            "generators": [list(p) for p in self.generators],
             "order": self.order,
             "canonical_hash": self.canonical_hash(),
         }
@@ -179,15 +191,7 @@ def certify(
     perms: PermGroup,
     type_label: Optional[GroupSpec] = None,
 ) -> RegularSubgroup:
-    """Validate order, regularity and stability, and build the eta index.
-
-    Stability means conjugation by every left translation maps the subgroup
-    into itself.  Checking the generators of the subgroup suffices because
-    conjugation by a fixed lambda(g) is an automorphism of Perm(G); checking
-    lambda of G's generators suffices because lambda is a homomorphism and a
-    map of the finite subgroup into itself is a bijection, so the
-    translations that normalize it form a subgroup.
-    """
+    """The structure of a set from outside, whose closure PermGroup checked."""
     n = G.order
     if perms.base != n:
         raise NotRegular(f"base {perms.base} does not match group order {n}")
@@ -198,13 +202,29 @@ def certify(
     for p, q in zip(eta, eta[1:]):
         if p[0] == q[0]:
             raise NotRegular(f"elements {p} and {q} both send 0 to {p[0]}")
-    escape = _escape(_left_translations(G), perms.generators, perms.element_set)
+    return _certified(G, eta, perms.generators, type_label)
+
+
+def _certified(G: FiniteGroup, eta, generators, type_label=None) -> RegularSubgroup:
+    """The structure eta, a regular group in eta order (certify checks that
+    of a set from outside; the package's own tables are built in it), once
+    it is found stable.
+
+    Stability means conjugation by every left translation maps the subgroup
+    into itself.  Checking the generators of the subgroup suffices because
+    conjugation by a fixed lambda(g) is an automorphism of Perm(G); checking
+    lambda of G's generators suffices because lambda is a homomorphism and a
+    map of the finite subgroup into itself is a bijection, so the
+    translations that normalize it form a subgroup.
+    """
+    N = RegularSubgroup(G, eta, generators, type_label=type_label)
+    escape = _escape(_left_translations(G), N.generators, N)
     if escape is not None:
         q, p = escape
         raise NotStable(
             f"conjugate of {p} by translation of g={q[0]} leaves the set"
         )
-    return RegularSubgroup(G, perms, eta, type_label=type_label)
+    return N
 
 
 def _live(G: FiniteGroup) -> weakref.WeakValueDictionary:
@@ -233,14 +253,14 @@ def _held(G: FiniteGroup, probe: tuple, type_label) -> Optional[RegularSubgroup]
     return N if N is not None and N._type_label == type_label else None
 
 
-def _structure(G: FiniteGroup, eta, perms, type_label=None) -> RegularSubgroup:
+def _structure(G: FiniteGroup, eta, generators, type_label=None) -> RegularSubgroup:
     """The structure on G whose members in eta order are eta: the one _held
     under its probe if its members are these, else a fresh one certified
-    from perms() and filed in its place."""
+    with generators() and filed in its place."""
     probe = _probe(G, eta)
     N = _held(G, probe, type_label)
     if N is None or N.eta != tuple(eta):
-        N = _live(G)[probe] = certify(G, perms(), type_label=type_label)
+        N = _live(G)[probe] = _certified(G, eta, generators(), type_label)
     return N
 
 
@@ -254,21 +274,21 @@ def _relabel_members(rows: Sequence[tuple], b, binv, ids) -> list:
 
 
 def _relabel(rows: Sequence[tuple], orders, b: Sequence[int]) -> tuple:
-    """(eta, perms) of b^-1 . rows . b: rows is a regular group's
+    """(eta, generators) of b^-1 . rows . b: rows is a regular group's
     table (rows[m][0] = m), orders() gives its element orders and b is a
     bijection onto its points.  Its members come from _relabel_members in
-    eta order; perms() picks from those orders what PermGroup would."""
+    eta order; generators() picks from those orders what PermGroup would."""
     if sorted(b) != list(range(len(rows))):
         raise NotRegular("the base point map is not a bijection onto the points")
     eta = _relabel_members(rows, b, _invert(b), range(len(rows)))
 
-    def perms() -> PermGroup:
+    def generators() -> list:
         order = orders().__getitem__
         c = rows[b[0]].index(0)  # b(0)^-1
         gens, _ = _order_walk(eta, [order(rows[x][c]) for x in b])
-        return PermGroup._generated_by(eta, [eta[g] for g in gens or (0,)])
+        return [eta[g] for g in gens or (0,)]
 
-    return eta, perms
+    return eta, generators
 
 
 def opposite(N: RegularSubgroup) -> RegularSubgroup:
@@ -278,24 +298,25 @@ def opposite(N: RegularSubgroup) -> RegularSubgroup:
     commutes with every eta[a], for eta[a][eta[x][m]] = eta[eta[a][x]][m],
     and the n columns are distinct, so they are the whole centralizer of
     the regular N, a group, and no closure pass runs.  c_m[0] = m and
-    c_m . c_k = c_{eta[k][m]}, so the columns come sorted, each c_m has the
-    order of m, and their table is eta transposed, whose subgroups are
-    eta's: the walk of PermGroup's table path picks the same ids on eta.
-    certify still checks order, regularity and stability.
+    c_m . c_k = c_{eta[k][m]}, so the columns come in eta order, each c_m
+    has the order of m, and their table is eta transposed, whose subgroups
+    are eta's: the order walk on eta picks the ids that one on the columns
+    would.  _certified still checks stability.
     """
     eta = N.eta
     cols = tuple(zip(*eta))
     gens, _ = _order_walk(eta, list(map(_cycle_at_0, eta)))
-    gens = [cols[g] for g in gens or (0,)]
-    return certify(N.group, PermGroup._generated_by(cols, gens))
+    return _certified(N.group, cols, [cols[g] for g in gens or (0,)])
 
 
 def lambda_structure(G: FiniteGroup) -> RegularSubgroup:
-    return certify(G, lambda_image(G))
+    gens = G.generating_set() or (0,)
+    return _certified(G, G.table, [lambda_embed(G, g) for g in gens])
 
 
 def rho_structure(G: FiniteGroup) -> RegularSubgroup:
-    return certify(G, rho_image(G))
+    gens = G.generating_set() or (0,)
+    return _certified(G, _columns(G), [rho_embed(G, g) for g in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +467,7 @@ def _regular_embeddings(cs: CosetSpace, M: FiniteGroup):
 
 
 def _embedding_sets(cs: CosetSpace, specs: Sequence[GroupSpec]) -> list:
-    """[(spec, eta, perms)] from _relabel, one for each regular subgroup of
+    """[(spec, eta, generators)] from _relabel, one for each regular subgroup of
     Perm(G/T) of a type in specs that the translations of G normalize: b is
     the m of each coset representative's image, and distinct classes of
     embeddings give distinct subgroups (Byott), so none repeats."""
@@ -487,7 +508,7 @@ def enumerate_hgs(
         complete = False
 
     found = _embedding_sets(CosetSpace(G, subgroup_closure(G, ())), specs)
-    structures = [_structure(G, eta, perms, spec) for spec, eta, perms in found]
+    structures = [_structure(G, eta, gens, spec) for spec, eta, gens in found]
     return HgsInventory(G, structures, complete)
 
 

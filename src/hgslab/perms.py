@@ -83,7 +83,8 @@ def _escape(conjugators: Iterable[tuple], probes, members) -> Optional[tuple]:
 
     Conjugators come as (q, q^-1) pairs and are walked in order, the probes
     in order for each of them; probes must be a sequence or a set, as it is
-    read twice per conjugator.
+    read twice per conjugator.  members is anything that answers `in`: a
+    set, or a structure, which reads its eta table.
     """
     for q, qinv in conjugators:
         for p, c in zip(probes, _conjugate_all(probes, q, qinv)):
@@ -166,14 +167,6 @@ class PermGroup:
 
     def is_regular(self) -> bool:
         return self.order == self.base and self.is_transitive()
-
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(
-            _compose(a, b) == _compose(b, a)
-            for i, a in enumerate(gens)
-            for b in gens[i + 1:]
-        )
 
     def to_json(self) -> dict:
         return {

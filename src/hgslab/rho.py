@@ -95,7 +95,7 @@ def _is_conjugate(N: RegularSubgroup, g: int, M: RegularSubgroup) -> bool:
     """
     G = N.group
     pair = (rho_embed(G, g), rho_embed(G, G.inverse[g]))
-    return _escape([pair], N.perms.generators, M.perms.element_set) is None
+    return _escape([pair], N.generators, M) is None
 
 
 class RhoOrbit:
@@ -124,10 +124,6 @@ class RhoOrbit:
 
     def __iter__(self):
         return iter(self.members)
-
-    def __contains__(self, N: RegularSubgroup) -> bool:
-        key = N.perms.element_set
-        return any(m.perms.element_set == key for m in self.members)
 
     def __repr__(self) -> str:
         return f"RhoOrbit(size={self.size}, stabilizer={self.stabilizer.order})"

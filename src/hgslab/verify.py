@@ -182,16 +182,14 @@ def check_metacyclic_cyclic_family() -> Tuple[bool, str]:
     base = metacyclic_base_structure(G)
     orbit = rho_orbit(base)
     family = metacyclic_cyclic_family(G)
-    fam_keys = {N.perms.element_set for N in family}
-    orb_keys = {M.perms.element_set for M in orbit.members}
     if orbit.size != 7:
         return False, f"orbit size {orbit.size}, expected 7"
-    if orb_keys != fam_keys:
+    if set(orbit.members) != set(family):
         return False, "orbit members do not match the generator formula"
     if orbit.stabilizer.elements != (0, 1, 2):
         return False, f"stabilizer {orbit.stabilizer.elements}, expected (0, 1, 2)"
     filtered = enumerate_hgs(G, type_filter=parse_spec("cyclic:21"))
-    if {S.perms.element_set for S in filtered.structures} != fam_keys:
+    if set(filtered.structures) != set(family):
         return False, "cyclic-type enumeration does not equal the family"
     return True, "orbit of 7, stabilizer of order 3, enumeration agrees"
 
@@ -200,8 +198,7 @@ def check_dihedral_family() -> Tuple[bool, str]:
     details = []
     for n in (4, 6):
         G, members = dihedral_two_generator_family(n)
-        keys = [N.perms.element_set for N in members]
-        distinct = len(set(keys))
+        distinct = len(set(members))
         orbit = rho_orbit(members[0])
         # r^{n/2} is central, so lambda and rho agree on it; when n/2 is
         # even this identifies N_k with N_{k+n/4}, leaving n/4 members.
@@ -213,7 +210,7 @@ def check_dihedral_family() -> Tuple[bool, str]:
             )
         for k in range(n // 2):
             want = dihedral_opposite_generators(G, n, k)
-            if opposite(members[k]).perms.element_set != want:
+            if frozenset(opposite(members[k]).eta) != want:
                 return False, f"n={n} k={k}: opposite generator formula failed"
         details.append(f"n={n}: {distinct} distinct, opposites match")
     return True, "; ".join(details)
@@ -238,11 +235,8 @@ def check_oracle_equivalence() -> Tuple[bool, str]:
     for order in range(1, 9):
         for spec in catalog_specs(order):
             text = str(spec)
-            fast = {S.perms.element_set for S in _inventory(text).structures}
-            slow = {
-                S.perms.element_set
-                for S in brute_force_inventory(build_group(spec)).structures
-            }
+            fast = set(_inventory(text).structures)
+            slow = set(brute_force_inventory(build_group(spec)).structures)
             if fast != slow:
                 return False, f"{spec}: holomorph search disagrees with brute force"
             count += len(fast)
@@ -319,9 +313,8 @@ def check_metacyclic_sibling_family() -> Tuple[bool, str]:
     G = build_group("metacyclic:7:3:2")
     p, q, d = G.spec.params
     family = metacyclic_sibling_family(G)
-    keys = [N.perms.element_set for N in family]
-    if len(set(keys)) != 7:
-        return False, f"only {len(set(keys))} distinct members"
+    if len(set(family)) != 7:
+        return False, f"only {len(set(family))} distinct members"
     for k, N in enumerate(family):
         if str(type_of(N)) != "metacyclic:7:3:2":
             return False, f"member {k} is not of metacyclic type"
@@ -332,16 +325,14 @@ def check_metacyclic_sibling_family() -> Tuple[bool, str]:
         if not _is_conjugate(N, q, family[(k + 1 - d) % p]):
             return False, f"rho(s) does not shift member {k} by 1-d"
     orbit = rho_orbit(family[0])
-    if {M.perms.element_set for M in orbit.members} != set(keys):
+    if set(orbit.members) != set(family):
         return False, "the family is not a single conjugation orbit"
     if orbit.stabilizer.elements != (0, 1, 2):
         return False, f"stabilizer {orbit.stabilizer.elements}, expected (0, 1, 2)"
-    opp_keys = [opposite(N).perms.element_set for N in family]
-    if len(set(opp_keys)) != 7 or set(opp_keys) & set(keys):
+    opps = {opposite(N) for N in family}
+    if len(opps) != 7 or opps & set(family):
         return False, "opposites are not a disjoint family of 7"
-    opp0 = opposite(family[0])
-    opp_orbit = {M.perms.element_set for M in rho_orbit(opp0).members}
-    if opp_orbit != set(opp_keys):
+    if set(rho_orbit(opposite(family[0])).members) != opps:
         return False, "opposites do not form a single orbit"
     return True, "a 7-member orbit with index actions k -> dk and k -> k+1-d"
 
@@ -353,7 +344,7 @@ def _abelian_transport_exhaustive(G: FiniteGroup) -> Optional[str]:
     families = {am.images: hgs_from_abelian_map(am) for am in maps}
     inner = [inner_automorphism(G, g).images for g in range(n)]
     for am in maps:
-        probes = families[am.images].perms.generators
+        probes = families[am.images].generators
         for g in range(n):
             phi, phi_inv = inner[g], inner[G.inverse[g]]
             expected = families.get(_conjugate(am.images, phi, phi_inv))
@@ -361,8 +352,7 @@ def _abelian_transport_exhaustive(G: FiniteGroup) -> Optional[str]:
                 return f"conjugated map left the family at g={g}"
             # stability makes conjugation by rho(g) equal conjugation by
             # the inner automorphism of g; generators decide, as in certify
-            members = expected.perms.element_set
-            if _escape([(phi, phi_inv)], probes, members) is not None:
+            if _escape([(phi, phi_inv)], probes, expected) is not None:
                 return f"transport failed for map {am.images[:4]}..., g={g}"
     return None
 
@@ -384,7 +374,7 @@ def check_construction_transports() -> Tuple[bool, str]:
         for k in range(n // 2):
             f1, f2 = dihedral_fpf_pair(Dn, n, k)
             N = hgs_from_fpf(f1, f2)
-            if N.perms.element_set != members[k].perms.element_set:
+            if N != members[k]:
                 return False, f"fpf pair n={n} k={k} missed the family"
             if not all(fpf_transport_check(f1, f2, g) for g in range(2 * n)):
                 return False, f"fpf transport failed at n={n} k={k}"
@@ -404,8 +394,7 @@ def check_construction_transports() -> Tuple[bool, str]:
     B = PermGroup([tuple(t_group.table[u]) for u in range(len(T.elements))])
     inp = induced_input(G, T, S_, A, B)
     N = induced_hgs(inp)
-    fam_keys = {M.perms.element_set for M in rho_orbit(base).members}
-    if N.perms.element_set not in fam_keys:
+    if N not in rho_orbit(base):
         return False, "induced structure is not in the cyclic-type orbit"
     if not all(induced_transport_check(inp, g) for g in range(21)):
         return False, "induced transport failed"
@@ -418,8 +407,7 @@ def check_s5_abelian_maps() -> Tuple[bool, str]:
     if len(maps) != 26:
         return False, f"{len(maps)} abelian maps, expected 26"
     structures = [hgs_from_abelian_map(am) for am in maps]
-    keys = {S.perms.element_set for S in structures}
-    if len(keys) != 26:
+    if len(set(structures)) != 26:
         return False, "structures from distinct maps coincide"
     classes = rho_partition(structures)
     sizes = sorted(len(c) for c in classes)
@@ -464,9 +452,9 @@ def check_brace_comparison_census() -> Tuple[bool, str]:
     equal = iso_only = neither = 0
     for spec in ("sym:3", "dihedral:4", "quaternion:8"):
         inv = _inventory(spec)
-        index = {s.perms.element_set: i for i, s in enumerate(inv)}
+        index = {s: i for i, s in enumerate(inv)}
         for orbit in rho_partition(inv):
-            ids = sorted(index[m.perms.element_set] for m in orbit.members)
+            ids = sorted(index[m] for m in orbit.members)
             for i, j in combinations(ids, 2):
                 cmpres = compare_braces(inv[i], inv[j])
                 if not cmpres.consistent:

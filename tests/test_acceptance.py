@@ -62,7 +62,7 @@ from hgslab.perms import generated_perm_group
 
 
 def _keys(structures):
-    return {N.perms.element_set for N in structures}
+    return {frozenset(N.eta) for N in structures}
 
 
 def test_criterion_01_metacyclic_cyclic_family():
@@ -116,7 +116,7 @@ def test_criterion_02_dihedral_family():
         stated = generated_perm_group(
             [rho_embed(G4, s_index), dihedral_mu(4, k)]
         )
-        assert opposite(members4[k]).perms.element_set == stated.element_set, \
+        assert frozenset(opposite(members4[k]).eta) == stated.element_set, \
             f"n=4 k={k}: opposite differs from the stated two-generator form"
     assert time.perf_counter() - start < 10
 
@@ -174,15 +174,15 @@ def test_criterion_07_metacyclic_sibling_family():
     G = build_group("metacyclic:7:3:2")
     p, q, d = 7, 3, 2
     family = metacyclic_sibling_family(G)
-    keys = [N.perms.element_set for N in family]
+    keys = [frozenset(N.eta) for N in family]
     assert len(set(keys)) == 7, "family members are not pairwise distinct"
     for k, N in enumerate(family):
         assert str(type_of(N)) == "metacyclic:7:3:2", \
             f"member {k} is not of metacyclic type"
-        shifted = rho_conjugate(N, q).perms.element_set
+        shifted = frozenset(rho_conjugate(N, q).eta)
         assert shifted == keys[(k + 1 - d) % p], \
             f"conjugation by rho(s) does not send {k} to {(k + 1 - d) % p}"
-    opp_keys = [opposite(N).perms.element_set for N in family]
+    opp_keys = [frozenset(opposite(N).eta) for N in family]
     assert len(set(opp_keys)) == 7 and not set(opp_keys) & set(keys), \
         "opposites do not form a disjoint family of 7"
     assert _keys(rho_orbit(opposite(family[0])).members) == set(opp_keys), \
@@ -196,11 +196,11 @@ def test_criterion_07_metacyclic_sibling_family():
     # order 3 and is exactly <s^k t>.  These are the seven distinct Sylow
     # 3-subgroups, so rho(t) normalizes member 0 only.
     for k, N in enumerate(family):
-        moved = rho_conjugate(N, 1).perms.element_set
+        moved = frozenset(rho_conjugate(N, 1).eta)
         assert moved == keys[(d * k) % p], \
             f"conjugation by rho(t) does not send {k} to {(d * k) % p}"
         u = q * k + 1
-        assert rho_conjugate(N, u).perms.element_set == keys[k], \
+        assert frozenset(rho_conjugate(N, u).eta) == keys[k], \
             f"rho(s^{k} t) does not normalize member {k}"
         assert rho_orbit(N).stabilizer.elements == \
             subgroup_closure(G, [u]).elements, \
@@ -217,7 +217,7 @@ def test_criterion_08_construction_transports():
     for k in range(2):
         f1, f2 = dihedral_fpf_pair(G4, 4, k)
         N = hgs_from_fpf(f1, f2)
-        assert N.perms.element_set in fam_keys, \
+        assert frozenset(N.eta) in fam_keys, \
             f"fpf pair k={k} does not reproduce the two-generator family"
         for g in range(8):
             assert fpf_transport_check(f1, f2, g), f"fpf transport k={k} g={g}"
@@ -245,7 +245,7 @@ def test_criterion_08_construction_transports():
     inp = induced_input(G, T, S, A, B)
     N = induced_hgs(inp)
     cyclic_orbit = _keys(rho_orbit(metacyclic_base_structure(G)).members)
-    assert N.perms.element_set in cyclic_orbit, \
+    assert frozenset(N.eta) in cyclic_orbit, \
         "induced structure is not in the cyclic-type orbit"
     for g in range(21):
         assert induced_transport_check(inp, g), f"induced transport g={g}"
@@ -271,15 +271,15 @@ def test_criterion_10_correspondence():
         for spec in catalog_specs(order):
             G = build_group(spec)
             inv = enumerate_hgs(G)
-            lattices = {N.perms.element_set: realizable_lattice(N)
+            lattices = {frozenset(N.eta): realizable_lattice(N)
                         for N in inv}
             for N in inv:
-                lat = lattices[N.perms.element_set]
+                lat = lattices[frozenset(N.eta)]
                 for P, U in lat:
                     assert len(U.elements) == P.order, \
                         f"{spec}: |U| != |P| at order {P.order}"
                 for g in range(G.order):
-                    lat2 = lattices[rho_conjugate(N, g).perms.element_set]
+                    lat2 = lattices[frozenset(rho_conjugate(N, g).eta)]
                     assert _transport_matches(G, lat, lat2, g), \
                         f"{spec}: lattice transport failed at g={g}"
 

@@ -20,6 +20,14 @@ CASES = [
     ("hgs_show_dihedral_6_index_3.json",
      ["hgs", "show", "--group", "dihedral:6", "--structure", "index:3",
       "--json"]),
+    # lambda(G) and rho(G) come from G's rows and columns, with no search;
+    # each is the opposite of the other, so neither is self-opposite
+    ("hgs_show_dihedral_6_lambda.json",
+     ["hgs", "show", "--group", "dihedral:6", "--structure", "lambda",
+      "--json"]),
+    ("hgs_show_dihedral_6_rho.json",
+     ["hgs", "show", "--group", "dihedral:6", "--structure", "rho",
+      "--json"]),
     # every map goes through the subgroup check of hgs_from_abelian_map
     ("construct_abelian_maps_sym_4.json",
      ["construct", "abelian-maps", "--group", "sym:4", "--json"]),

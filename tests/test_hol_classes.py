@@ -70,7 +70,7 @@ def _lambda_classes(G, M) -> set:
 
 
 def _orbit_sets(inventory) -> set:
-    return {frozenset(s.perms.element_set for s in orbit)
+    return {frozenset(frozenset(s.eta) for s in orbit)
             for orbit in rho_partition(inventory)}
 
 

@@ -678,7 +678,7 @@ def test_ybe_map_falls_back_to_braid_holds_on_relabelled_stars(monkeypatch):
 def test_cycle_at_0_is_the_order_on_catalog_structures(catalog_structures):
     assert len(catalog_structures) == 376
     for N in catalog_structures:
-        for p in N.perms.elements:
+        for p in N.eta:
             assert _cycle_at_0(p) == _tuple_order(p)
 
 

@@ -76,7 +76,7 @@ def _every_subgroup(G):
 
 def _scan_stable_subgroups(N):
     """Every subgroup of N, kept when the translations normalize it."""
-    abstract, elems = perm_group_as_group(N.perms)
+    abstract, elems = perm_group_as_group(PermGroup(N.eta))
     out = []
     for sub in _every_subgroup(abstract):
         perms = [elems[i] for i in sub.elements]

@@ -42,10 +42,10 @@ def _orders(N):
 def _relabel_path(N, g):
     """N_g by relabelling N's whole table by ρ(g⁻¹)."""
     G = N.group
-    eta, perms = hgs._relabel(N.eta, _orders(N), rho_embed(G, G.inverse[g]))
+    eta, gens = hgs._relabel(N.eta, _orders(N), rho_embed(G, G.inverse[g]))
     if tuple(eta) == N.eta:
         return N
-    return hgs._structure(G, eta, perms, N._type_label)
+    return hgs._structure(G, eta, gens, N._type_label)
 
 
 def _probe_path(N, g):
@@ -127,7 +127,7 @@ def test_a_twin_never_filed_is_not_handed_out(monkeypatch):
     assert got is C and relabels == 0
     # a twin of C certified outside the memo is not the live structure of
     # its probe, and neither the probe path nor _structure hands it out
-    twin = certify(G, PermGroup(C.perms.element_set), C.type_label)
+    twin = certify(G, PermGroup(C.eta), C.type_label)
     got, relabels = _counted(monkeypatch, N, g)
     assert got is C and got is not twin and relabels == 0
     assert rho_conjugate(N, g) is C and hgs._live(G)[probe] is C
@@ -144,7 +144,7 @@ def test_a_set_sharing_a_probe_is_compared_member_by_member():
     eta[x] = eta[0]
     assert hgs._probe(G, eta) == hgs._probe(G, C.eta)
     with pytest.raises(HgsError):
-        hgs._structure(G, eta, lambda: PermGroup(eta), C.type_label)
+        hgs._structure(G, eta, lambda: PermGroup(eta).generators, C.type_label)
     assert hgs._live(G)[hgs._probe(G, C.eta)] is C
 
 
@@ -160,7 +160,7 @@ def test_a_label_mismatch_certifies_a_fresh_structure():
     label = type_of(N)
     got = rho_conjugate(N, g)
     assert got is not C and got.type_label == label
-    fresh = certify(G, PermGroup(C.perms.element_set), label)
+    fresh = certify(G, PermGroup(C.eta), label)
     assert got.to_json() == fresh.to_json()
     # the fresh one replaced C in the memo, so it is handed out again
     assert hgs._live(G)[probe] is got

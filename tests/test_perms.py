@@ -131,8 +131,8 @@ def test_translation_images_are_regular(d4):
 
 
 def test_centralizer_of_left_translations_is_right_translations(s3):
-    cent = opposite(lambda_structure(s3)).perms
-    assert cent.element_set == rho_image(s3).element_set
+    cent = opposite(lambda_structure(s3))
+    assert frozenset(cent.eta) == rho_image(s3).element_set
 
 
 def test_generated_perm_group_and_cap():

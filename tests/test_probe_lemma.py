@@ -40,7 +40,7 @@ def _probe_closure(N) -> frozenset:
 def _check(structures) -> None:
     G = structures[0].group
     for N in structures:
-        assert _probe_closure(N) == N.perms.element_set
+        assert _probe_closure(N) == frozenset(N.eta)
     probes = {tuple(N.eta[s] for s in G.generating_set()) for N in structures}
     assert len(probes) == len(structures)
 

@@ -126,19 +126,19 @@ def test_cli_refuses_an_oversized_automorphism_search(capsys):
 def _aut_classes(inv, auts) -> list:
     """The Aut(G)-orbits on an inventory, as lists of its structures, each
     led by its first structure in inventory order."""
-    by_key = {N.perms.element_set: N for N in inv}
+    by_key = {frozenset(N.eta): N for N in inv}
     pairs = [(phi.images, _invert(phi.images)) for phi in auts]
     seen, classes = set(), []
     for N in inv:
-        if N.perms.element_set in seen:
+        if frozenset(N.eta) in seen:
             continue
         keys = {
-            frozenset(_conjugate_all(N.perms.elements, phi, phi_inv))
+            frozenset(_conjugate_all(N.eta, phi, phi_inv))
             for phi, phi_inv in pairs
         }
         assert keys <= by_key.keys()
         seen |= keys
-        classes.append([N] + [by_key[key] for key in keys - {N.perms.element_set}])
+        classes.append([N] + [by_key[key] for key in keys - {frozenset(N.eta)}])
     return classes
 
 

@@ -63,7 +63,7 @@ def _conjugate_set(N, g) -> frozenset:
     """rho(g) . N . rho(g)^-1 as an element set, from the whole conjugate."""
     G = N.group
     q, qinv = rho_embed(G, g), rho_embed(G, G.inverse[g])
-    return frozenset(_conjugate_all(N.perms.elements, q, qinv))
+    return frozenset(_conjugate_all(N.eta, q, qinv))
 
 
 def _scan_conjugates(N):
@@ -81,7 +81,7 @@ def _probe_of(G, key):
 def _scan_orbit(N, conjugates=None):
     """The orbit of N by conjugating with every right translation."""
     G = N.group
-    base_key = N.perms.element_set
+    base_key = frozenset(N.eta)
     first_g = {}
     stab = []
     for g, key in enumerate(conjugates or _scan_conjugates(N)):
@@ -103,7 +103,7 @@ def _scan_orbit(N, conjugates=None):
 
 
 def _scan_same_conjugate(N1, N2):
-    target = N2.perms.element_set
+    target = frozenset(N2.eta)
     for g in range(N1.group.order):
         if _conjugate_set(N1, g) == target:
             return g
@@ -123,7 +123,7 @@ def _check_orbits(structures, seed):
     want = [_scan_orbit(N, c).to_json() for N, c in zip(structures, conjugates)]
     consumed, partition = set(), []
     for N, keys, orbit in zip(structures, conjugates, want):
-        if N.perms.element_set not in consumed:
+        if frozenset(N.eta) not in consumed:
             consumed.update(keys)
             partition.append(orbit)
     order = list(range(len(structures)))
@@ -140,15 +140,15 @@ def _check_orbits(structures, seed):
         for g, key in enumerate(keys):
             first.setdefault(key, g)
             M = rho_conjugate(N, g)
-            if key == N.perms.element_set:
+            if key == frozenset(N.eta):
                 assert M is N
             else:
-                assert M.perms.element_set == key
+                assert frozenset(M.eta) == key
                 reached[id(M), N.type_label] = M
         for M in structures:
-            assert same_conjugate(N, M) == first.get(M.perms.element_set)
+            assert same_conjugate(N, M) == first.get(frozenset(M.eta))
     for (_, label), M in reached.items():
-        fresh = certify(M.group, PermGroup(M.perms.element_set), label)
+        fresh = certify(M.group, PermGroup(M.eta), label)
         assert M.to_json() == fresh.to_json()
 
 
@@ -193,13 +193,13 @@ def _check_record_reads(structures, monkeypatch):
             first = {}
             for g, key in enumerate(keys):
                 first.setdefault(key, g)
-                own = key == N.perms.element_set
+                own = key == frozenset(N.eta)
                 want = N if own else live[_probe_of(N.group, key)]
-                assert want.perms.element_set == key
+                assert frozenset(want.eta) == key
                 assert rho_conjugate(N, g) is want
             for M in structures:
                 got = same_conjugate(N, M)
-                assert got == first.get(M.perms.element_set)
+                assert got == first.get(frozenset(M.eta))
                 hits += got is not None
                 misses += got is None
     return hits, misses
@@ -228,7 +228,7 @@ def test_rho_orbit_equals_scan_with_caller_generators(m733):
     siblings = [M for M in rho_orbit(base).members if M is not base]
     assert len(siblings) == 6
     twin = rho_conjugate(siblings[0], same_conjugate(siblings[0], base))
-    assert twin.perms.element_set == base.perms.element_set
+    assert frozenset(twin.eta) == frozenset(base.eta)
     assert twin.to_json() != base.to_json()
     _check_orbits([base] + siblings, "metacyclic:7:3:2")
 
@@ -290,7 +290,7 @@ def test_is_conjugate_equals_full_conjugation_on_catalog():
             targets = (N, inv[0], inv[len(inv) // 2], inv[-1])
             for g, key in enumerate(_scan_conjugates(N)):
                 for M in targets:
-                    full = key == M.perms.element_set
+                    full = key == frozenset(M.eta)
                     assert _is_conjugate(N, g, M) == full
                     cases += 1
                     hits += full
@@ -301,8 +301,8 @@ def _carried_by(phis, N1, N2):
     """Whether some phi has phi^-1 . N1 . phi == N2, from whole conjugates."""
     return any(
         frozenset(
-            _conjugate_all(N1.perms.elements, _invert(phi.images), phi.images)
-        ) == N2.perms.element_set
+            _conjugate_all(N1.eta, _invert(phi.images), phi.images)
+        ) == frozenset(N2.eta)
         for phi in phis
     )
 
@@ -337,11 +337,11 @@ def _all_pairs_closed(elems):
 def test_greedy_close_equals_all_pairs_on_seeded_mutants():
     rng = random.Random(20261018)
     bases = [
-        list(s.perms.elements)
+        list(s.eta)
         for spec in ("sym:3", "dihedral:4", "quaternion:8", "metacyclic:7:3:2")
         for s in enumerate_hgs(build_group(spec))
     ]
-    bases += [list(s.perms.elements) for s in _s5_structures()[:3]]
+    bases += [list(s.eta) for s in _s5_structures()[:3]]
     verdicts = []
     for elems in bases:
         n = len(elems)

@@ -59,14 +59,14 @@ def _conjugate_set(N, g) -> frozenset:
     ginv = G.inverse[g]
     q = tuple(row[ginv] for row in G.table)
     qinv = _invert(q)
-    return frozenset(_compose(q, _compose(p, qinv)) for p in N.perms.elements)
+    return frozenset(_compose(q, _compose(p, qinv)) for p in N.eta)
 
 
 @pytest.mark.parametrize("spec", CATALOG)
 def test_conjugates_equal_fresh_certification_on_catalog(spec):
     G = build_group(spec)
     inv = enumerate_hgs(G)
-    by_key = {N.perms.element_set: N for N in inv}
+    by_key = {frozenset(N.eta): N for N in inv}
     for N in inv:
         for g in range(G.order):
             key = _conjugate_set(N, g)
@@ -76,7 +76,7 @@ def test_conjugates_equal_fresh_certification_on_catalog(spec):
             assert got is by_key[key]
     for orbit in rho_partition(inv):
         for M in orbit.members:
-            assert M is by_key[M.perms.element_set]
+            assert M is by_key[frozenset(M.eta)]
 
 
 def test_memo_is_empty_once_its_structures_are_dropped():
@@ -110,11 +110,11 @@ def test_labelled_structure_is_not_handed_to_an_unlabelled_lookup():
     # come from it
     orbit = rho_orbit(labelled)
     assert orbit.size == 3 and labelled in orbit.members
-    assert {M.perms.element_set for M in orbit.members} == {
+    assert {frozenset(M.eta) for M in orbit.members} == {
         _conjugate_set(labelled, g) for g in range(G.order)
     }
     for M in orbit.members:
-        fresh = certify(G, PermGroup(M.perms.element_set), labelled.type_label)
+        fresh = certify(G, PermGroup(M.eta), labelled.type_label)
         assert M.to_json() == fresh.to_json()
     # its orbit siblings reach it by conjugation, and must not see the label
     reached = 0
@@ -124,14 +124,14 @@ def test_labelled_structure_is_not_handed_to_an_unlabelled_lookup():
         for g in range(G.order):
             M = rho_conjugate(N, g)
             key = _conjugate_set(N, g)
-            reached += key == labelled.perms.element_set
-            fresh = N if key == N.perms.element_set else certify(G, PermGroup(key))
+            reached += key == frozenset(labelled.eta)
+            fresh = N if key == frozenset(N.eta) else certify(G, PermGroup(key))
             assert M.to_json() == fresh.to_json()
         assert all(M.type_label is None for M in rho_orbit(N).members)
     assert reached > 0
     again = hgs_from_abelian_map(maps[k])
     assert again is not labelled
-    fresh = certify(G, PermGroup(labelled.perms.element_set))
+    fresh = certify(G, PermGroup(labelled.eta))
     assert again.to_json() == fresh.to_json()
     assert again.to_json()["type"] is None
 
@@ -151,8 +151,7 @@ def _records(structures) -> list:
     """(elements, label, generators) of each structure, what its to_json()
     is made of (the order and hash are those of the elements); holds none
     of them."""
-    return [(N.perms.elements, N.type_label, N.perms.generators)
-            for N in structures]
+    return [(N.eta, N.type_label, N.generators) for N in structures]
 
 
 def _check_records(G, records) -> int:
@@ -162,7 +161,7 @@ def _check_records(G, records) -> int:
     for elements, label, generators in records:
         if (elements, label) not in fresh:
             fresh[elements, label] = certify(G, PermGroup(elements), label)
-        assert generators == fresh[elements, label].perms.generators
+        assert generators == fresh[elements, label].generators
     return len(fresh)
 
 
@@ -218,7 +217,7 @@ def test_conjugates_of_fresh_abelian_map_structures_equal_fresh_certification(
         for g, (elements, _, _) in enumerate(conjugates):
             # rho(g) . N . rho(g)^-1 by its definition x -> x * g^-1
             q = tuple(row[G.inverse[g]] for row in G.table)
-            assert set(elements) == set(_conjugate_all(N.perms.elements, q, _invert(q)))
+            assert set(elements) == set(_conjugate_all(N.eta, q, _invert(q)))
         orbit = _refusing_picks(monkeypatch, lambda: _records(rho_orbit(N)))
         assert {e for e, _, _ in orbit} == {e for e, _, _ in conjugates}
         _check_records(G, conjugates + orbit)
