@@ -12,9 +12,14 @@ is stable exactly when it is a union of lambda(G)-orbits.  So the lattice is
 made of the joins of orbit closures (groups._join_closures), capped at
 groups.LATTICE_LIMIT; N's subgroups are never all listed.  Each P is built
 once, from its greedy walk over the orbits (a join that reaches an earlier
-orbit stops, as that walk picks it first), keeps its picks as generators and
-has its index set as U, closed in G only to confirm that it is a subgroup
-(_fixed).  Only a P from outside is checked to be stable (fixed_subgroup).
+orbit stops, as that walk picks it first), and keeps its picks as generators.
+
+A stable P is a left ideal of N's skew brace, so its ids are a subgroup U of
+G: for p, q in P with p(0) = u and q(0) = v, the member
+(lambda(u) q lambda(u)^-1) p of P sends 0 to u v.  So U is P's index set and
+P = {eta[u] : u in U}.  N keeps only the Us, each closed in G once (_fixed);
+the Ps are read off eta for the caller, and the transport compares ids.
+Only a P from outside is checked to be stable (fixed_subgroup).
 """
 
 from __future__ import annotations
@@ -22,16 +27,11 @@ from __future__ import annotations
 from typing import List
 
 from .errors import CorrespondenceError
-from .groups import (FiniteGroup, Subgroup, _check_id, _join_closures, _orbits,
+from .groups import (FiniteGroup, Subgroup, _join_closures, _orbits,
                      inner_automorphism, subgroup_closure)
 from .hgs import RegularSubgroup
-from .perms import (
-    PermGroup,
-    _escape,
-    _left_translations,
-    rho_embed,
-)
-from .rho import rho_conjugate
+from .perms import PermGroup, _escape, _left_translations, rho_embed
+from .rho import _is_conjugate, rho_conjugate
 
 
 def _lambda_orbits(N: RegularSubgroup) -> list:
@@ -43,34 +43,46 @@ def _lambda_orbits(N: RegularSubgroup) -> list:
     return _orbits(moves, len(N.eta))[1:]
 
 
+def _fixed(G: FiniteGroup, ids, order: int) -> Subgroup:
+    """The closure of P's ids in G, refused unless its order is |P|.
+
+    Then U is exactly the ids.  N is regular, so a member is named by its
+    image of 0, and P -> U is injective, keeps inclusions and sends {id} to
+    {0} and N to G: the lattice needs no further check.
+    """
+    U = subgroup_closure(G, ids)
+    if U.order != order:
+        raise CorrespondenceError(
+            f"fixed subgroup has order {U.order}, expected {order}"
+        )
+    return U
+
+
+def _fixed_subgroups(N: RegularSubgroup) -> tuple:
+    """The fixed subgroup U of every stable P, sorted by order and elements
+    (eta is sorted, so this is the order of the Ps), each generated by its
+    picks; the tuple is kept on N."""
+    if N._lattice is None:
+        G, subs = N.group, []
+        for key, picks in _join_closures(N.eta, _lambda_orbits(N)).items():
+            _fixed(G, key, len(key))
+            subs.append(Subgroup(G, key, picks, _closed=True))
+        N._lattice = tuple(sorted(subs, key=lambda U: (U.order, U.elements)))
+    return N._lattice
+
+
+def _stable(eta, U: Subgroup) -> PermGroup:
+    """The stable subgroup with index set U: eta read at U's elements,
+    generated by eta at U's picks (the identity for the trivial one)."""
+    return PermGroup._generated_by([eta[u] for u in U.elements],
+                                   [eta[u] for u in U.generators or (0,)])
+
+
 def g_stable_subgroups(N: RegularSubgroup) -> List[PermGroup]:
     """All subgroups of N stable under the translation action, sorted by
     order and element list: the joins of closures of lambda(G)-orbits, each
     generated by its picked members."""
-    eta = N.eta
-    out = [
-        PermGroup._generated_by((eta[a] for a in key), [eta[a] for a in gens or (0,)])
-        for key, gens in _join_closures(eta, _lambda_orbits(N)).items()
-    ]
-    out.sort(key=lambda P: (P.order, P.canonical_key()))
-    return out
-
-
-def _fixed(G: FiniteGroup, P: PermGroup) -> Subgroup:
-    """The subgroup of G that a stable P fixes: the closure of P's orbit of
-    0, refused unless its order is |P|.
-
-    Once |U| = |P|, U is exactly the orbit {p(0)}.  The structure is
-    regular, so a member is named by its image of 0, and P -> U is
-    injective, keeps inclusions and sends {id} to {0} and the structure to
-    G: the lattice needs no further check.
-    """
-    U = subgroup_closure(G, P.orbit(0))
-    if len(U.elements) != P.order:
-        raise CorrespondenceError(
-            f"fixed subgroup has order {len(U.elements)}, expected {P.order}"
-        )
-    return U
+    return [_stable(N.eta, U) for U in _fixed_subgroups(N)]
 
 
 def fixed_subgroup(N: RegularSubgroup, P: PermGroup) -> Subgroup:
@@ -85,7 +97,7 @@ def fixed_subgroup(N: RegularSubgroup, P: PermGroup) -> Subgroup:
         raise CorrespondenceError("P is not a subgroup of the structure")
     if _escape(_left_translations(N.group), P.generators, P.element_set) is not None:
         raise CorrespondenceError("P is not stable under the translation action")
-    return _fixed(N.group, P)
+    return _fixed(N.group, P.orbit(0), P.order)
 
 
 class RealizableLattice:
@@ -119,49 +131,35 @@ class RealizableLattice:
 
 
 def realizable_lattice(N: RegularSubgroup) -> RealizableLattice:
-    """All (P, U) pairs, each U read off P by _fixed.  The result is kept
-    on N."""
-    if N._lattice is None:
-        N._lattice = RealizableLattice(
-            N, [(P, _fixed(N.group, P)) for P in g_stable_subgroups(N)]
-        )
-    return N._lattice
+    """All (P, U) pairs, each P read off eta at U; a new lattice on each
+    call, of the Us kept on N."""
+    return RealizableLattice(N, [(_stable(N.eta, U), U) for U in _fixed_subgroups(N)])
 
 
-def _transport_matches(G, lat1: RealizableLattice,
-                       lat2: RealizableLattice, g: int) -> bool:
-    """Does conjugating lat1 entrywise by g reproduce lat2 exactly?
+def _transport_matches(N: RegularSubgroup, N2: RegularSubgroup, g: int) -> bool:
+    """Does conjugating N's lattice entrywise by rho(g) reproduce N2's?
 
-    First rho(g) N rho(g)^-1 = N2 for the two structures, decided on N's
-    generators (equal orders make inclusion equality).  Then a member p of
-    a P goes to the member of N2 that sends 0 to rho(g)(p(rho(g)^-1(0))),
-    so each P is compared with lat2's entries by the ids {p(0)}.  For a
-    lat2 entry (P, U) those ids are U's elements: _fixed refuses any U whose
-    order is not |P|, and U holds the orbit {p(0)}, so U.element_set is read.
+    First rho(g) N rho(g)^-1 = N2, decided on N's generators.  Then the
+    member eta[a] of a P goes to the member of N2 that sends 0 to
+    rho(g)(eta[a](rho(g)^-1(0))) = rho(g)(eta[a](g)), so each U of N goes to
+    those ids, which must be a U of N2, paired with g U g^-1.
     """
-    rho_g, rho_ginv = rho_embed(G, g), rho_embed(G, G.inverse[g])
-    N, N2 = lat1.structure, lat2.structure
-    if _escape([(rho_g, rho_ginv)], N.generators, N2) is not None:
+    if not _is_conjugate(N, g, N2):
         return False
-    phi, r0 = inner_automorphism(G, g).images, rho_ginv[0]
-    transported = {}
-    for P, U in lat1:
-        key = frozenset(rho_g[p[r0]] for p in P.elements)
-        transported[key] = tuple(sorted(phi[u] for u in U.elements))
-    if len(transported) != len(lat2.entries):
-        return False
-    for _, U in lat2:
-        want = transported.get(U.element_set)
-        if want is None or want != U.elements:
-            return False
-    return True
+    G, eta = N.group, N.eta
+    rho_g, phi = rho_embed(G, g), inner_automorphism(G, g).images
+    transported = {
+        frozenset(rho_g[eta[a][g]] for a in U.elements):
+            tuple(sorted(phi[u] for u in U.elements))
+        for U in _fixed_subgroups(N)
+    }
+    lat2 = _fixed_subgroups(N2)
+    return len(transported) == len(lat2) and all(
+        transported.get(U.element_set) == U.elements for U in lat2)
 
 
 def lattice_transport_check(N: RegularSubgroup, g: int) -> bool:
     """Conjugating the structure by rho(g) must carry its lattice to the
-    conjugated lattice: P -> rho(g) P rho(g)^-1 paired with U -> g U g^-1."""
-    G = N.group
-    _check_id(G, g)
-    lat1 = realizable_lattice(N)
-    lat2 = realizable_lattice(rho_conjugate(N, g))
-    return _transport_matches(G, lat1, lat2, g)
+    conjugate's: P -> rho(g) P rho(g)^-1 paired with U -> g U g^-1.
+    rho_conjugate refuses a g that is not an id of G."""
+    return _transport_matches(N, rho_conjugate(N, g), g)

@@ -95,7 +95,7 @@ class RegularSubgroup:
         self.generators = tuple(generators)
         self._hash = None  # memo of canonical_hash
         self._type_label = type_label
-        self._lattice = None  # memo of correspondence.realizable_lattice
+        self._lattice = None  # the id set U of each stable P, as Subgroups of G
         self._orbit = None  # orbit record left by rho._stamp
 
     @property

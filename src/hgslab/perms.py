@@ -100,12 +100,12 @@ def _escape(conjugators: Iterable[tuple], probes, members) -> Optional[tuple]:
 class PermGroup:
     """A finite set of permutations closed under composition; generators
     from the caller are checked as the greedy picks are (_generated_by
-    takes generators a caller has proven)."""
+    takes sorted members and generators a caller has proven)."""
 
     __slots__ = ("base", "elements", "generators", "element_set", "_hash")
 
     def __init__(self, elements: Iterable[tuple], generators=()):
-        self._store(elements)
+        self._store(sorted(elements))
         self.generators = _greedy_generators(self.elements, self.element_set,
                                              tuple(map(tuple, generators)))
 
@@ -117,7 +117,7 @@ class PermGroup:
         return P
 
     def _store(self, elements: Iterable[tuple]) -> None:
-        elems = tuple(sorted(elements))
+        elems = tuple(elements)
         if not elems:
             raise InvalidSpec("a permutation group needs elements")
         if len(set(map(len, elems))) > 1:
@@ -276,7 +276,7 @@ def generated_perm_group(gens: Sequence[Sequence[int]]) -> PermGroup:
     b = len(gens[0])
     _check_permutations(gens, b)
     _, reached = _greedy_close(gens, 10 * b * b)
-    return PermGroup._generated_by(reached, gens)
+    return PermGroup._generated_by(sorted(reached), gens)
 
 
 # ---------------------------------------------------------------------------

@@ -270,17 +270,12 @@ def test_criterion_10_correspondence():
     for order in range(1, 13):
         for spec in catalog_specs(order):
             G = build_group(spec)
-            inv = enumerate_hgs(G)
-            lattices = {frozenset(N.eta): realizable_lattice(N)
-                        for N in inv}
-            for N in inv:
-                lat = lattices[frozenset(N.eta)]
-                for P, U in lat:
+            for N in enumerate_hgs(G):
+                for P, U in realizable_lattice(N):
                     assert len(U.elements) == P.order, \
                         f"{spec}: |U| != |P| at order {P.order}"
                 for g in range(G.order):
-                    lat2 = lattices[frozenset(rho_conjugate(N, g).eta)]
-                    assert _transport_matches(G, lat, lat2, g), \
+                    assert _transport_matches(N, rho_conjugate(N, g), g), \
                         f"{spec}: lattice transport failed at g={g}"
 
     G = build_group("metacyclic:7:3:2")
@@ -295,8 +290,7 @@ def test_criterion_10_correspondence():
         (u3,) = [U for P, U in lat if P.order == 3]
         order3_fixed.add(u3.elements)
         for g in range(21):
-            lat2 = realizable_lattice(rho_conjugate(M, g))
-            assert _transport_matches(G, lat, lat2, g)
+            assert _transport_matches(M, rho_conjugate(M, g), g)
     assert len(order3_fixed) == 7, \
         "order-3 fixed subgroups are not distinct across the orbit"
     all_order3 = {h.elements for h in all_subgroups(G) if len(h.elements) == 3}

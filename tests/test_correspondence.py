@@ -1,11 +1,14 @@
 """Stable subgroups of a structure and their fixed subgroups in the group."""
 
+import random
 import time
 
 import pytest
 
 from hgslab import (
     CorrespondenceError,
+    HgsError,
+    InvalidSpec,
     abelian_maps,
     build_group,
     enumerate_hgs,
@@ -18,7 +21,7 @@ from hgslab import (
     realizable_lattice,
     rho_structure,
 )
-from hgslab.perms import generated_perm_group, lambda_embed
+from hgslab.perms import PermGroup, generated_perm_group, lambda_embed
 from hgslab.verify import metacyclic_base_structure
 
 
@@ -112,3 +115,60 @@ def test_sym_5_abelian_map_lattices_and_transport():
         for g in G.generating_set():
             assert lattice_transport_check(N, g)
     assert time.perf_counter() - start < 10
+
+
+def _call(f, *args):
+    """f's result, or the HgsError it raised; any other exception fails."""
+    try:
+        return f(*args)
+    except HgsError as e:
+        return e
+
+
+def _random_ps(rng, N):
+    """Closures of random members of N, of a random permutation of N's
+    points or of a longer one, and of both; a set whose closure passes the
+    cap is dropped."""
+    n = len(N.eta)
+    sets = [rng.sample(N.eta, rng.randint(1, min(3, n))),
+            [tuple(rng.sample(range(n), n))],
+            [tuple(rng.sample(range(n + 1), n + 1))],
+            [rng.choice(N.eta), tuple(rng.sample(range(n), n))]]
+    for gens in sets:
+        P = _call(generated_perm_group, gens)
+        if isinstance(P, PermGroup):
+            yield P
+
+
+def test_seeded_fuzz_of_the_correspondence_entry_points(catalog_structures):
+    # each entry point returns a valid object or raises an HgsError; a P
+    # from outside is refused exactly when it is not a stable subgroup
+    start = time.perf_counter()
+    rng = random.Random(20261022)
+    structures = [N for N in catalog_structures if len(N.eta) <= 12]
+    outcomes = set()
+    for N in structures:
+        G, n = N.group, len(N.eta)
+        lat = _call(realizable_lattice, N)
+        stable = _call(g_stable_subgroups, N)
+        assert [P.elements for P, _ in lat] == [P.elements for P in stable]
+        assert stable == sorted(stable, key=lambda P: (P.order, P.elements))
+        pairs = {}
+        for P, U in lat:
+            assert U.parent is G and U.order == P.order
+            assert all(p in N for p in P.elements)
+            pairs[P.element_set] = U.elements
+        for P in _random_ps(rng, N):
+            U = _call(fixed_subgroup, N, P)
+            if P.element_set in pairs:
+                assert U.elements == pairs[P.element_set], N
+            else:
+                assert isinstance(U, CorrespondenceError), N
+            outcomes.add(type(U).__name__)
+        for g in (rng.randrange(n), rng.randrange(-2, n + 2)):
+            holds = _call(lattice_transport_check, N, g)
+            assert holds is True if 0 <= g < n else isinstance(holds, InvalidSpec)
+            outcomes.add(repr(holds) if holds is True else type(holds).__name__)
+    assert len(structures) > 200
+    assert outcomes == {"Subgroup", "CorrespondenceError", "True", "InvalidSpec"}
+    assert time.perf_counter() - start < 2

@@ -5,9 +5,11 @@ else: eta[a] is the member sending 0 to a, so p is a member exactly when
 `eta[p[0]] == p`.  The oracle for `p in N` is the set of N's members,
 built here from eta.  Two structures are equal when they live on the same
 group object and have the same table, and equal structures hash alike
-however they were reached.  No structure may hold a set of its members, a
-`PermGroup` or any other set, which a walk over its slots and its
-`gc.get_referents` decides.
+however they were reached.  No structure may hold a `PermGroup` or a set
+of permutations, also once its realizable lattice and its transport checks
+have run (its memo keeps Subgroups of G, whose sets hold ids), which a walk
+over its slots, its `gc.get_referents` and the slots of what they reach
+decides.
 """
 
 import gc
@@ -26,8 +28,10 @@ from hgslab import (
     generated_perm_group,
     hgs_from_abelian_map,
     lambda_structure,
+    lattice_transport_check,
     opposite,
     parse_spec,
+    realizable_lattice,
     rho_conjugate,
     rho_orbit,
     rho_structure,
@@ -94,22 +98,28 @@ def test_one_structure_reached_three_ways_is_equal_and_hashes_alike():
     assert len({E, other}) == 2
 
 
+def _slots(x) -> list:
+    return [getattr(x, slot, None) for cls in type(x).__mro__
+            for slot in getattr(cls, "__slots__", ()) if slot != "__weakref__"]
+
+
 def _holds_a_set(N: RegularSubgroup):
-    """The first set, frozenset or PermGroup reached from N through its
-    slots and gc referents, walking into tuples, lists and dicts but not
-    into the group or another structure; None when there is none."""
-    seen, todo = set(), [getattr(N, slot, None) for slot in N.__slots__
-                         if slot != "__weakref__"]
-    todo += gc.get_referents(N)
+    """The first PermGroup, or set or frozenset of permutations, reached
+    from N through its slots and gc referents, walking into tuples, lists,
+    dicts and the slots of any other object (so a Subgroup's set of ids is
+    read and allowed) but not into a group or another structure; None when
+    there is none."""
+    seen, todo = {id(N)}, _slots(N) + gc.get_referents(N)
     while todo:
         x = todo.pop()
         if id(x) in seen or isinstance(x, (FiniteGroup, RegularSubgroup)):
             continue
         seen.add(id(x))
-        if isinstance(x, (set, frozenset, PermGroup)):
+        if isinstance(x, PermGroup) or (isinstance(x, (set, frozenset)) and any(
+                isinstance(e, tuple) for e in x)):
             return x
-        if isinstance(x, (tuple, list, dict)):
-            todo += gc.get_referents(x)
+        todo += (gc.get_referents(x) if isinstance(x, (tuple, list, dict))
+                 else _slots(x))
     return None
 
 
@@ -129,6 +139,11 @@ def test_no_structure_holds_a_set_of_its_members(spec):
                   lambda_structure(G), rho_structure(G)]
     assert len(structures) > 50
     for N in structures:
+        realizable_lattice(N)
+        for g in G.generating_set():
+            lattice_transport_check(N, g)
+    for N in structures:
         assert _holds_a_set(N) is None, N
+        assert N._lattice
     assert not hasattr(N, "perms")
     assert "perms" not in RegularSubgroup.__slots__

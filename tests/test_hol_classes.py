@@ -124,7 +124,7 @@ def test_transport_on_ids_equals_entrywise_conjugation():
             for g in range(G.order):
                 for N2 in (rho_conjugate(N, g), inv[(i + 1) % len(inv)]):
                     lat2 = realizable_lattice(N2)
-                    got = _transport_matches(G, lat1, lat2, g)
+                    got = _transport_matches(N, N2, g)
                     assert got == _transport_by_conjugation(G, lat1, lat2, g)
                     verdicts.add(got)
     assert verdicts == {True, False}

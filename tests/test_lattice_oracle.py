@@ -20,9 +20,11 @@ every piece outside it and keeps the joins not seen before, is kept here
 as its reference: both must find the same element sets, and every join the
 new walk completes must be a new subgroup.
 
-`realizable_lattice` pairs each P with its orbit of 0 and checks nothing
-else; the oracle for the pairs is the closure in G of the preimages of 0
-under P's members, with the lattice laws checked entry by entry.
+`realizable_lattice` pairs each P with its orbit of 0, which a structure
+keeps as a Subgroup of G, and reads P off eta at those ids; the oracle for
+the pairs is the closure in G of the preimages of 0 under P's members, with
+the lattice laws checked entry by entry.  Neither filling that memo nor the
+transport check builds a `PermGroup`.
 """
 import random
 import sys
@@ -36,13 +38,14 @@ from hgslab import (
     build_group,
     catalog_specs,
     g_stable_subgroups,
+    lattice_transport_check,
     normal_subgroups,
     realizable_lattice,
     rho_conjugate,
     rho_structure,
 )
 from hgslab import groups
-from hgslab.correspondence import _lambda_orbits
+from hgslab.correspondence import _fixed_subgroups, _lambda_orbits
 from hgslab.groups import (
     Subgroup,
     _join,
@@ -119,13 +122,17 @@ def test_stable_subgroups_match_the_scan_on_elemab_2_5_rho():
 
 
 def _lattice_holds(N):
-    """Each U is the closure of the preimages of 0 under P's members; P -> U
-    is injective, keeps inclusions and has the trivial and full pairs."""
+    """Each U is the closure of the preimages of 0 under P's members, and P
+    is eta read at U, generated by eta at U's generators (the identity for
+    the trivial P); P -> U is injective, keeps inclusions and has the
+    trivial and full pairs."""
     G = N.group
     entries = list(realizable_lattice(N))
     for P, U in entries:
         want = subgroup_closure(G, {p.index(0) for p in P.elements})
         assert U.elements == want.elements, N
+        assert P.elements == tuple(N.eta[u] for u in U.elements), N
+        assert P.generators == tuple(N.eta[u] for u in U.generators or (0,)), N
     assert len({U.elements for _, U in entries}) == len(entries), N
     for P1, U1 in entries:
         for P2, U2 in entries:
@@ -146,19 +153,27 @@ def test_lattices_match_the_preimage_closure(catalog_structures):
 
 def test_lattice_closes_no_permutations(catalog_structures, monkeypatch):
     # the join carries each P's generators and its index set is U, so
-    # nothing is closed or probed for stability as permutations
+    # nothing is closed or probed for stability as permutations; the memo
+    # keeps only the Us and the transport compares ids, so neither builds a
+    # PermGroup
     def refuse(*args):
-        raise AssertionError("the lattice closed or probed permutations")
+        raise AssertionError("the lattice closed, probed or built permutations")
 
     structures = [*catalog_structures, rho_structure(build_group("elemab:2:5"))]
-    for key, module in list(sys.modules.items()):
-        if key.startswith("hgslab."):
-            for name in ("_greedy_close", "_escape"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
+    for name in ("__init__", "_generated_by"):
+        monkeypatch.setattr(PermGroup, name, refuse)
+    with monkeypatch.context() as m:
+        for key, module in list(sys.modules.items()):
+            if key.startswith("hgslab."):
+                for name in ("_greedy_close", "_escape"):
+                    if hasattr(module, name):
+                        m.setattr(module, name, refuse)
+        for N in structures:
+            m.setattr(N, "_lattice", None)
+            _fixed_subgroups(N)
     for N in structures:
-        monkeypatch.setattr(N, "_lattice", None)
-        realizable_lattice(N)
+        for g in N.group.generating_set():
+            assert lattice_transport_check(N, g)
 
 
 def _greedy_picks(G, elements):
